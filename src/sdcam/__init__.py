@@ -20,8 +20,6 @@ from .prox import (
     prox_lp_box,
     prox_l1_box,
     project_box,
-    project_nonpositive,
-    prox_singleton,
 )
 from .schedule import ScheduleSpec, beta_at
 from .solver import (
@@ -37,8 +35,6 @@ from .diagnostics import (
     select_subsequence,
     certificate,
     CertificateReport,
-    H_value,
-    theta_value,
     suggest_delta,
     RateConstants,
     rate_constants,
@@ -64,8 +60,6 @@ __all__ = [
     "prox_lp_box",
     "prox_l1_box",
     "project_box",
-    "project_nonpositive",
-    "prox_singleton",
     "ScheduleSpec",
     "beta_at",
     "SolverConfig",
@@ -78,8 +72,6 @@ __all__ = [
     "select_subsequence",
     "certificate",
     "CertificateReport",
-    "H_value",
-    "theta_value",
     "suggest_delta",
     "RateConstants",
     "rate_constants",

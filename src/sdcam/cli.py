@@ -25,7 +25,7 @@ import json
 import logging
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -35,30 +35,11 @@ from .diagnostics import (
     rate_constants,
     select_subsequence,
 )
-from .oracles import Problem
 from .prox import prox_lp_power
 from .schedule import ScheduleSpec
 from .solver import SolveResult, SolverConfig, SolverError, solve
 from .verify import verify_problem_oracles, verify_prox_family, verify_schedule_sandwich
-from .problems import (
-    load_instance,
-    mimo_generate,
-    mimo_initial_point,
-    mimo_problem,
-    mlp_generate,
-    mlp_initial_point,
-    mlp_problem,
-    mlp_sup_abs_fg,
-    qcqp_generate,
-    qcqp_initial_point,
-    qcqp_problem,
-    relative_feasibility,
-    save_instance,
-)
-from .problems.mimo import mimo_sup_abs_fg
-from .problems.qcqp import QcqpInstance
-from .problems.mimo import MimoInstance
-from .problems.mlp import MlpInstance
+from .problems import FAMILIES, Family, family_of, load_instance, save_instance
 
 __all__ = ["main"]
 
@@ -75,22 +56,6 @@ CSV_HEADER = (
     "t,mu_t,beta_t,step_norm,scaled_step,gap,prev_gap,residual,"
     "fg_value,h_at_y,H_value,Theta_value,unsuccessful_this_iter,rel_feas"
 )
-
-# Per-family solver defaults (mu_max, mu_init, rho, eta) used when the config
-# omits a field.
-_SOLVER_DEFAULTS = {
-    "qcqp": {"mu_max": 1e7, "mu_init": 1.0, "rho": 0.8, "eta": 1.2},
-    "mimo": {"mu_max": 1e7, "mu_init": 1.0, "rho": 0.5, "eta": 2.0},
-    "mlp": {"mu_max": 1e7, "mu_init": 0.01, "rho": 0.5, "eta": 2.0},
-}
-
-# Bound-check regime per family: box-constrained h domain for qcqp, globally
-# Lipschitz h for mimo, finite-everywhere h for mlp.
-_FAMILY_REGIME = {
-    "qcqp": "bounded_domains",
-    "mimo": "lipschitz_h",
-    "mlp": "full_domain_h",
-}
 
 _SUBSEQ_COLUMNS = ("step_norm_sq", "scaled_step_sq")
 
@@ -129,76 +94,21 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def _build_instance(problem_cfg: Dict[str, Any], seed: int):
+    """Returns (family, instance) for the ``problem`` object of a config."""
     if "instance" in problem_cfg:
         _require_keys(problem_cfg, {"instance": True}, "problem")
         inst = load_instance(problem_cfg["instance"])
-        family = {QcqpInstance: "qcqp", MimoInstance: "mimo", MlpInstance: "mlp"}[type(inst)]
-        return family, inst
+        return family_of(inst), inst
     family = problem_cfg.get("family")
-    if family == "qcqp":
-        _require_keys(
-            problem_cfg,
-            {"family": True, "n": True, "m": True, "alpha": False, "p": False, "scale0": False},
-            "problem",
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise UsageError(
+            "problem must carry either an 'instance' path or a 'family' in "
+            f"{{{', '.join(FAMILIES)}}}"
         )
-        kwargs = {k: problem_cfg[k] for k in ("alpha", "p", "scale0") if k in problem_cfg}
-        return family, qcqp_generate(seed, problem_cfg["n"], problem_cfg["m"], **kwargs)
-    if family == "mimo":
-        _require_keys(
-            problem_cfg,
-            {
-                "family": True,
-                "n": True,
-                "m": True,
-                "p_psk": False,
-                "lambda1": False,
-                "lambda2": False,
-                "r_lo": False,
-            },
-            "problem",
-        )
-        kwargs = {
-            k: problem_cfg[k] for k in ("p_psk", "lambda1", "lambda2", "r_lo") if k in problem_cfg
-        }
-        return family, mimo_generate(seed, problem_cfg["n"], problem_cfg["m"], **kwargs)
-    if family == "mlp":
-        _require_keys(
-            problem_cfg,
-            {
-                "family": True,
-                "layer_dims": False,
-                "n_samples": False,
-                "p": False,
-                "lam": False,
-                "activation": False,
-                "source": False,
-                "images_path": False,
-                "labels_path": False,
-            },
-            "problem",
-        )
-        kwargs = {k: v for k, v in problem_cfg.items() if k != "family"}
-        if "layer_dims" in kwargs:
-            kwargs["layer_dims"] = tuple(kwargs["layer_dims"])
-        return family, mlp_generate(seed, **kwargs)
-    raise UsageError(
-        "problem must carry either an 'instance' path or a 'family' in {qcqp, mimo, mlp}"
-    )
-
-
-def _problem_bundle(family: str, inst) -> Tuple[Problem, np.ndarray, np.ndarray, Any, Optional[float]]:
-    """Returns (problem, x0, y0, rel_feas_fn, sup_abs_fg_bound)."""
-    if family == "qcqp":
-        prob = qcqp_problem(inst)
-        x0, y0 = qcqp_initial_point(inst)
-        return prob, x0, y0, (lambda x: relative_feasibility(inst, x)), None
-    if family == "mimo":
-        prob = mimo_problem(inst)
-        x0, y0 = mimo_initial_point(inst)
-        return prob, x0, y0, None, mimo_sup_abs_fg(inst)
-    prob = mlp_problem(inst)
-    x0, y0 = mlp_initial_point(inst)
-    return prob, x0, y0, None, mlp_sup_abs_fg(inst)
+    fam = FAMILIES[family]
+    _require_keys(problem_cfg, {"family": True, **fam.problem_keys()}, "problem")
+    kwargs = {k: v for k, v in problem_cfg.items() if k != "family"}
+    return fam, fam.generate(seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +145,7 @@ def _load_run_config(path: str) -> Dict[str, Any]:
     return cfg
 
 
-def _solver_config(cfg: Dict[str, Any], family: str) -> SolverConfig:
+def _solver_config(cfg: Dict[str, Any], fam: Family) -> SolverConfig:
     solver_cfg = dict(cfg.get("solver", {}))
     _require_keys(
         solver_cfg,
@@ -251,8 +161,7 @@ def _solver_config(cfg: Dict[str, Any], family: str) -> SolverConfig:
         },
         "solver",
     )
-    defaults = _SOLVER_DEFAULTS[family]
-    for key, value in defaults.items():
+    for key, value in fam.solver_defaults.items():
         solver_cfg.setdefault(key, value)
     iters = solver_cfg["max_successful_iters"]
     solver_cfg.setdefault("max_total_trials", max(1000, 50 * iters))
@@ -353,9 +262,9 @@ def _write_summary(
 def run_config_file(path: str) -> int:
     """Execute one run config; returns a process exit code."""
     cfg = _load_run_config(path)
-    family, inst = _build_instance(dict(cfg["problem"]), cfg["seed"])
-    problem, x0, y0, rel_feas, sup_abs_fg = _problem_bundle(family, inst)
-    solver_cfg = _solver_config(cfg, family)
+    fam, inst = _build_instance(dict(cfg["problem"]), cfg["seed"])
+    problem, x0, y0, rel_feas, sup_abs_fg = fam.setup(inst)
+    solver_cfg = _solver_config(cfg, fam)
 
     output_cfg = dict(cfg["output"])
     _require_keys(output_cfg, {"trace": True, "summary": False}, "output")
@@ -377,7 +286,7 @@ def run_config_file(path: str) -> int:
         mu_max=solver_cfg.mu_max,
         sup_abs_fg_bound=sup_abs_fg,
     )
-    rate_report = _rate_report_dict(result.trace, consts, _FAMILY_REGIME[family])
+    rate_report = _rate_report_dict(result.trace, consts, fam.regime)
     _write_trace_csv(trace_path, result)
     _write_summary(summary_path, result, rate_report)
     logger.info(
@@ -412,42 +321,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     problem_cfg: Dict[str, Any] = {"family": args.family}
-    if args.family in ("qcqp", "mimo"):
-        if args.n is None or args.m is None:
-            raise UsageError(f"gen {args.family} requires --n and --m")
-        problem_cfg["n"] = args.n
-        problem_cfg["m"] = args.m
-    if args.family == "qcqp":
-        for key, val in (("alpha", args.alpha), ("p", args.p), ("scale0", args.scale0)):
-            if val is not None:
-                problem_cfg[key] = val
-    elif args.family == "mimo":
-        for key, val in (
-            ("p_psk", args.p_psk),
-            ("lambda1", args.lambda1),
-            ("lambda2", args.lambda2),
-            ("r_lo", args.r_lo),
-        ):
-            if val is not None:
-                problem_cfg[key] = val
-    else:
-        if args.layer_dims is not None:
-            problem_cfg["layer_dims"] = [int(s) for s in args.layer_dims.split(",")]
-        for key, val in (
-            ("n_samples", args.n_samples),
-            ("p", args.p),
-            ("lam", args.lam),
-            ("activation", args.activation),
-            ("source", args.source),
-            ("images_path", args.images),
-            ("labels_path", args.labels),
-        ):
-            if val is not None:
-                problem_cfg[key] = val
-    try:
-        _, inst = _build_instance(problem_cfg, args.seed)
-    except (ValueError, RuntimeError) as exc:
-        raise UsageError(str(exc)) from exc
+    for _, key, _ in _GEN_PROBLEM_FLAGS:
+        if getattr(args, key) is not None:
+            problem_cfg[key] = getattr(args, key)
+    _, inst = _build_instance(problem_cfg, args.seed)
     save_instance(inst, args.out)
     with open(args.out, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
@@ -464,24 +341,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.instance is not None:
         inst = load_instance(args.instance)
-        family = {QcqpInstance: "qcqp", MimoInstance: "mimo", MlpInstance: "mlp"}[type(inst)]
+        fam = family_of(inst)
+    elif args.family is not None:
+        fam = FAMILIES[args.family]
+        inst = fam.generate(args.seed, **fam.check_kwargs)
     else:
-        family = args.family
-        if family is None:
-            raise UsageError("check requires --family or --instance")
-        if family == "qcqp":
-            inst = qcqp_generate(args.seed, n=10, m=3)
-        elif family == "mimo":
-            inst = mimo_generate(args.seed, n=6, m=12)
-        else:
-            inst = mlp_generate(args.seed, layer_dims=(8, 5, 3, 1), n_samples=20)
+        raise UsageError("check requires --family or --instance")
 
-    problem, x0, _, _, _ = _problem_bundle(family, inst)
+    problem, x0, _, _, _ = fam.setup(inst)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed, spawn_key=(99,))))
     points = [x0] + [x0 + 0.1 * rng.standard_normal(x0.size) for _ in range(9)]
     oracle_failures = verify_problem_oracles(problem, points, seed=args.seed)
     failures.extend(oracle_failures)
-    print(f"oracle checks ({family}, 10 points): "
+    print(f"oracle checks ({fam.name}, 10 points): "
           f"{'pass' if not oracle_failures else 'FAIL'}")
 
     prox_report = verify_prox_family(prox_lp_power, n_instances=args.prox_instances,
@@ -494,21 +366,19 @@ def cmd_check(args: argparse.Namespace) -> int:
                         f"{prox_report.worst_case}")
 
     schedule_ok = True
-    for fam, delta, K in (("power", 0.3, 1), ("power", 0.5, 1),
+    for kind, delta, K in (("power", 0.3, 1), ("power", 0.5, 1),
                           ("blocked", 0.3, 3), ("blocked", 0.5, 10)):
-        spec = ScheduleSpec(family=fam, beta0=1.0, delta=delta, K=K)
+        spec = ScheduleSpec(family=kind, beta0=1.0, delta=delta, K=K)
         if not verify_schedule_sandwich(spec, t_max=10_000):
             schedule_ok = False
             failures.append(f"schedule sandwich violated: {spec}")
     print(f"schedule sandwich: {'pass' if schedule_ok else 'FAIL'}")
 
-    if family == "qcqp":
-        eigs = np.array([np.linalg.eigvalsh(Qi).min() for Qi in inst.Q])
-        psd_ok = bool(np.all(eigs >= -1e-10)) and bool(np.all(inst.ri < 0.0))
-        print(f"qcqp structure (PSD blocks, negative offsets): "
-              f"{'pass' if psd_ok else 'FAIL'}")
-        if not psd_ok:
-            failures.append("qcqp PSD/offset structure violated")
+    if fam.structure_check is not None:
+        what, ok = fam.structure_check(inst)
+        print(f"{fam.name} structure ({what}): {'pass' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(f"{fam.name} structure ({what}) violated")
 
     for msg in failures:
         print(f"FAIL: {msg}", file=sys.stderr)
@@ -530,6 +400,8 @@ def cmd_subseq(args: argparse.Namespace) -> int:
             f"unknown column {args.column!r}; valid columns: {', '.join(_SUBSEQ_COLUMNS)}"
         )
     source = "step_norm" if args.column == "step_norm_sq" else "scaled_step"
+    if source not in reader.fieldnames:
+        raise UsageError(f"trace {args.trace} has no {source!r} column")
     a = np.array([float(r[source]) for r in rows]) ** 2
     b = np.cumsum(a) / np.arange(1, a.size + 1)
     selected = select_subsequence(a)
@@ -545,6 +417,31 @@ def cmd_subseq(args: argparse.Namespace) -> int:
 # entry point
 
 
+def _int_list(text: str) -> List[int]:
+    return [int(s) for s in text.split(",")]
+
+
+# The ``gen`` flags that set ``problem`` config keys: (flag, key, argparse kwargs).
+_GEN_PROBLEM_FLAGS = (
+    ("--n", "n", {"type": int}),
+    ("--m", "m", {"type": int}),
+    ("--alpha", "alpha", {"type": float}),
+    ("--p", "p", {"type": float}),
+    ("--scale0", "scale0", {"type": float}),
+    ("--p-psk", "p_psk", {"type": int}),
+    ("--lambda1", "lambda1", {"type": float}),
+    ("--lambda2", "lambda2", {"type": float}),
+    ("--r-lo", "r_lo", {"type": float}),
+    ("--layer-dims", "layer_dims", {"type": _int_list}),
+    ("--n-samples", "n_samples", {"type": int}),
+    ("--lam", "lam", {"type": float}),
+    ("--activation", "activation", {"choices": ("tanh", "sigmoid")}),
+    ("--source", "source", {"choices": ("synthetic", "idx")}),
+    ("--images", "images_path", {}),
+    ("--labels", "labels_path", {}),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # map argparse's exit(2) onto usage code 1
         raise UsageError(message)
@@ -555,25 +452,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate and serialize a problem instance")
-    p_gen.add_argument("--family", required=True, choices=("qcqp", "mimo", "mlp"))
+    p_gen.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--m", type=int)
-    p_gen.add_argument("--alpha", type=float)
-    p_gen.add_argument("--p", type=float)
-    p_gen.add_argument("--scale0", type=float)
-    p_gen.add_argument("--p-psk", dest="p_psk", type=int)
-    p_gen.add_argument("--lambda1", type=float)
-    p_gen.add_argument("--lambda2", type=float)
-    p_gen.add_argument("--r-lo", dest="r_lo", type=float)
-    p_gen.add_argument("--layer-dims", dest="layer_dims")
-    p_gen.add_argument("--n-samples", dest="n_samples", type=int)
-    p_gen.add_argument("--lam", type=float)
-    p_gen.add_argument("--activation", choices=("tanh", "sigmoid"))
-    p_gen.add_argument("--source", choices=("synthetic", "idx"))
-    p_gen.add_argument("--images")
-    p_gen.add_argument("--labels")
+    for flag, key, kwargs in _GEN_PROBLEM_FLAGS:
+        p_gen.add_argument(flag, dest=key, **kwargs)
     p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="run the solver from JSON config(s)")
@@ -584,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="verification suite for a problem family")
-    p_check.add_argument("--family", choices=("qcqp", "mimo", "mlp"))
+    p_check.add_argument("--family", choices=tuple(FAMILIES))
     p_check.add_argument("--instance")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--prox-instances", dest="prox_instances", type=int, default=200)

@@ -1,4 +1,4 @@
-"""Stationarity residuals, merit functions, rate constants, and
+"""Stationarity residuals, certificates, rate constants, and
 complexity-bound checks for solver traces.
 
 The stationarity residual is built from the exact subgradient witnesses that
@@ -33,8 +33,6 @@ __all__ = [
     "select_subsequence",
     "certificate",
     "CertificateReport",
-    "theta_value",
-    "H_value",
     "RateConstants",
     "rate_constants",
     "RateBoundReport",
@@ -107,26 +105,6 @@ def certificate(
     d2 = float(np.linalg.norm(np.asarray(p.c.value(x), dtype=float) - np.asarray(y)))
     d3 = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(z)))
     return CertificateReport(d1 <= eps1 and d2 <= eps2 and d3 <= eps3, d1, d2, d3)
-
-
-def H_value(p: Problem, x: Vector, beta: float, y: Vector) -> float:
-    """f(x)+g(x) + (beta/2)||c(x)-y||^2 + h(y); hard error off the domains."""
-    gx = float(p.g.value(np.asarray(x, dtype=float)))
-    hy = float(p.h.value(np.asarray(y, dtype=float)))
-    if gx == math.inf or hy == math.inf:
-        raise ValueError("H undefined: x or y outside its domain")
-    gap = float(np.linalg.norm(np.asarray(p.c.value(x), dtype=float) - np.asarray(y)))
-    return float(p.f.value(x)) + gx + 0.5 * beta * gap * gap + hy
-
-
-def theta_value(p: Problem, x: Vector, beta: float, y: Vector, inf_fg: float) -> float:
-    """(f+g-inf_fg)/beta + ||c(x)-y||^2/2 + h(y)/beta."""
-    gx = float(p.g.value(np.asarray(x, dtype=float)))
-    hy = float(p.h.value(np.asarray(y, dtype=float)))
-    if gx == math.inf or hy == math.inf:
-        raise ValueError("Theta undefined: x or y outside its domain")
-    gap = float(np.linalg.norm(np.asarray(p.c.value(x), dtype=float) - np.asarray(y)))
-    return (float(p.f.value(x)) + gx - inf_fg) / beta + 0.5 * gap * gap + hy / beta
 
 
 def suggest_delta(eps1: float, eps2: float) -> float:

@@ -1,5 +1,7 @@
 """Built-in problem families: box-constrained QCQP with an lp penalty, MIMO
-signal detection, and an MLP fitting problem with an lp sample loss."""
+signal detection, and an MLP fitting problem with an lp sample loss.
+``FAMILIES`` is the table that the CLI and the instance files look each
+family up in."""
 
 from .qcqp import (
     QcqpInstance,
@@ -8,7 +10,7 @@ from .qcqp import (
     qcqp_initial_point,
     relative_feasibility,
 )
-from .mimo import MimoInstance, mimo_generate, mimo_problem, mimo_initial_point
+from .mimo import MimoInstance, mimo_generate, mimo_problem, mimo_initial_point, mimo_sup_abs_fg
 from .mlp import (
     MlpInstance,
     mlp_generate,
@@ -17,6 +19,7 @@ from .mlp import (
     mlp_sup_abs_fg,
 )
 from .mnist_idx import read_idx, IdxData
+from .families import Family, FAMILIES, family_of
 from .io import save_instance, load_instance
 
 __all__ = [
@@ -29,6 +32,7 @@ __all__ = [
     "mimo_generate",
     "mimo_problem",
     "mimo_initial_point",
+    "mimo_sup_abs_fg",
     "MlpInstance",
     "mlp_generate",
     "mlp_problem",
@@ -36,6 +40,9 @@ __all__ = [
     "mlp_sup_abs_fg",
     "read_idx",
     "IdxData",
+    "Family",
+    "FAMILIES",
+    "family_of",
     "save_instance",
     "load_instance",
 ]

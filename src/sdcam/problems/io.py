@@ -14,31 +14,16 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .qcqp import QcqpInstance
-from .mimo import MimoInstance
-from .mlp import MlpInstance
+from .families import FAMILIES, family_of
 
 __all__ = ["save_instance", "load_instance"]
 
 FORMAT_VERSION = 1
 
-_FAMILIES = {
-    "qcqp": QcqpInstance,
-    "mimo": MimoInstance,
-    "mlp": MlpInstance,
-}
-
-
-def _family_of(inst: Any) -> str:
-    for name, cls in _FAMILIES.items():
-        if isinstance(inst, cls):
-            return name
-    raise TypeError(f"unsupported instance type {type(inst).__name__}")
-
 
 def save_instance(inst: Any, path: str) -> None:
-    """Write a QCQP / MIMO / MLP instance as a versioned JSON document."""
-    family = _family_of(inst)
+    """Write an instance of a family in ``FAMILIES`` as a versioned JSON document."""
+    family = family_of(inst).name
     params: Dict[str, Any] = {}
     data: Dict[str, Any] = {}
     for field in dataclasses.fields(inst):
@@ -67,13 +52,18 @@ def load_instance(path: str) -> Any:
     """Read an instance document written by save_instance."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance file {path} must hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
     family = doc.get("family")
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    cls = _FAMILIES[family]
+    for key in ("seed", "params", "data"):
+        if key not in doc:
+            raise ValueError(f"instance file {path} is missing field {key!r}")
+    cls = FAMILIES[family].instance_type
 
     kwargs: Dict[str, Any] = {"seed": doc["seed"]}
     params, data = doc["params"], doc["data"]

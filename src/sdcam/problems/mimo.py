@@ -23,7 +23,13 @@ import numpy as np
 from ..oracles import MapOracle, Problem, ProxOracle, SmoothOracle, Vector
 from ..prox import project_box, soft_threshold
 
-__all__ = ["MimoInstance", "mimo_generate", "mimo_problem", "mimo_initial_point"]
+__all__ = [
+    "MimoInstance",
+    "mimo_generate",
+    "mimo_problem",
+    "mimo_initial_point",
+    "mimo_sup_abs_fg",
+]
 
 
 @dataclasses.dataclass

@@ -32,8 +32,6 @@ __all__ = [
     "prox_lp_box",
     "prox_l1_box",
     "project_box",
-    "project_nonpositive",
-    "prox_singleton",
     "lp_threshold",
 ]
 
@@ -183,17 +181,3 @@ def project_box(z: Vector, lo: Vector, hi: Vector) -> Vector:
     if np.any(lo > hi):
         raise ValueError("box is empty: lo > hi in some coordinate")
     return np.minimum(np.maximum(z, lo), hi)
-
-
-def project_nonpositive(y: Vector) -> Vector:
-    """Projection onto the nonpositive orthant: component-wise min(y, 0)."""
-    return np.minimum(np.asarray(y, dtype=float), 0.0)
-
-
-def prox_singleton(y: Vector, b: Vector) -> Vector:
-    """Prox of the indicator of {b}: returns b."""
-    y = np.asarray(y, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if y.shape != b.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {b.shape}")
-    return b.copy()

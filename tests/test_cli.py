@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdcam.cli import CSV_HEADER, main
+from sdcam.problems import FAMILIES, family_of, load_instance, save_instance
 
 
 def _cfg(tmp_path, **overrides):
@@ -111,6 +112,16 @@ def test_gen_digest_is_stable(tmp_path, capsys):
     assert digests[0] == digests[1]
 
 
+def test_gen_rejects_keys_the_family_does_not_take(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert main([
+        "gen", "--family", "mimo", "--n", "3", "--m", "5", "--seed", "0",
+        "--p", "0.7", "--alpha", "9", "--out", str(out),
+    ]) == 1
+    assert "unknown key(s) ['alpha', 'p'] in problem" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_usage_errors(tmp_path, capsys):
     assert main([
         "gen", "--family", "qcqp", "--n", "1", "--m", "1", "--seed", "0",
@@ -128,12 +139,24 @@ def test_argparse_errors_map_to_usage_exit_code(capsys):
     assert main(["run"]) == 1  # missing --config
 
 
-def test_check_passes_for_all_families(tmp_path):
-    for family in ("qcqp", "mimo", "mlp"):
-        assert main([
-            "check", "--family", family, "--seed", "0",
-            "--prox-instances", "20",
-        ]) == 0
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_table_gen_load_and_check(tmp_path, capsys, name):
+    fam = FAMILIES[name]
+    flags = []
+    for key, value in fam.check_kwargs.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        flags += ["--" + key.replace("_", "-"), text]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["gen", "--family", name, "--seed", "0", "--out", str(first)] + flags) == 0
+    inst = load_instance(str(first))
+    assert type(inst) is fam.instance_type
+    assert family_of(inst) is fam
+    assert json.loads(first.read_text())["family"] == name
+    save_instance(inst, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert main(["check", "--instance", str(first), "--prox-instances", "20"]) == 0
+    assert main(["check", "--family", name, "--seed", "0", "--prox-instances", "20"]) == 0
+    assert capsys.readouterr().out.count(f"oracle checks ({name}, 10 points): pass") == 2
 
 
 def test_check_requires_target():
@@ -218,3 +241,45 @@ def test_csv_floats_have_17_significant_digits(tmp_path):
     # round-trip: parsing and re-formatting at 17 significant digits is lossless
     for field in fields[1:12]:
         assert field == format(float(field), ".17g")
+
+
+def _drop_seed(doc):
+    del doc["seed"]
+    return doc
+
+
+def _drop_params(doc):
+    del doc["params"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, malform",
+    [
+        ("check", _drop_seed),
+        ("run", _drop_seed),
+        ("check", _drop_params),
+        ("run", lambda doc: [doc]),
+        ("subseq", None),
+    ],
+    ids=["check-no-seed", "run-no-seed", "check-no-params", "run-list", "subseq-no-step-norm"],
+)
+def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):
+    if command == "subseq":
+        trace = tmp_path / "t.csv"
+        trace.write_text("t,scaled_step\n1,0.5\n")
+        argv = ["subseq", "--trace", str(trace), "--column", "step_norm_sq",
+                "--out", str(tmp_path / "o.csv")]
+    else:
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--family", "qcqp", "--n", "4", "--m", "2", "--seed", "0",
+                     "--out", str(inst)]) == 0
+        inst.write_text(json.dumps(malform(json.loads(inst.read_text()))))
+        if command == "check":
+            argv = ["check", "--instance", str(inst), "--prox-instances", "5"]
+        else:
+            argv = ["run", "--config", str(_cfg(tmp_path, problem={"instance": str(inst)})[0])]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")

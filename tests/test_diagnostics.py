@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdcam.diagnostics import (
-    H_value,
     certificate,
     rate_bound_check,
     rate_constants,
     select_subsequence,
     stationarity_residual,
     suggest_delta,
-    theta_value,
 )
 from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle
 from sdcam.schedule import ScheduleSpec
@@ -144,23 +142,6 @@ def test_certificate_report():
     )
     assert not rep2.passed
     assert rep2.d2 == pytest.approx(math.sqrt(2.0))
-
-
-def test_H_and_theta_values_and_domain_errors():
-    p = _linear_problem()
-    x = np.array([1.0, 0.0])
-    y = np.array([0.0, 0.0])
-    assert H_value(p, x, 2.0, y) == pytest.approx(0.5 + 1.0)
-    assert theta_value(p, x, 2.0, y, 0.0) == pytest.approx(0.25 + 0.5)
-    box = ProxOracle(
-        value=lambda v: 0.0 if np.all(np.abs(v) <= 0.5) else math.inf,
-        prox=lambda z, g: np.clip(z, -0.5, 0.5),
-    )
-    p_box = Problem(f=p.f, g=box, h=p.h, c=p.c, n=2, m=2)
-    with pytest.raises(ValueError):
-        H_value(p_box, x, 2.0, y)
-    with pytest.raises(ValueError):
-        theta_value(p_box, x, 2.0, y, 0.0)
 
 
 # --- rate constants and bound checks ------------------------------------------

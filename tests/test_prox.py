@@ -9,11 +9,9 @@ from sdcam.prox import (
     LpProxParams,
     lp_threshold,
     project_box,
-    project_nonpositive,
     prox_l1_box,
     prox_lp_box,
     prox_lp_power,
-    prox_singleton,
     soft_threshold,
 )
 from sdcam.verify import grid_prox_scalar, scalar_prox_objective
@@ -164,11 +162,3 @@ def test_project_box():
     np.testing.assert_allclose(project_box(np.array([2.0, -7.0]), lo, hi), [1.0, -7.0])
     with pytest.raises(ValueError):
         project_box(np.zeros(2), np.ones(2), np.zeros(2))
-
-
-def test_project_nonpositive_and_singleton():
-    np.testing.assert_allclose(project_nonpositive(np.array([1.0, -2.0])), [0.0, -2.0])
-    b = np.array([1.0, 2.0])
-    np.testing.assert_allclose(prox_singleton(np.zeros(2), b), b)
-    with pytest.raises(ValueError):
-        prox_singleton(np.zeros(3), b)
