@@ -74,7 +74,9 @@ def _configure_logging() -> None:
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _require_keys(obj: Dict[str, Any], allowed: Dict[str, bool], where: str) -> None:
+def _require_keys(obj: Any, allowed: Dict[str, bool], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise UsageError(f"unknown key(s) {unknown} in {where}")
@@ -95,7 +97,8 @@ def _fmt(value: Optional[float]) -> str:
 
 def _build_instance(problem_cfg: Dict[str, Any], seed: int):
     """Returns (family, instance) for the ``problem`` object of a config."""
-    if "instance" in problem_cfg:
+    # A problem that is not an object fails in _require_keys.
+    if not isinstance(problem_cfg, dict) or "instance" in problem_cfg:
         _require_keys(problem_cfg, {"instance": True}, "problem")
         inst = load_instance(problem_cfg["instance"])
         return family_of(inst), inst
@@ -108,7 +111,10 @@ def _build_instance(problem_cfg: Dict[str, Any], seed: int):
     fam = FAMILIES[family]
     _require_keys(problem_cfg, {"family": True, **fam.problem_keys()}, "problem")
     kwargs = {k: v for k, v in problem_cfg.items() if k != "family"}
-    return fam, fam.generate(seed, **kwargs)
+    try:
+        return fam, fam.generate(seed, **kwargs)
+    except TypeError as exc:  # a key of the wrong type
+        raise UsageError(f"problem: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +152,8 @@ def _load_run_config(path: str) -> Dict[str, Any]:
 
 
 def _solver_config(cfg: Dict[str, Any], fam: Family) -> SolverConfig:
-    solver_cfg = dict(cfg.get("solver", {}))
     _require_keys(
-        solver_cfg,
+        cfg.get("solver", {}),
         {
             "mu_max": False,
             "mu_init": False,
@@ -161,25 +166,23 @@ def _solver_config(cfg: Dict[str, Any], fam: Family) -> SolverConfig:
         },
         "solver",
     )
-    for key, value in fam.solver_defaults.items():
-        solver_cfg.setdefault(key, value)
-    iters = solver_cfg["max_successful_iters"]
-    solver_cfg.setdefault("max_total_trials", max(1000, 50 * iters))
-    schedule_cfg = dict(cfg["schedule"])
+    solver_cfg = {**fam.solver_defaults, **cfg.get("solver", {})}
     _require_keys(
-        schedule_cfg,
+        cfg["schedule"],
         {"family": False, "beta0": True, "delta": True, "K": False},
         "schedule",
     )
-    schedule_cfg.setdefault("family", "power")
+    schedule_cfg = {"family": "power", **cfg["schedule"]}
     try:
+        iters = solver_cfg["max_successful_iters"]
+        solver_cfg.setdefault("max_total_trials", max(1000, 50 * iters))
         schedule = ScheduleSpec(**schedule_cfg)
         return SolverConfig(
             schedule=schedule,
             assert_level=cfg.get("assert_level", "cheap"),
             **solver_cfg,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
         raise UsageError(str(exc)) from exc
 
 
@@ -262,11 +265,11 @@ def _write_summary(
 def run_config_file(path: str) -> int:
     """Execute one run config; returns a process exit code."""
     cfg = _load_run_config(path)
-    fam, inst = _build_instance(dict(cfg["problem"]), cfg["seed"])
+    fam, inst = _build_instance(cfg["problem"], cfg["seed"])
     problem, x0, y0, rel_feas, sup_abs_fg = fam.setup(inst)
     solver_cfg = _solver_config(cfg, fam)
 
-    output_cfg = dict(cfg["output"])
+    output_cfg = cfg["output"]
     _require_keys(output_cfg, {"trace": True, "summary": False}, "output")
     trace_path = output_cfg["trace"]
     summary_path = output_cfg.get("summary", trace_path + ".summary.json")

@@ -10,6 +10,9 @@ the two prox subproblems certify at an accepted step:
 
 so ||grad f(x^{t+1}) + psi + J_c(x^t)^T xi|| upper-bounds the distance of 0 to
 grad f + dg + J_c^T dh anchored at (x^{t+1}, y^t, z=x^t).
+``stationarity_residual`` computes it from scratch, calling the oracles again;
+it is the reference that the tests compare the solver's trace residual
+against, which ``sdcam.solver`` derives from values it has already cached.
 
 ``rate_bound_check`` evaluates, for a finished trace, the running-average and
 min-style inequalities that are guaranteed to hold for the logged quantities

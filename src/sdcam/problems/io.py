@@ -72,6 +72,11 @@ def load_instance(path: str) -> Any:
             continue
         if field.name in data:
             entry = data[field.name]
+            if not (isinstance(entry, dict) and "shape" in entry and "values" in entry):
+                raise ValueError(
+                    f"data entry {field.name!r} in instance file {path} must be an "
+                    "object with 'shape' and 'values'"
+                )
             kwargs[field.name] = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
         elif field.name in params:
             value = params[field.name]

@@ -48,8 +48,7 @@ class MlpInstance:
 
     @property
     def param_count(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[l + 1] * dims[l] + dims[l + 1] for l in range(len(dims) - 1))
+        return _param_count(self.layer_dims)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:

@@ -16,8 +16,16 @@ On acceptance mu grows by eta (capped at mu_max) and the schedule index t
 advances; on rejection mu shrinks by rho and the state is untouched.  beta_t
 is indexed by the accepted-step counter only: rejected trials reuse beta_t.
 
-c(x^t) and grad f(x^t) are cached across rejected trials (they depend only on
-x^t); the backtracking loop re-solves only the prox.
+c(x^t), grad f(x^t) and J_c(x^t)^T (c(x^t) - y^t) are computed once per
+iterate and cached across rejected trials; the backtracking loop re-solves only
+the prox.  The stationarity residual of an accepted step comes from the same
+cache through the identity
+
+    ||grad f(x^{t+1}) - grad f(x^t) - (beta_t - beta_{t-1}) J_c(x^t)^T (c(x^t) - y^t)
+      - (2/mu_t)(x^{t+1} - x^t)||,
+
+which equals the witness norm of ``diagnostics.stationarity_residual`` up to
+rounding; grad f(x^{t+1}) is the gradient the next iterate needs anyway.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import numpy as np
 
 from .oracles import Problem, Vector
 from .schedule import ScheduleSpec, beta_at
-from . import diagnostics
 
 __all__ = [
     "SolverConfig",
@@ -39,6 +46,7 @@ __all__ = [
     "RunAnchors",
     "SolveResult",
     "SolverError",
+    "initial_state",
     "trial_step",
     "condition_check",
     "ConditionReport",
@@ -79,7 +87,8 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolverState:
-    """Mutable run state; caches c(x) and grad f(x) at the current iterate."""
+    """Mutable run state; caches c(x), grad f(x) and J_c(x)^T (c(x) - y) at the
+    current iterate."""
 
     t: int
     x: Vector
@@ -87,6 +96,7 @@ class SolverState:
     mu: float
     c_x: Vector
     grad_fx: Vector
+    jtd: Vector  # J_c(x)^T (c(x) - y)
     fg_x: float  # f(x) + g(x)
     h_y: float  # h(y)
     trial_count: int = 0
@@ -153,11 +163,47 @@ class ConditionReport:
     fg_trial: float
 
 
+def _linearize(p: Problem, x: Vector, c_x: Vector, y: Vector) -> Tuple[Vector, Vector]:
+    """grad f(x) and J_c(x)^T (c(x) - y), the two terms of v at the iterate (x, y)."""
+    grad_fx = np.asarray(p.f.grad(x), dtype=float)
+    jtd = np.asarray(p.c.vjp(x, c_x - y), dtype=float)
+    if not (np.isfinite(grad_fx).all() and np.isfinite(jtd).all()):
+        raise SolverError("grad f(x) or J_c(x)^T (c(x) - y) is not finite")
+    return grad_fx, jtd
+
+
+def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
+    """The run state at (x0, y0) with step parameter mu.
+
+    Raises ValueError when x0/y0 have the wrong size or lie outside dom g /
+    dom h, and SolverError when f(x0), grad f(x0), c(x0) or
+    J_c(x0)^T (c(x0) - y0) is not finite.
+    """
+    x0 = np.array(x0, dtype=float)
+    y0 = np.array(y0, dtype=float)
+    if x0.size != p.n or y0.size != p.m:
+        raise ValueError("x0/y0 dimensions do not match the problem")
+    g0 = float(p.g.value(x0))
+    if g0 == math.inf:
+        raise ValueError("x0 is infeasible: g(x0) = +inf")
+    h0 = float(p.h.value(y0))
+    if h0 == math.inf:
+        raise ValueError("y0 is infeasible: h(y0) = +inf")
+    c_x = np.asarray(p.c.value(x0), dtype=float)
+    fg_x = float(p.f.value(x0)) + g0
+    if not (math.isfinite(fg_x) and np.isfinite(c_x).all()):
+        raise SolverError("f(x0) + g(x0) or c(x0) is not finite")
+    grad_fx, jtd = _linearize(p, x0, c_x, y0)
+    return SolverState(
+        t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd, fg_x=fg_x, h_y=h0
+    )
+
+
 def trial_step(p: Problem, st: SolverState, beta_t: float, mu: float) -> Vector:
     """Exact minimizer of <v,x> + (1/mu)||x-x^t||^2 + g(x)."""
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    v = st.grad_fx + beta_t * np.asarray(p.c.vjp(st.x, st.c_x - st.y), dtype=float)
+    v = st.grad_fx + beta_t * st.jtd
     return np.asarray(p.g.prox(st.x - 0.5 * mu * v, 0.5 * mu), dtype=float)
 
 
@@ -174,6 +220,8 @@ def condition_check(
     """Backtracking acceptance test; margins >= -tol means pass.
 
     tol = 1e-12*(1+|f(x^t)+g(x^t)|) guards floating-point ties at margin 0.
+    A margin that is not finite (f or c returned NaN or inf at x~, or mu is
+    too small to invert) raises SolverError instead of rejecting the trial.
     """
     g_trial = float(p.g.value(x_trial))
     if g_trial == math.inf:
@@ -186,6 +234,10 @@ def condition_check(
     lhs = fg_trial + 0.5 * beta_t * float(np.linalg.norm(c_trial - y_t)) ** 2
     rhs = fg_xt + 0.5 * beta_t * float(np.linalg.norm(c_xt - y_t)) ** 2
     margin_ii = rhs - lhs - dx * dx / (2.0 * mu)
+    if not (math.isfinite(margin_i) and math.isfinite(margin_ii)):
+        raise SolverError(
+            f"acceptance margins ({margin_i!r}, {margin_ii!r}) are not finite at mu={mu!r}"
+        )
     tol = 1e-12 * (1.0 + abs(fg_xt))
     passed = margin_i >= -tol and margin_ii >= -tol
     return ConditionReport(passed, margin_i, margin_ii, tol, c_trial, fg_trial)
@@ -196,32 +248,33 @@ def step(
     st: SolverState,
     cfg: SolverConfig,
     rel_feas: Optional[Callable[[Vector], float]] = None,
-) -> Tuple[Optional[TraceRow], Optional[ConditionReport], float]:
-    """One trial.  Returns (row, report, cxy_sq): row is None on rejection;
-    cxy_sq = ||c(x^t)-y^t||^2 at the pre-step state (used by descent asserts).
-    """
+) -> Tuple[Optional[TraceRow], ConditionReport]:
+    """One trial.  Returns (row, report); row is None on rejection."""
     beta_t = beta_at(cfg.schedule, st.t)
-    beta_prev = beta_at(cfg.schedule, st.t - 1) if st.t >= 1 else cfg.schedule.beta0
     x_trial = trial_step(p, st, beta_t, st.mu)
     st.trial_count += 1
     rep = condition_check(p, st.x, x_trial, st.y, beta_t, st.mu, st.fg_x, st.c_x)
-    cxy_sq = float(np.linalg.norm(st.c_x - st.y)) ** 2
     if not rep.passed:
         st.mu *= cfg.rho
         st.unsuccessful_count += 1
         st.unsuccessful_since_accept += 1
-        return None, rep, cxy_sq
+        return None, rep
 
     mu_t = st.mu
-    residual = diagnostics.stationarity_residual(
-        p, st.x, x_trial, st.y, mu_t, beta_t, beta_prev
-    )
-    step_norm = float(np.linalg.norm(x_trial - st.x))
+    beta_prev = beta_at(cfg.schedule, st.t - 1) if st.t >= 1 else cfg.schedule.beta0
+    dx = x_trial - st.x
+    step_norm = float(np.linalg.norm(dx))
     prev_gap = float(np.linalg.norm(rep.c_trial - st.y))
     y_new = np.asarray(p.h.prox(rep.c_trial, 1.0 / beta_t), dtype=float)
     h_y_new = float(p.h.value(y_new))
     if h_y_new == math.inf:
         raise SolverError("h.prox returned a point outside dom h")
+    grad_new, jtd_new = _linearize(p, x_trial, rep.c_trial, y_new)
+    residual = float(
+        np.linalg.norm(
+            grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu_t) * dx
+        )
+    )
     gap = float(np.linalg.norm(rep.c_trial - y_new))
     H = rep.fg_trial + 0.5 * beta_t * prev_gap * prev_gap + st.h_y
     theta: Optional[float] = None
@@ -249,14 +302,15 @@ def step(
     )
     st.x = x_trial
     st.c_x = rep.c_trial
-    st.grad_fx = np.asarray(p.f.grad(x_trial), dtype=float)
+    st.grad_fx = grad_new
+    st.jtd = jtd_new
     st.fg_x = rep.fg_trial
     st.y = y_new
     st.h_y = h_y_new
     st.t += 1
     st.mu = min(cfg.mu_max, cfg.eta * st.mu)
     st.unsuccessful_since_accept = 0
-    return row, rep, cxy_sq
+    return row, rep
 
 
 def solve(
@@ -273,39 +327,18 @@ def solve(
     row; "full" additionally asserts the merit-function monotonicity and the
     per-step pseudo-descent inequality (requires inf_fg_lower_bound).
     """
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    if x0.size != p.n or y0.size != p.m:
-        raise ValueError("x0/y0 dimensions do not match the problem")
-    g0 = float(p.g.value(x0))
-    if g0 == math.inf:
-        raise ValueError("x0 is infeasible: g(x0) = +inf")
-    h0 = float(p.h.value(y0))
-    if h0 == math.inf:
-        raise ValueError("y0 is infeasible: h(y0) = +inf")
     if cfg.assert_level == "full" and p.inf_fg_lower_bound is None:
         raise ValueError("assert_level='full' requires inf_fg_lower_bound")
-
-    st = SolverState(
-        t=0,
-        x=x0.copy(),
-        y=y0.copy(),
-        mu=cfg.mu_init,
-        c_x=np.asarray(p.c.value(x0), dtype=float),
-        grad_fx=np.asarray(p.f.grad(x0), dtype=float),
-        fg_x=float(p.f.value(x0)) + g0,
-        h_y=h0,
-    )
+    st = initial_state(p, x0, y0, cfg.mu_init)
     anchors = RunAnchors(
         beta0=cfg.schedule.beta0,
-        gap_x0_y0=float(np.linalg.norm(st.c_x - y0)),
-        h_y0=h0,
+        gap_x0_y0=float(np.linalg.norm(st.c_x - st.y)),
+        h_y0=st.h_y,
     )
 
     trace: List[TraceRow] = []
     margins: List[Tuple[float, float]] = []
     status = "trial budget"
-    prev_theta: Optional[float] = None
     while True:
         if len(trace) >= cfg.max_successful_iters:
             status = "iteration budget"
@@ -313,40 +346,37 @@ def solve(
         if st.trial_count >= cfg.max_total_trials:
             status = "trial budget"
             break
-        fg_before = st.fg_x
-        h_y_before = st.h_y
-        beta_prev = beta_at(cfg.schedule, st.t - 1) if st.t >= 1 else cfg.schedule.beta0
-        row, rep, cxy_sq = step(p, st, cfg, rel_feas)
+        row, rep = step(p, st, cfg, rel_feas)
         if row is None:
             continue
         if not all(
-            math.isfinite(v)
-            for v in (row.step_norm, row.gap, row.prev_gap, row.residual, row.fg_value)
+            math.isfinite(q)
+            for q in (row.step_norm, row.gap, row.prev_gap, row.residual, row.fg_value)
         ):
             raise SolverError(f"non-finite trace quantities at t={row.t}")
         margins.append((rep.margin_i, rep.margin_ii))
         if cfg.assert_level in ("cheap", "full"):
             if rep.margin_i < -rep.tol or rep.margin_ii < -rep.tol:
                 raise SolverError(f"acceptance margin violated at t={row.t}")
-        if cfg.assert_level == "full":
-            if prev_theta is not None and row.Theta_value is not None:
-                tol = 1e-7 * (1.0 + abs(prev_theta))
-                if row.Theta_value > prev_theta + tol:
-                    raise SolverError(
-                        f"merit nonincrease violated at t={row.t}: "
-                        f"{row.Theta_value} > {prev_theta}"
-                    )
-            if row.t >= 1:
-                h_prev = fg_before + 0.5 * beta_prev * cxy_sq + h_y_before
-                bound = (
-                    h_prev
-                    - row.step_norm**2 / (2.0 * row.mu_t)
-                    + 0.5 * (row.beta_t - beta_prev) * cxy_sq
+        if cfg.assert_level == "full" and row.t >= 1:
+            # The previous row holds H's terms at (x^t, y^t) and beta_{t-1}.
+            prev = trace[-1]
+            tol = 1e-7 * (1.0 + abs(prev.Theta_value))
+            if row.Theta_value > prev.Theta_value + tol:
+                raise SolverError(
+                    f"merit nonincrease violated at t={row.t}: "
+                    f"{row.Theta_value} > {prev.Theta_value}"
                 )
-                tol = 1e-9 * (1.0 + abs(h_prev))
-                if row.H_value > bound + tol:
-                    raise SolverError(f"pseudo-descent violated at t={row.t}")
-        prev_theta = row.Theta_value if row.Theta_value is not None else prev_theta
+            cxy_sq = prev.gap**2
+            h_prev = prev.fg_value + 0.5 * prev.beta_t * cxy_sq + prev.h_at_y
+            bound = (
+                h_prev
+                - row.step_norm**2 / (2.0 * row.mu_t)
+                + 0.5 * (row.beta_t - prev.beta_t) * cxy_sq
+            )
+            tol = 1e-9 * (1.0 + abs(h_prev))
+            if row.H_value > bound + tol:
+                raise SolverError(f"pseudo-descent violated at t={row.t}")
         trace.append(row)
         if row.t == 0:
             anchors.fg_x1 = row.fg_value

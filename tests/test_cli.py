@@ -253,6 +253,11 @@ def _drop_params(doc):
     return doc
 
 
+def _drop_data_shape(doc):
+    del doc["data"]["Q"]["shape"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, malform",
     [
@@ -261,11 +266,29 @@ def _drop_params(doc):
         ("check", _drop_params),
         ("run", lambda doc: [doc]),
         ("subseq", None),
+        ("config", {"problem": 5}),
+        ("config", {"problem": {"family": "qcqp", "n": "5", "m": 2}}),
+        ("config", {"schedule": 7}),
+        ("config", {"solver": {"max_successful_iters": "5"}}),
+        ("check", _drop_data_shape),
     ],
-    ids=["check-no-seed", "run-no-seed", "check-no-params", "run-list", "subseq-no-step-norm"],
+    ids=[
+        "check-no-seed",
+        "run-no-seed",
+        "check-no-params",
+        "run-list",
+        "subseq-no-step-norm",
+        "config-problem-not-object",
+        "config-problem-key-type",
+        "config-schedule-not-object",
+        "config-solver-key-type",
+        "check-data-no-shape",
+    ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):
-    if command == "subseq":
+    if command == "config":
+        argv = ["run", "--config", str(_cfg(tmp_path, **malform)[0])]
+    elif command == "subseq":
         trace = tmp_path / "t.csv"
         trace.write_text("t,scaled_step\n1,0.5\n")
         argv = ["subseq", "--trace", str(trace), "--column", "step_norm_sq",

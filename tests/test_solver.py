@@ -1,19 +1,25 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import sdcam.solver
+from sdcam.diagnostics import stationarity_residual
 from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle
-from sdcam.schedule import ScheduleSpec
+from sdcam.schedule import ScheduleSpec, beta_at
 from sdcam.solver import (
     SolverConfig,
     SolverError,
-    SolverState,
     condition_check,
+    initial_state,
     solve,
     trial_step,
 )
-from sdcam.problems import qcqp_generate, qcqp_problem, qcqp_initial_point
+from sdcam.problems import FAMILIES, qcqp_generate, qcqp_problem, qcqp_initial_point
+
+ORACLES = ("f.value", "f.grad", "g.value", "g.prox", "h.value", "h.prox", "c.value", "c.vjp")
 
 
 def _identity_problem(curvature=1.0):
@@ -43,18 +49,29 @@ def _config(**kw):
 
 
 def _state(p, x0, y0, mu):
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    return SolverState(
-        t=0,
-        x=x0,
-        y=y0,
-        mu=mu,
-        c_x=np.asarray(p.c.value(x0), dtype=float),
-        grad_fx=np.asarray(p.f.grad(x0), dtype=float),
-        fg_x=float(p.f.value(x0)) + float(p.g.value(x0)),
-        h_y=float(p.h.value(y0)),
-    )
+    return initial_state(p, x0, y0, mu)
+
+
+def _family_run(family, seed, **kw):
+    """(problem, x0, y0, rel_feas, config) for the family's ``check`` instance,
+    with its solver defaults and a power schedule with delta = 0.3."""
+    fam = FAMILIES[family]
+    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(seed, **fam.check_kwargs))
+    schedule = ScheduleSpec(family="power", beta0=1.0, delta=0.3)
+    return prob, x0, y0, rel_feas, _config(**{**fam.solver_defaults, "schedule": schedule, **kw})
+
+
+def _replace_oracle(p, name, fn):
+    """p with the oracle method ``name`` (say "c.value") replaced by fn."""
+    term, method = name.split(".")
+    return dataclasses.replace(p, **{term: dataclasses.replace(getattr(p, term), **{method: fn})})
+
+
+def _constant_oracle(name, value):
+    """An oracle method for the 2-d identity problem that always returns value."""
+    if name == "f.value":
+        return lambda *args: value
+    return lambda *args: np.full(2, value)
 
 
 def test_trial_step_free_g_is_half_mu_gradient_step():
@@ -176,17 +193,9 @@ def test_full_asserts_require_objective_lower_bound():
         solve(p_nobound, _config(assert_level="full"), np.zeros(2), np.zeros(2))
 
 
-def test_full_asserts_pass_on_qcqp():
-    inst = qcqp_generate(3, n=8, m=2)
-    prob = qcqp_problem(inst)
-    x0, y0 = qcqp_initial_point(inst)
-    cfg = _config(
-        rho=0.8,
-        eta=1.2,
-        schedule=ScheduleSpec(family="power", beta0=1.0, delta=0.3),
-        max_successful_iters=100,
-        assert_level="full",
-    )
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_full_asserts_pass(family):
+    prob, x0, y0, _, cfg = _family_run(family, 3, max_successful_iters=100, assert_level="full")
     res = solve(prob, cfg, x0, y0)
     assert len(res.trace) == 100
     # merit-row consistency: Theta = (H - inf_fg)/beta
@@ -228,3 +237,70 @@ def test_solver_error_on_prox_leaving_domain():
     st = _state(p, np.zeros(2), np.zeros(2), mu=1.0)
     with pytest.raises(SolverError):
         condition_check(p_bad, st.x, st.x, st.y, 1.0, 1.0, 0.0, st.c_x)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_oracle_calls_per_run(family):
+    # Each oracle value at an iterate is computed once: T trials, A accepted steps.
+    prob, x0, y0, rel_feas, cfg = _family_run(family, 0, max_successful_iters=30)
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ORACLES:
+        term, method = name.split(".")
+        prob = _replace_oracle(prob, name, counted(name, getattr(getattr(prob, term), method)))
+    res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
+    T, A = res.total_trials, len(res.trace)
+    assert A == 30 and T > A
+    assert dict(counts) == {
+        "f.value": T + 1,
+        "f.grad": A + 1,
+        "g.value": T + 1,
+        "g.prox": T,
+        "h.value": A + 1,
+        "h.prox": A,
+        "c.value": T + 1,
+        "c.vjp": A + 1,
+    }
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_residual_matches_from_scratch_reference(family):
+    prob, x0, y0, _, cfg = _family_run(family, 0)
+    st = initial_state(prob, x0, y0, cfg.mu_init)
+    accepted = 0
+    while accepted < 30:
+        x_t, y_t, t = st.x, st.y, st.t
+        row, _ = sdcam.solver.step(prob, st, cfg)
+        if row is None:
+            continue
+        accepted += 1
+        beta_prev = beta_at(cfg.schedule, t - 1) if t >= 1 else cfg.schedule.beta0
+        ref = stationarity_residual(prob, x_t, st.x, y_t, row.mu_t, row.beta_t, beta_prev)
+        assert row.residual == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("rho", [0.8, 0.5])
+@pytest.mark.parametrize("oracle", ["f.value", "f.grad", "c.value", "c.vjp"])
+def test_non_finite_oracle_at_start_raises(oracle, rho):
+    # A NaN at the start must raise, not run to the trial budget as a string of
+    # rejections (rho = 0.8) or until mu underflows to 0 (rho = 0.5).
+    p = _replace_oracle(_identity_problem(), oracle, _constant_oracle(oracle, math.nan))
+    with pytest.raises(SolverError, match="not finite"):
+        solve(p, _config(rho=rho), np.ones(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("oracle", ["f.value", "c.value"])
+def test_non_finite_trial_values_raise(oracle, value):
+    p = _identity_problem()
+    st = _state(p, np.ones(2), np.zeros(2), mu=1.0)
+    p_bad = _replace_oracle(p, oracle, _constant_oracle(oracle, value))
+    with pytest.raises(SolverError, match="not finite"):
+        condition_check(p_bad, st.x, np.zeros(2), st.y, 1.0, 1.0, st.fg_x, st.c_x)
