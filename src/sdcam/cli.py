@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional
@@ -37,7 +38,7 @@ from .diagnostics import (
 )
 from .prox import prox_lp_power
 from .schedule import ScheduleSpec
-from .solver import SolveResult, SolverConfig, SolverError, solve
+from .solver import SolveResult, SolverConfig, SolverError, TraceRow, solve
 from .verify import verify_problem_oracles, verify_prox_family, verify_schedule_sandwich
 from .problems import FAMILIES, Family, family_of, load_instance, save_instance
 
@@ -52,10 +53,8 @@ EXIT_VERIFICATION = 3
 
 SCHEMA_VERSION = 1
 
-CSV_HEADER = (
-    "t,mu_t,beta_t,step_norm,scaled_step,gap,prev_gap,residual,"
-    "fg_value,h_at_y,H_value,Theta_value,unsuccessful_this_iter,rel_feas"
-)
+_TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRow))
+CSV_HEADER = ",".join(_TRACE_FIELDS)
 
 _SUBSEQ_COLUMNS = ("step_norm_sq", "scaled_step_sq")
 
@@ -86,9 +85,23 @@ def _require_keys(obj: Any, allowed: Dict[str, bool], where: str) -> None:
 
 
 def _fmt(value: Optional[float]) -> str:
+    """A CSV cell: ints as written, floats with 17 significant digits, None empty."""
     if value is None:
         return ""
+    if isinstance(value, int):
+        return str(value)
     return format(float(value), ".17g")
+
+
+def _json_safe(obj: Any) -> Any:
+    """``obj`` with every float that is not finite replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +203,7 @@ def _write_trace_csv(path: str, result: SolveResult) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in result.trace:
-            fields = [
-                str(r.t),
-                _fmt(r.mu_t),
-                _fmt(r.beta_t),
-                _fmt(r.step_norm),
-                _fmt(r.scaled_step),
-                _fmt(r.gap),
-                _fmt(r.prev_gap),
-                _fmt(r.residual),
-                _fmt(r.fg_value),
-                _fmt(r.h_at_y),
-                _fmt(r.H_value),
-                _fmt(r.Theta_value),
-                str(r.unsuccessful_this_iter),
-                _fmt(r.rel_feas),
-            ]
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(_fmt(getattr(r, name)) for name in _TRACE_FIELDS) + "\n")
 
 
 def _rate_report_dict(trace, consts: RateConstants, regime: str) -> Dict[str, Any]:
@@ -258,7 +255,7 @@ def _write_summary(
         "rate_bound_check": rate_report,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(_json_safe(doc), fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -171,12 +171,21 @@ def rate_constants(
     """Fill every constant whose inputs are available; never estimates.
 
     ``anchors`` carries the initial-run quantities (beta0, ||c(x^0)-y^0||,
-    h(y^0), f(x^1)+g(x^1), ||c(x^1)-y^0||) recorded by the solver.
+    h(y^0), f(x^1)+g(x^1), ||c(x^1)-y^0||) recorded by the solver.  A constant
+    whose formula overflows or is not finite is recorded as unavailable.
     """
     rc = RateConstants()
     prov = rc.provenance
 
-    def put(name: str, value: Optional[float], tag: str) -> None:
+    def put(name: str, value, tag: str) -> None:
+        # value: a float, None, or a zero-argument function computing it
+        if callable(value):
+            try:
+                value = value()
+            except (OverflowError, ZeroDivisionError):
+                value = None
+        if value is not None and not math.isfinite(value):
+            value = None
         setattr(rc, name, value)
         prov[name] = tag if value is not None else _PROVENANCE_UNAVAILABLE
 
@@ -184,9 +193,9 @@ def rate_constants(
     put("L_c", p.c.jac_lipschitz_bound, _PROVENANCE_USER)
     put("M_c", p.c.jac_norm_bound, _PROVENANCE_USER)
     put("M_h", p.h_lipschitz_bound, _PROVENANCE_USER)
-    put("alpha0", s.alpha0, _PROVENANCE_COMPUTED)
-    put("gamma0", s.gamma0, _PROVENANCE_COMPUTED)
-    put("eta0", s.eta0, _PROVENANCE_COMPUTED)
+    put("alpha0", lambda: s.alpha0, _PROVENANCE_COMPUTED)
+    put("gamma0", lambda: s.gamma0, _PROVENANCE_COMPUTED)
+    put("eta0", lambda: s.eta0, _PROVENANCE_COMPUTED)
     put("delta", s.delta, _PROVENANCE_COMPUTED)
     put("rho", rho, _PROVENANCE_USER)
     put("mu_max", mu_max, _PROVENANCE_USER)
@@ -194,50 +203,60 @@ def rate_constants(
     inf_fg = p.inf_fg_lower_bound
     beta0 = anchors.beta0
     have_anchor1 = anchors.fg_x1 is not None and anchors.gap_x1_y0 is not None
+    # Every formula below that reads alpha0, gamma0 or eta0 needs them finite.
+    sched = None not in (rc.alpha0, rc.gamma0, rc.eta0)
 
     if have_anchor1 and inf_fg is not None:
-        inner = (
-            (4.0 / beta0) * (anchors.fg_x1 - inf_fg)
-            + 2.0 * anchors.gap_x1_y0**2
-            + (4.0 / beta0) * anchors.h_y0
+
+        def m0() -> float:
+            inner = (
+                (4.0 / beta0) * (anchors.fg_x1 - inf_fg)
+                + 2.0 * anchors.gap_x1_y0**2
+                + (4.0 / beta0) * anchors.h_y0
+            )
+            return max(anchors.gap_x0_y0, math.sqrt(max(inner, 0.0)))
+
+        put("M0", m0, _PROVENANCE_COMPUTED)
+        put(
+            "M1",
+            lambda: anchors.fg_x1 + 0.5 * beta0 * anchors.gap_x1_y0**2 + anchors.h_y0 - inf_fg,
+            _PROVENANCE_COMPUTED,
         )
-        put("M0", max(anchors.gap_x0_y0, math.sqrt(max(inner, 0.0))), _PROVENANCE_COMPUTED)
-        M1 = (
-            anchors.fg_x1
-            + 0.5 * beta0 * anchors.gap_x1_y0**2
-            + anchors.h_y0
-            - inf_fg
-        )
-        put("M1", M1, _PROVENANCE_COMPUTED)
-        if rc.M_h is not None:
+        if sched and rc.M_h is not None and rc.M1 is not None:
             put(
                 "K0",
-                M1 + rc.gamma0 * (1.0 + s.delta) * rc.M_h**2 / (2.0 * rc.alpha0 * beta0),
+                lambda: rc.M1
+                + rc.gamma0 * (1.0 + s.delta) * rc.M_h**2 / (2.0 * rc.alpha0 * beta0),
                 _PROVENANCE_COMPUTED,
             )
 
     if p.h_sup_on_image_bound is not None and sup_abs_fg_bound is not None:
-        put("M3", 2.0 * sup_abs_fg_bound + p.h_sup_on_image_bound, _PROVENANCE_COMPUTED)
-        put("M2", rc.M3 * rc.eta0 / rc.alpha0, _PROVENANCE_COMPUTED)
+        put("M3", lambda: 2.0 * sup_abs_fg_bound + p.h_sup_on_image_bound, _PROVENANCE_COMPUTED)
+        if sched and rc.M3 is not None:
+            put("M2", lambda: rc.M3 * rc.eta0 / rc.alpha0, _PROVENANCE_COMPUTED)
 
-    if rc.L is not None and rc.M_h is not None and rc.L_c is not None:
+    if sched and rc.L is not None and rc.M_h is not None and rc.L_c is not None:
         put(
             "lambda1",
-            rc.L + (2.0**s.delta * rc.gamma0 / rc.alpha0) * rc.M_h * rc.L_c,
+            lambda: rc.L + (2.0**s.delta * rc.gamma0 / rc.alpha0) * rc.M_h * rc.L_c,
             _PROVENANCE_COMPUTED,
         )
-    have_curv = rc.L is not None and rc.L_c is not None and rc.M_c is not None
+    have_curv = sched and rc.L is not None and rc.L_c is not None and rc.M_c is not None
     if have_curv and rc.M0 is not None and rho is not None:
-        put("lambda4", 32.0 / rho * (rc.L_c * rc.M0 + rc.M_c**2) * rc.gamma0, _PROVENANCE_COMPUTED)
+        put(
+            "lambda4",
+            lambda: 32.0 / rho * (rc.L_c * rc.M0 + rc.M_c**2) * rc.gamma0,
+            _PROVENANCE_COMPUTED,
+        )
         put(
             "lambda5",
-            rc.L / rho + (rc.L_c * rc.M0 + rc.M_c**2) * rc.gamma0 / rho,
+            lambda: rc.L / rho + (rc.L_c * rc.M0 + rc.M_c**2) * rc.gamma0 / rho,
             _PROVENANCE_COMPUTED,
         )
     if have_curv and rc.M1 is not None and rc.M2 is not None and rho is not None and mu_max is not None:
         put(
             "lambda2",
-            32.0 / rho * rc.L * rc.M1
+            lambda: 32.0 / rho * rc.L * rc.M1
             + 32.0 * rc.M1
             + 8.0 * mu_max * rc.M1 * rc.L**2
             + 16.0 * rc.eta0 * rc.M_c**2 * rc.M2 / (1.0 - s.delta)
@@ -246,7 +265,7 @@ def rate_constants(
         )
         put(
             "lambda3",
-            32.0 / rho * rc.L * rc.M2
+            lambda: 32.0 / rho * rc.L * rc.M2
             + 32.0 * rc.M2
             + 8.0 * mu_max * rc.M2 * rc.L**2
             + 4.0 * mu_max * rc.M2,
@@ -262,19 +281,19 @@ def rate_constants(
     ):
         put(
             "lambda6",
-            (8.0 * rc.L**2 + 4.0) * mu_max * rc.M1
+            lambda: (8.0 * rc.L**2 + 4.0) * mu_max * rc.M1
             + 32.0 * rc.M1
             + 8.0 * rc.eta0**2 * rc.M_c**2 * rc.M0**2 / (1.0 - 2.0 * s.delta),
             _PROVENANCE_COMPUTED,
         )
         put(
             "lambda7",
-            (8.0 * rc.L**2 + 4.0) * mu_max * rc.M0**2 * rc.gamma0
+            lambda: (8.0 * rc.L**2 + 4.0) * mu_max * rc.M0**2 * rc.gamma0
             + 32.0 * rc.M0**2 * rc.gamma0
             + 32.0 * rc.lambda5 * rc.M1,
             _PROVENANCE_COMPUTED,
         )
-        put("lambda8", 32.0 * rc.lambda5 * rc.M0**2 * rc.gamma0, _PROVENANCE_COMPUTED)
+        put("lambda8", lambda: 32.0 * rc.lambda5 * rc.M0**2 * rc.gamma0, _PROVENANCE_COMPUTED)
 
     for f in dataclasses.fields(rc):
         if f.name != "provenance" and f.name not in prov:
@@ -299,14 +318,15 @@ class RateBoundReport:
 _REGIMES = ("lipschitz_h", "full_domain_h", "bounded_domains")
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundReport:
     """Check the regime's guaranteed inequalities at every prefix length T.
 
     The sums run over accepted steps t >= 1 (the t=0 step has no schedule
     history).  The min-style aggregate bounds are checked with the logged
     residual, which is the exact witness norm the guarantees control.
-    Inequalities whose constants are unavailable are skipped and reported,
-    never guessed.
+    Inequalities whose constants are unavailable, or whose bound is not
+    finite somewhere, are skipped and reported, never guessed.
     """
     if regime not in _REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from {_REGIMES}")
@@ -336,10 +356,22 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
     Tn = np.arange(1, len(rows) + 1, dtype=float)  # prefix lengths
     Tp1 = tt + 1.0
 
-    c = consts
+    # The constants as float64 scalars: a bound that overflows comes out inf
+    # (and check() skips it) instead of raising OverflowError.
+    c = dataclasses.replace(
+        consts,
+        **{
+            f.name: np.float64(getattr(consts, f.name))
+            for f in dataclasses.fields(consts)
+            if f.name != "provenance" and getattr(consts, f.name) is not None
+        },
+    )
     d = c.delta
 
     def check(name: str, lhs: np.ndarray, rhs: np.ndarray, idx: np.ndarray) -> None:
+        if not np.all(np.isfinite(rhs)):
+            report.skipped.append(name)
+            return
         report.checked += int(lhs.size)
         tol = 1e-9 * (1.0 + np.abs(rhs))
         bad = np.nonzero(lhs > rhs + tol)[0]
@@ -412,7 +444,7 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
             check("avg_scaled2", avg_s2_mu, 4.0 * omega / Tp1, tt)
             if have("avg_step2", "mu_max"):
                 check("avg_step2", avg_s2, 4.0 * c.mu_max * omega / Tp1, tt)
-        if have("prev_gap_sq", "M3", "M0"):
+        if have("prev_gap_sq", "M3", "M0", "alpha0", "eta0"):
             check(
                 "prev_gap_sq",
                 prev_gap**2,
@@ -459,7 +491,7 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
                 + 4.0 * c.lambda5 * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - 2.0 * d),
                 tt,
             )
-        if have("avg_scaled2", "M1", "M0"):
+        if have("avg_scaled2", "M1", "M0", "gamma0"):
             check(
                 "avg_scaled2",
                 avg_s2_mu,

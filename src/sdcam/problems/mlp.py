@@ -222,8 +222,7 @@ def mlp_problem(inst: MlpInstance) -> Problem:
         return float(h_weight * np.sum(np.abs(u) ** p))
 
     def h_prox(z: Vector, gamma: float) -> Vector:
-        params = LpProxParams(p=p, alpha=h_weight, gamma=gamma)
-        return np.array([prox_lp_power(zi, params) for zi in np.asarray(z, dtype=float)])
+        return prox_lp_power(z, LpProxParams(p=p, alpha=h_weight, gamma=gamma))
 
     # sup over C of h(c(v)): hidden activations are bounded by 1, so
     # |MLP(a; v)| <= R*(n_{L-1}+1) and |c_i| <= that plus |y_i|.

@@ -62,8 +62,8 @@ def qcqp_generate(
 ) -> QcqpInstance:
     """Random instance: Q0 = I, b0 ~ scale0*N(0,I), Qi = Ui Di Ui^T with Ui
     from QR of a Gaussian matrix and Di uniform on [0,5]; the reference point
-    xbar minimizes (1/2)||x+b0||^2 + alpha*||x||_p^p coordinate-wise (exact
-    scalar prox at unit step), and ri = -(1/4) xbar^T Qi xbar, r = ||xbar||_inf.
+    xbar minimizes (1/2)||x+b0||^2 + alpha*||x||_p^p (the lp prox of -b0 at
+    unit step), and ri = -(1/4) xbar^T Qi xbar, r = ||xbar||_inf.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -74,7 +74,7 @@ def qcqp_generate(
     b0 = xbar = None
     for attempt in range(10):
         b0 = scale0 * _stream(seed, 0, attempt).standard_normal(n)
-        xbar = np.array([prox_lp_power(-b, params) for b in b0])
+        xbar = prox_lp_power(-b0, params)
         if np.any(xbar != 0.0):
             break
     else:

@@ -1,7 +1,7 @@
 """Proximal operators and projections used by the built-in problem families.
 
-The only nontrivial operator is the scalar prox of the lp quasi-norm power
-u -> alpha*|u|^p with p in (0,1):
+The only nontrivial operator is the prox of the lp quasi-norm power
+u -> alpha*|u|^p with p in (0,1), element-wise on arrays:
 
     prox(z) = argmin_u  (1/(2*gamma))*(u - z)^2 + alpha*|u|^p.
 
@@ -9,7 +9,8 @@ It is computed by a closed-form threshold test followed by a Newton iteration
 from |z| (the reduced stationarity equation is convex and increasing on the
 relevant branch, so Newton from the right endpoint converges monotonically),
 with a golden-section fallback.  Ties between 0 and the interior stationary
-point are broken toward 0 for reproducible traces.
+point are broken toward 0 for reproducible traces.  Every power is libm ``pow``
+(``np.float_power`` on arrays, ``**`` on floats; never SIMD ``**`` on arrays).
 """
 
 from __future__ import annotations
@@ -37,25 +38,23 @@ __all__ = [
 
 _TIE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 100
 
 
 @dataclasses.dataclass(frozen=True)
 class LpProxParams:
-    """Parameters of the scalar prox of u -> alpha*|u|^p at step gamma."""
+    """Parameters of the prox of u -> alpha*|u|^p at step gamma."""
 
     p: float
     alpha: float
     gamma: float
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 100
 
     def __post_init__(self) -> None:
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly in (0,1), got {self.p}")
         if self.alpha <= 0.0 or self.gamma <= 0.0:
             raise ValueError("alpha and gamma must be positive")
-        if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
-            raise ValueError("invalid newton settings")
 
 
 def soft_threshold(z: Vector, tau: float) -> Vector:
@@ -76,73 +75,77 @@ def lp_threshold(p: float, w: float) -> float:
     return base + w * p * base ** (p - 1.0)
 
 
-def _lp_objective(u: float, a: float, w: float, p: float) -> float:
+def _lp_objective(u, a, w: float, p: float):
     # reduced objective (1/2)(u-a)^2 + w*u^p on u >= 0, a = |z|, w = alpha*gamma
-    return 0.5 * (u - a) ** 2 + w * u**p
+    return 0.5 * np.float_power(u - a, 2.0) + w * np.float_power(u, p)
 
 
-def _golden_section(a_lo: float, a_hi: float, a: float, w: float, p: float) -> float:
-    lo, hi = a_lo, a_hi
+def _golden_section(lo: float, a: float, w: float, p: float) -> float:
+    # Minimizer of the reduced objective on [lo, a]; Python floats are fastest.
+    def f(u: float) -> float:
+        return 0.5 * (u - a) ** 2 + w * u**p
+
+    hi = a = float(a)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1 = _lp_objective(x1, a, w, p)
-    f2 = _lp_objective(x2, a, w, p)
+    f1, f2 = f(x1), f(x2)
     for _ in range(200):
         if hi - lo < 1e-15 * (1.0 + hi):
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = _lp_objective(x1, a, w, p)
+            f1 = f(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = _lp_objective(x2, a, w, p)
+            f2 = f(x2)
     return 0.5 * (lo + hi)
 
 
-def prox_lp_power(z: float, params: LpProxParams) -> float:
-    """Global minimizer of (1/(2*gamma))*(u-z)^2 + alpha*|u|^p (scalar).
+def prox_lp_power(z, params: LpProxParams):
+    """Global minimizer of (1/(2*gamma))*(u-z)^2 + alpha*|u|^p, element-wise.
 
-    Returns 0 whenever 0 ties the interior stationary point to within 1e-12
+    Takes an array of any shape (or a scalar, which gives a float).  Returns
+    0 wherever 0 ties the interior stationary point to within 1e-12
     (sparsity-preferring selection from the set-valued prox).
     """
-    if z == 0.0:
-        return 0.0
-    p, w = params.p, params.alpha * params.gamma
-    s, a = math.copysign(1.0, z), abs(z)
-
-    if a < lp_threshold(p, w):
-        return 0.0
+    z = np.asarray(z, dtype=float)
+    p, w, gamma = params.p, params.alpha * params.gamma, params.gamma
+    out = np.zeros(z.shape)
+    live = ~(np.abs(z) < lp_threshold(p, w))  # NaN stays live and comes out NaN
+    a = np.abs(z[live])
 
     # Newton on phi(u) = u - a + w*p*u^(p-1), convex and increasing on the
     # branch containing the larger root; started at u = a it stays above the
-    # root and decreases monotonically.
-    u = a
-    converged = False
-    for _ in range(params.newton_max_iter):
-        phi = u - a + w * p * u ** (p - 1.0)
-        if abs(phi) / params.gamma <= params.newton_tol:
-            converged = True
+    # root and decreases monotonically; each entry stops at its own test.
+    u = a.copy()
+    converged = np.zeros(a.shape, dtype=bool)
+    active = np.arange(a.size)
+    for _ in range(_NEWTON_MAX_ITER):
+        if active.size == 0:
             break
-        dphi = 1.0 + w * p * (p - 1.0) * u ** (p - 2.0)
-        u_new = u - phi / dphi
-        if not (0.0 < u_new <= a) or u_new == u:
-            converged = abs(phi) / params.gamma <= 1e3 * params.newton_tol
-            break
-        u = u_new
-    if not converged:
-        logger.debug("prox_lp_power: Newton fallback to golden-section (z=%r)", z)
-        u_c = (w * p * (1.0 - p)) ** (1.0 / (2.0 - p))  # inflection of phi
-        u = _golden_section(u_c, a, a, w, p)
+        ua, aa = u[active], a[active]
+        phi = ua - aa + w * p * np.float_power(ua, p - 1.0)
+        res = np.abs(phi) / gamma
+        u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
+        stop = (res <= _NEWTON_TOL) | ~((0.0 < u_new) & (u_new <= aa)) | (u_new == ua)
+        converged[active[stop]] = res[stop] <= 1e3 * _NEWTON_TOL  # stalls count if close
+        u[active[~stop]] = u_new[~stop]
+        active = active[~stop]
 
-    if _lp_objective(u, a, w, p) >= _lp_objective(0.0, a, w, p) - _TIE_TOL:
-        return 0.0
-    return s * u
+    u_c = (w * p * (1.0 - p)) ** (1.0 / (2.0 - p))  # inflection of phi
+    for i in np.flatnonzero(~converged):
+        logger.debug("prox_lp_power: Newton fallback to golden-section (|z|=%r)", a[i])
+        u[i] = _golden_section(u_c, a[i], w, p)
+
+    tie = _lp_objective(u, a, w, p) >= _lp_objective(0.0, a, w, p) - _TIE_TOL
+    out[live] = np.where(tie, 0.0, np.copysign(u, z[live]))
+    return float(out) if out.ndim == 0 else out
 
 
 def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
-    """Per-coordinate minimizer of (1/(2g))(z_i-u)^2 + alpha*|u|^p over [-r, r].
+    """Element-wise minimizer of (1/(2g))(z_i-u)^2 + alpha*|u|^p over [-r, r].
 
     Exact via candidate enumeration: {0, sign(z_i)*r, clamped interior prox}.
     """
@@ -150,18 +153,13 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
         raise ValueError("r must be positive")
     z = np.asarray(z, dtype=float)
     p, w = params.p, params.alpha * params.gamma
-    out = np.empty_like(z)
-    for i, zi in enumerate(z):
-        a = abs(zi)
-        s = math.copysign(1.0, zi) if zi != 0.0 else 1.0
-        interior = min(abs(prox_lp_power(zi, params)), r)
-        best_u, best_q = 0.0, _lp_objective(0.0, a, w, p)
-        for u in (r, interior):
-            q = _lp_objective(u, a, w, p)
-            if q < best_q - _TIE_TOL:
-                best_u, best_q = u, q
-        out[i] = s * best_u
-    return out
+    a = np.abs(z)
+    best_u, best_q = np.zeros(z.shape), _lp_objective(0.0, a, w, p)
+    for u in (np.full(z.shape, r), np.minimum(np.abs(prox_lp_power(z, params)), r)):
+        q = _lp_objective(u, a, w, p)
+        better = q < best_q - _TIE_TOL
+        best_u, best_q = np.where(better, u, best_u), np.where(better, q, best_q)
+    return np.where(z < 0.0, -best_u, best_u)
 
 
 def prox_l1_box(z: Vector, gamma_lambda: float, R: float) -> Vector:

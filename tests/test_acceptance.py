@@ -225,6 +225,7 @@ def test_criterion_8_subsequence_certification(all_runs):
 # 9. QCQP comparative finding (n=200, m=20, seeds 1-3, 3000 iterations):
 #    beta0=1 ends with smaller relative infeasibility than beta0=1e-4, and
 #    beta0=1e-4 ends with the smaller scaled step; >= 2 of 3 seeds; < 10 min.
+@pytest.mark.slow
 def test_criterion_9_qcqp_beta0_comparison():
     t0 = time.time()
     feas_wins = 0
@@ -256,6 +257,7 @@ def test_criterion_9_qcqp_beta0_comparison():
 # 10. MLP comparative finding: beta0 sweep {0.5x, 1x, 1.5x} around the tuned
 #     base 1.0, 3000 iterations: smallest beta0 gives the smallest final
 #     scaled step; >= 2 of 3 seeds.
+@pytest.mark.slow
 def test_criterion_10_mlp_beta0_sweep():
     base = 1.0
     wins = 0

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from sdcam.cli import CSV_HEADER, main
+from sdcam.cli import CSV_HEADER, _write_summary, main
 from sdcam.problems import FAMILIES, family_of, load_instance, save_instance
+from sdcam.solver import SolveResult, TraceRow
 
 
 def _cfg(tmp_path, **overrides):
@@ -87,6 +88,64 @@ def test_run_mimo_defaults_leave_rel_feas_empty(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["rate_bound_check"]["regime"] == "lipschitz_h"
     assert summary["final"]["rel_feas"] is None
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "beta0, delta, unavailable, skipped",
+    [
+        # lambda6 = ... + 8*eta0**2*... overflows in rate_constants
+        (1e300, 1.0 / 3.0, ["lambda6"], ["avg_residual_sq", "min_residual_gap"]),
+        # eta0**2 overflows in the avg_residual_sq bound of rate_bound_check
+        (1e305, 0.6, ["lambda2", "lambda7", "lambda8"], ["avg_residual_sq", "min_residual_gap"]),
+    ],
+)
+def test_run_with_huge_beta0_writes_strict_summary(tmp_path, beta0, delta, unavailable, skipped):
+    path, _ = _cfg(
+        tmp_path,
+        seed=0,
+        problem={"family": "mimo", "n": 8, "m": 16},
+        solver={"max_successful_iters": 20},
+        schedule={"beta0": beta0, "delta": delta},
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    report = _strict_json((tmp_path / "summary.json").read_text())["rate_bound_check"]
+    for name in unavailable:
+        assert report["provenance"][name] == "unavailable"
+        assert report["constants"][name] is None
+    for value in report["constants"].values():
+        assert value is None or np.isfinite(value)
+    assert report["skipped"] == skipped
+    assert report["missing"] == []
+    assert report["checked"] > 0 and report["passed"] is True
+
+
+def test_summary_writes_non_finite_floats_as_null(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    row = TraceRow(
+        t=0, mu_t=1.0, beta_t=1.0, step_norm=inf, scaled_step=1.0, gap=nan,
+        prev_gap=0.0, residual=0.0, fg_value=0.0, h_at_y=0.0, H_value=0.0,
+        Theta_value=None, unsuccessful_this_iter=0,
+    )
+    result = SolveResult(
+        x=np.zeros(1), y=np.zeros(1), t=1, status="iteration budget", trace=[row],
+        anchors=None, total_trials=1, total_unsuccessful=0, condition_margins=[],
+    )
+    report = {"violations": [{"inequality": "avg_step2", "t": 1, "lhs": inf, "rhs": 1.0}]}
+    path = tmp_path / "summary.json"
+    _write_summary(str(path), result, report)
+    doc = _strict_json(path.read_text())
+    assert doc["final"]["step_norm"] is None and doc["final"]["gap"] is None
+    assert doc["final"]["scaled_step"] == 1.0
+    assert doc["rate_bound_check"]["violations"][0] == {
+        "inequality": "avg_step2", "t": 1, "lhs": None, "rhs": 1.0,
+    }
 
 
 def test_run_from_instance_file(tmp_path, capsys):

@@ -224,3 +224,31 @@ def test_rate_bound_check_skips_without_guessing():
     assert "L_c" in rep.missing
     # the inequalities that only need M1/M2/M3 must have been checked
     assert rep.checked > 0
+
+
+def test_rate_bound_check_skips_non_finite_bound():
+    prob, cfg, res = _qcqp_run()
+    rc = rate_constants(prob, cfg.schedule, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max)
+    base = rate_bound_check(res.trace, rc, "bounded_domains")
+    rc.M0 = 1e200  # M0**2 overflows, so three bounds are inf
+    rep = rate_bound_check(res.trace, rc, "bounded_domains")
+    assert rep.skipped == ["avg_scaled2_sq", "avg_scaled2", "avg_step2"]
+    assert rep.missing == []
+    rows = sum(1 for r in res.trace if r.t >= 1)
+    assert rep.checked == base.checked - 3 * rows
+    assert rep.passed and rep.violations == []
+
+
+def test_rate_constants_without_a_finite_schedule_constant():
+    prob, cfg, res = _qcqp_run(iters=20)
+    # eta0 = beta0*delta*K^(2-delta) overflows to inf
+    sched = ScheduleSpec(family="blocked", beta0=1e300, delta=0.5, K=10**6)
+    rc = rate_constants(prob, sched, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max)
+    assert rc.eta0 is None and rc.provenance["eta0"] == "unavailable"
+    assert rc.M0 is not None and rc.alpha0 is not None
+    for name in ("lambda4", "lambda5", "lambda6", "lambda7", "lambda8"):
+        assert getattr(rc, name) is None and rc.provenance[name] == "unavailable"
+    for regime in ("lipschitz_h", "full_domain_h", "bounded_domains"):
+        rep = rate_bound_check(res.trace, rc, regime)
+        assert "mu_floor" not in rep.skipped and rep.checked > 0
+        assert rep.passed

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdcam.prox
 from sdcam.prox import (
     LpProxParams,
     lp_threshold,
@@ -135,6 +136,85 @@ def test_prox_lp_box_matches_dense_grid():
 def test_prox_lp_box_requires_positive_radius():
     with pytest.raises(ValueError):
         prox_lp_box(np.zeros(1), LpProxParams(p=0.5, alpha=1.0, gamma=1.0), 0.0)
+
+
+# Newton stalls on this input and the golden-section fallback takes over.
+_FALLBACK_Z = -1839.2142694222582
+_FALLBACK_PARAMS = LpProxParams(p=0.5, alpha=0.0011809911805141368, gamma=2.8386688908351516e-08)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+_BOX_PARAMS = LpProxParams(p=0.8, alpha=0.01, gamma=1.0)  # threshold 0.0301...
+
+
+@pytest.mark.parametrize(
+    "params, r, special",
+    [
+        # 0.02 is below the threshold; 100 has the box optimum r = 1
+        (_BOX_PARAMS, 1.0, [0.0, -0.0, 0.02, -0.02, 100.0, -100.0]),
+        (_FALLBACK_PARAMS, 2000.0, [0.0, -0.0, _FALLBACK_Z, -_FALLBACK_Z, 3000.0]),
+    ],
+)
+def test_array_calls_equal_elementwise_calls_bit_for_bit(monkeypatch, params, r, special):
+    golden_calls = []
+    golden = sdcam.prox._golden_section
+    monkeypatch.setattr(
+        sdcam.prox, "_golden_section", lambda *a: golden_calls.append(a) or golden(*a)
+    )
+    rng = np.random.default_rng(6)
+    n = 24 - len(special)
+    z = np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 3, n)])
+    for shape in (z.shape, (4, 6)):
+        zs = z.reshape(shape)
+        u = prox_lp_power(zs, params)
+        box = prox_lp_box(zs, params, r)
+        assert u.shape == box.shape == shape
+        u_each = [prox_lp_power(float(zi), params) for zi in zs.ravel()]
+        box_each = [prox_lp_box(np.array([zi]), params, r)[0] for zi in zs.ravel()]
+        assert all(type(v) is float for v in u_each)
+        np.testing.assert_array_equal(_bits(u).ravel(), _bits(u_each))
+        np.testing.assert_array_equal(_bits(box).ravel(), _bits(box_each))
+    assert bool(golden_calls) == (params is _FALLBACK_PARAMS)
+
+
+def test_prox_lp_box_signs_of_zero():
+    # z = -0.0 gives +0.0; a negative z whose optimum is 0 gives -0.0
+    assert prox_lp_power(0.02, _BOX_PARAMS) == 0.0
+    out = prox_lp_box(np.array([-0.0, 0.0, -0.02, 0.02, -100.0]), _BOX_PARAMS, 1.0)
+    assert _bits(out).tolist() == _bits([0.0, 0.0, -0.0, 0.0, -1.0]).tolist()
+
+
+def _half_thresholding(z, lam):
+    """Closed-form argmin_u (u - z)^2 + lam*|u|^(1/2) (Xu et al., "L1/2
+    regularization: a thresholding representation theory and a fast solver",
+    IEEE TNNLS 2012); 0 at and below the threshold (54^(1/3)/4)*lam^(2/3)."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arccos(lam / 8.0 * (np.abs(z) / 3.0) ** -1.5)
+    u = 2.0 / 3.0 * z * (1.0 + np.cos(2.0 * np.pi / 3.0 - 2.0 / 3.0 * phi))
+    return np.where(np.abs(z) > 54.0 ** (1.0 / 3.0) / 4.0 * lam ** (2.0 / 3.0), u, 0.0)
+
+
+def test_prox_lp_power_matches_half_thresholding():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        alpha, gamma = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-3, 3)
+        params = LpProxParams(p=0.5, alpha=alpha, gamma=gamma)
+        thr = lp_threshold(0.5, alpha * gamma)
+        # half the draws straddle the threshold, the rest reach 100x past it
+        mag = np.concatenate([rng.uniform(0.0, 3.0, 50), 10.0 ** rng.uniform(-1, 2, 50)])
+        z = np.concatenate([[thr, -thr], rng.choice([-1.0, 1.0], 100) * mag * thr])
+        u = prox_lp_power(z, params)
+        ref = _half_thresholding(z, 2.0 * alpha * gamma)
+        same = (u == 0.0) == (ref == 0.0)
+        np.testing.assert_allclose(u[same], ref[same], rtol=1e-8, atol=0.0)
+        # 0 and the nonzero point tie at the threshold and ties break toward
+        # 0, so where only one side is 0 the two objective values must agree
+        q = lambda v: 0.5 / gamma * (v - z[~same]) ** 2 + alpha * np.abs(v) ** 0.5  # noqa: E731
+        np.testing.assert_allclose(q(u[~same]), q(ref[~same]), rtol=1e-8, atol=0.0)
 
 
 def test_prox_l1_box():
