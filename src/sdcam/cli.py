@@ -214,7 +214,6 @@ def _rate_report_dict(trace, consts: RateConstants, regime: str) -> Dict[str, An
         "passed": report.passed,
         "checked": report.checked,
         "skipped": report.skipped,
-        "missing": report.missing,
         "violations": [
             {"inequality": name, "t": t, "lhs": lhs, "rhs": rhs}
             for name, t, lhs, rhs in report.violations

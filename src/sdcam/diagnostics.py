@@ -125,6 +125,8 @@ def suggest_delta(eps1: float, eps2: float) -> float:
 _PROVENANCE_USER = "user_supplied"
 _PROVENANCE_COMPUTED = "computed"
 _PROVENANCE_UNAVAILABLE = "unavailable"
+_USER_SUPPLIED = ("L", "L_c", "M_c", "M_h", "rho", "mu_max")
+_NAN = np.float64(np.nan)
 
 
 @dataclasses.dataclass
@@ -160,6 +162,23 @@ class RateConstants:
     provenance: Dict[str, str] = dataclasses.field(default_factory=dict)
 
 
+_CONSTANTS = tuple(f.name for f in dataclasses.fields(RateConstants) if f.name != "provenance")
+
+
+def _f64(value) -> np.float64:
+    """``value`` as a float64, NaN when it is unavailable: None, not finite,
+    or a zero-argument function that raises OverflowError (the schedule
+    constants of a huge beta0 or K)."""
+    if callable(value):
+        try:
+            value = value()
+        except OverflowError:
+            return _NAN
+    value = np.float64(np.nan if value is None else value)
+    return value if np.isfinite(value) else _NAN
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def rate_constants(
     p: Problem,
     s: ScheduleSpec,
@@ -171,133 +190,70 @@ def rate_constants(
     """Fill every constant whose inputs are available; never estimates.
 
     ``anchors`` carries the initial-run quantities (beta0, ||c(x^0)-y^0||,
-    h(y^0), f(x^1)+g(x^1), ||c(x^1)-y^0||) recorded by the solver.  A constant
-    whose formula overflows or is not finite is recorded as unavailable.
+    h(y^0), f(x^1)+g(x^1), ||c(x^1)-y^0||) recorded by the solver.  An
+    unavailable input is NaN, so every formula that reads it comes out NaN;
+    such a constant, and one whose formula overflows, is recorded as None
+    with provenance unavailable.
     """
+    L = _f64(p.f.lipschitz_bound)
+    L_c = _f64(p.c.jac_lipschitz_bound)
+    M_c = _f64(p.c.jac_norm_bound)
+    M_h = _f64(p.h_lipschitz_bound)
+    alpha0 = _f64(lambda: s.alpha0)
+    gamma0 = _f64(lambda: s.gamma0)
+    eta0 = _f64(lambda: s.eta0)
+    delta = _f64(s.delta)
+    rho = _f64(rho)
+    mu_max = _f64(mu_max)
+    inf_fg = _f64(p.inf_fg_lower_bound)
+    beta0 = _f64(anchors.beta0)
+    gap0 = _f64(anchors.gap_x0_y0)
+    h_y0 = _f64(anchors.h_y0)
+    fg_x1 = _f64(anchors.fg_x1)
+    gap1 = _f64(anchors.gap_x1_y0)
+
+    inner = (4.0 / beta0) * (fg_x1 - inf_fg) + 2.0 * gap1**2 + (4.0 / beta0) * h_y0
+    M0 = np.maximum(gap0, np.sqrt(np.maximum(inner, 0.0)))
+    M1 = fg_x1 + 0.5 * beta0 * gap1**2 + h_y0 - inf_fg
+    K0 = M1 + gamma0 * (1.0 + delta) * M_h**2 / (2.0 * alpha0 * beta0)
+    M3 = 2.0 * _f64(sup_abs_fg_bound) + _f64(p.h_sup_on_image_bound)
+    M2 = M3 * eta0 / alpha0
+    lambda1 = L + (2.0**delta * gamma0 / alpha0) * M_h * L_c
+    lambda2 = (
+        32.0 / rho * L * M1
+        + 32.0 * M1
+        + 8.0 * mu_max * M1 * L**2
+        + 16.0 * eta0 * M_c**2 * M2 / (1.0 - delta)
+        + 4.0 * mu_max * M1
+    )
+    lambda3 = 32.0 / rho * L * M2 + 32.0 * M2 + 8.0 * mu_max * M2 * L**2 + 4.0 * mu_max * M2
+    lambda4 = 32.0 / rho * (L_c * M0 + M_c**2) * gamma0
+    lambda5 = L / rho + (L_c * M0 + M_c**2) * gamma0 / rho
+    lambda6 = lambda7 = lambda8 = _NAN  # these bounds need delta < 1/2
+    if s.delta < 0.5:
+        lambda6 = (
+            (8.0 * L**2 + 4.0) * mu_max * M1
+            + 32.0 * M1
+            + 8.0 * eta0**2 * M_c**2 * M0**2 / (1.0 - 2.0 * delta)
+        )
+        lambda7 = (
+            (8.0 * L**2 + 4.0) * mu_max * M0**2 * gamma0
+            + 32.0 * M0**2 * gamma0
+            + 32.0 * lambda5 * M1
+        )
+        lambda8 = 32.0 * lambda5 * M0**2 * gamma0
+
+    values = locals()  # each constant above is the local of the same name
     rc = RateConstants()
-    prov = rc.provenance
-
-    def put(name: str, value, tag: str) -> None:
-        # value: a float, None, or a zero-argument function computing it
-        if callable(value):
-            try:
-                value = value()
-            except (OverflowError, ZeroDivisionError):
-                value = None
-        if value is not None and not math.isfinite(value):
-            value = None
-        setattr(rc, name, value)
-        prov[name] = tag if value is not None else _PROVENANCE_UNAVAILABLE
-
-    put("L", p.f.lipschitz_bound, _PROVENANCE_USER)
-    put("L_c", p.c.jac_lipschitz_bound, _PROVENANCE_USER)
-    put("M_c", p.c.jac_norm_bound, _PROVENANCE_USER)
-    put("M_h", p.h_lipschitz_bound, _PROVENANCE_USER)
-    put("alpha0", lambda: s.alpha0, _PROVENANCE_COMPUTED)
-    put("gamma0", lambda: s.gamma0, _PROVENANCE_COMPUTED)
-    put("eta0", lambda: s.eta0, _PROVENANCE_COMPUTED)
-    put("delta", s.delta, _PROVENANCE_COMPUTED)
-    put("rho", rho, _PROVENANCE_USER)
-    put("mu_max", mu_max, _PROVENANCE_USER)
-
-    inf_fg = p.inf_fg_lower_bound
-    beta0 = anchors.beta0
-    have_anchor1 = anchors.fg_x1 is not None and anchors.gap_x1_y0 is not None
-    # Every formula below that reads alpha0, gamma0 or eta0 needs them finite.
-    sched = None not in (rc.alpha0, rc.gamma0, rc.eta0)
-
-    if have_anchor1 and inf_fg is not None:
-
-        def m0() -> float:
-            inner = (
-                (4.0 / beta0) * (anchors.fg_x1 - inf_fg)
-                + 2.0 * anchors.gap_x1_y0**2
-                + (4.0 / beta0) * anchors.h_y0
+    for name in _CONSTANTS:
+        value = values[name]
+        if np.isfinite(value):
+            setattr(rc, name, float(value))
+            rc.provenance[name] = (
+                _PROVENANCE_USER if name in _USER_SUPPLIED else _PROVENANCE_COMPUTED
             )
-            return max(anchors.gap_x0_y0, math.sqrt(max(inner, 0.0)))
-
-        put("M0", m0, _PROVENANCE_COMPUTED)
-        put(
-            "M1",
-            lambda: anchors.fg_x1 + 0.5 * beta0 * anchors.gap_x1_y0**2 + anchors.h_y0 - inf_fg,
-            _PROVENANCE_COMPUTED,
-        )
-        if sched and rc.M_h is not None and rc.M1 is not None:
-            put(
-                "K0",
-                lambda: rc.M1
-                + rc.gamma0 * (1.0 + s.delta) * rc.M_h**2 / (2.0 * rc.alpha0 * beta0),
-                _PROVENANCE_COMPUTED,
-            )
-
-    if p.h_sup_on_image_bound is not None and sup_abs_fg_bound is not None:
-        put("M3", lambda: 2.0 * sup_abs_fg_bound + p.h_sup_on_image_bound, _PROVENANCE_COMPUTED)
-        if sched and rc.M3 is not None:
-            put("M2", lambda: rc.M3 * rc.eta0 / rc.alpha0, _PROVENANCE_COMPUTED)
-
-    if sched and rc.L is not None and rc.M_h is not None and rc.L_c is not None:
-        put(
-            "lambda1",
-            lambda: rc.L + (2.0**s.delta * rc.gamma0 / rc.alpha0) * rc.M_h * rc.L_c,
-            _PROVENANCE_COMPUTED,
-        )
-    have_curv = sched and rc.L is not None and rc.L_c is not None and rc.M_c is not None
-    if have_curv and rc.M0 is not None and rho is not None:
-        put(
-            "lambda4",
-            lambda: 32.0 / rho * (rc.L_c * rc.M0 + rc.M_c**2) * rc.gamma0,
-            _PROVENANCE_COMPUTED,
-        )
-        put(
-            "lambda5",
-            lambda: rc.L / rho + (rc.L_c * rc.M0 + rc.M_c**2) * rc.gamma0 / rho,
-            _PROVENANCE_COMPUTED,
-        )
-    if have_curv and rc.M1 is not None and rc.M2 is not None and rho is not None and mu_max is not None:
-        put(
-            "lambda2",
-            lambda: 32.0 / rho * rc.L * rc.M1
-            + 32.0 * rc.M1
-            + 8.0 * mu_max * rc.M1 * rc.L**2
-            + 16.0 * rc.eta0 * rc.M_c**2 * rc.M2 / (1.0 - s.delta)
-            + 4.0 * mu_max * rc.M1,
-            _PROVENANCE_COMPUTED,
-        )
-        put(
-            "lambda3",
-            lambda: 32.0 / rho * rc.L * rc.M2
-            + 32.0 * rc.M2
-            + 8.0 * mu_max * rc.M2 * rc.L**2
-            + 4.0 * mu_max * rc.M2,
-            _PROVENANCE_COMPUTED,
-        )
-    if (
-        have_curv
-        and rc.M0 is not None
-        and rc.M1 is not None
-        and mu_max is not None
-        and rc.lambda5 is not None
-        and s.delta < 0.5
-    ):
-        put(
-            "lambda6",
-            lambda: (8.0 * rc.L**2 + 4.0) * mu_max * rc.M1
-            + 32.0 * rc.M1
-            + 8.0 * rc.eta0**2 * rc.M_c**2 * rc.M0**2 / (1.0 - 2.0 * s.delta),
-            _PROVENANCE_COMPUTED,
-        )
-        put(
-            "lambda7",
-            lambda: (8.0 * rc.L**2 + 4.0) * mu_max * rc.M0**2 * rc.gamma0
-            + 32.0 * rc.M0**2 * rc.gamma0
-            + 32.0 * rc.lambda5 * rc.M1,
-            _PROVENANCE_COMPUTED,
-        )
-        put("lambda8", lambda: 32.0 * rc.lambda5 * rc.M0**2 * rc.gamma0, _PROVENANCE_COMPUTED)
-
-    for f in dataclasses.fields(rc):
-        if f.name != "provenance" and f.name not in prov:
-            prov[f.name] = _PROVENANCE_UNAVAILABLE
+        else:
+            rc.provenance[name] = _PROVENANCE_UNAVAILABLE
     return rc
 
 
@@ -305,8 +261,7 @@ def rate_constants(
 class RateBoundReport:
     regime: str
     checkable: bool
-    missing: List[str]  # constants whose absence skipped some inequalities
-    skipped: List[str]  # names of the skipped inequalities
+    skipped: List[str]  # names of the inequalities that were not checked
     checked: int
     violations: List[Tuple[str, int, float, float]]  # (name, T or t, lhs, rhs)
 
@@ -325,25 +280,15 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
     The sums run over accepted steps t >= 1 (the t=0 step has no schedule
     history).  The min-style aggregate bounds are checked with the logged
     residual, which is the exact witness norm the guarantees control.
-    Inequalities whose constants are unavailable, or whose bound is not
-    finite somewhere, are skipped and reported, never guessed.
+    An unavailable constant is NaN here, so an inequality that reads one has
+    a side that is not finite; such an inequality, and one whose bound
+    overflows somewhere, is skipped and reported, never guessed.
     """
     if regime not in _REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from {_REGIMES}")
 
     rows = [r for r in trace if r.t >= 1]
-    report = RateBoundReport(regime, False, [], [], 0, [])
-
-    def have(name: str, *needs: str) -> bool:
-        absent = [n for n in needs if getattr(consts, n) is None]
-        if absent:
-            report.skipped.append(name)
-            for n in absent:
-                if n not in report.missing:
-                    report.missing.append(n)
-            return False
-        return True
-
+    report = RateBoundReport(regime, False, [], 0, [])
     if not rows:
         return report
 
@@ -356,20 +301,12 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
     Tn = np.arange(1, len(rows) + 1, dtype=float)  # prefix lengths
     Tp1 = tt + 1.0
 
-    # The constants as float64 scalars: a bound that overflows comes out inf
-    # (and check() skips it) instead of raising OverflowError.
-    c = dataclasses.replace(
-        consts,
-        **{
-            f.name: np.float64(getattr(consts, f.name))
-            for f in dataclasses.fields(consts)
-            if f.name != "provenance" and getattr(consts, f.name) is not None
-        },
-    )
+    c = dataclasses.replace(consts, **{n: _f64(getattr(consts, n)) for n in _CONSTANTS})
     d = c.delta
+    curv = c.L_c * c.M0 + c.M_c**2
 
-    def check(name: str, lhs: np.ndarray, rhs: np.ndarray, idx: np.ndarray) -> None:
-        if not np.all(np.isfinite(rhs)):
+    def check(name: str, lhs: np.ndarray, rhs: np.ndarray, idx: np.ndarray = tt) -> None:
+        if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
             report.skipped.append(name)
             return
         report.checked += int(lhs.size)
@@ -380,9 +317,7 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
 
     # Stepsize floor from the backtracking analysis (all regimes):
     # mu_t >= rho / (L + (L_c*M0 + M_c^2)*beta_t).
-    if have("mu_floor", "rho", "L", "L_c", "M_c", "M0"):
-        curv = c.L_c * c.M0 + c.M_c**2
-        check("mu_floor", c.rho / (c.L + curv * beta), mu, tt)
+    check("mu_floor", c.rho / (c.L + curv * beta), mu)
 
     avg_s2_mu2 = np.cumsum(step2 / mu**2) / Tn
     avg_s2_mu = np.cumsum(step2 / mu) / Tn
@@ -390,131 +325,88 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
 
     if regime == "lipschitz_h":
         K0 = c.K0
-        curv_ok = have("avg_scaled2_sq", "rho", "L", "L_c", "M_c", "M0", "K0")
-        if curv_ok:
-            curv = c.L_c * c.M0 + c.M_c**2
-            check(
-                "avg_scaled2_sq",
-                avg_s2_mu2,
-                4.0 / c.rho * c.L * K0 / Tp1
-                + 4.0 / c.rho * curv * K0 * c.gamma0 / Tp1 ** (1.0 - d),
-                tt,
-            )
-        if have("avg_scaled2", "K0"):
-            check("avg_scaled2", avg_s2_mu, 2.0 * K0 / Tn, tt)
-        if have("avg_step2", "K0", "mu_max"):
-            check("avg_step2", avg_s2, 2.0 * c.mu_max * K0 / Tn, tt)
-        if have("avg_prev_gap", "K0", "M_h"):
-            gap_rhs = 2.0 * c.M_h / (c.alpha0 * (1.0 - d) * Tp1**d) + np.sqrt(
-                8.0 * K0 / (c.alpha0 * (1.0 - d) * Tp1 ** (1.0 + d))
-            )
-            check("avg_prev_gap", np.cumsum(prev_gap) / Tn, gap_rhs, tt)
-            # Aggregate residual bounds; the witness anchored at x^{t+1} is at
-            # most residual + L_c*M_h*step_norm, which the guarantee's chain
-            # dominates.
-            if curv_ok and have("avg_residual_sq", "lambda1", "mu_max"):
-                witness = resid + c.L_c * c.M_h * np.sqrt(step2)
-                upsilon = (
-                    6.0 * c.mu_max * K0 * c.lambda1**2 / Tn
-                    + 48.0 / c.rho * c.L * K0 / Tp1
-                    + 48.0 / c.rho * curv * K0 * c.gamma0 / Tp1 ** (1.0 - d)
-                    + 12.0 * c.M_h**2 * c.M_c**2 * c.eta0**2 / (c.alpha0**2 * Tp1)
-                )
-                check("avg_residual_sq", np.cumsum(witness**2) / Tn, upsilon, tt)
-                check(
-                    "min_residual_gap",
-                    np.minimum.accumulate(witness**2 + prev_gap),
-                    upsilon + gap_rhs,
-                    tt,
-                )
+        check(
+            "avg_scaled2_sq",
+            avg_s2_mu2,
+            4.0 / c.rho * c.L * K0 / Tp1 + 4.0 / c.rho * curv * K0 * c.gamma0 / Tp1 ** (1.0 - d),
+        )
+        check("avg_scaled2", avg_s2_mu, 2.0 * K0 / Tn)
+        check("avg_step2", avg_s2, 2.0 * c.mu_max * K0 / Tn)
+        gap_rhs = 2.0 * c.M_h / (c.alpha0 * (1.0 - d) * Tp1**d) + np.sqrt(
+            8.0 * K0 / (c.alpha0 * (1.0 - d) * Tp1 ** (1.0 + d))
+        )
+        check("avg_prev_gap", np.cumsum(prev_gap) / Tn, gap_rhs)
+        # Aggregate residual bounds; the witness anchored at x^{t+1} is at
+        # most residual + L_c*M_h*step_norm, which the guarantee's chain
+        # dominates.
+        witness = resid + c.L_c * c.M_h * np.sqrt(step2)
+        upsilon = (
+            6.0 * c.mu_max * K0 * c.lambda1**2 / Tn
+            + 48.0 / c.rho * c.L * K0 / Tp1
+            + 48.0 / c.rho * curv * K0 * c.gamma0 / Tp1 ** (1.0 - d)
+            + 12.0 * c.M_h**2 * c.M_c**2 * c.eta0**2 / (c.alpha0**2 * Tp1)
+        )
+        check("avg_residual_sq", np.cumsum(witness**2) / Tn, upsilon)
+        check("min_residual_gap", np.minimum.accumulate(witness**2 + prev_gap), upsilon + gap_rhs)
     elif regime == "full_domain_h":
-        omega = None
-        if c.M1 is not None and c.M2 is not None:
-            omega = c.M1 + c.M2 * (np.log(Tn) + 1.0)
-        if omega is not None and have("avg_scaled2_sq", "rho", "L", "L_c", "M_c", "M0"):
-            curv = c.L_c * c.M0 + c.M_c**2
-            check(
-                "avg_scaled2_sq",
-                avg_s2_mu2,
-                4.0 / c.rho * c.L * omega / Tp1
-                + 4.0 / c.rho * curv * c.gamma0 * omega / Tp1 ** (1.0 - d),
-                tt,
-            )
-        if have("avg_scaled2", "M1", "M2"):
-            check("avg_scaled2", avg_s2_mu, 4.0 * omega / Tp1, tt)
-            if have("avg_step2", "mu_max"):
-                check("avg_step2", avg_s2, 4.0 * c.mu_max * omega / Tp1, tt)
-        if have("prev_gap_sq", "M3", "M0", "alpha0", "eta0"):
-            check(
-                "prev_gap_sq",
-                prev_gap**2,
-                c.M3 / (c.alpha0 * Tp1**d) + 2.0 * c.M0**2 * c.eta0 / (c.alpha0 * Tp1),
-                tt,
-            )
+        omega = c.M1 + c.M2 * (np.log(Tn) + 1.0)
+        check(
+            "avg_scaled2_sq",
+            avg_s2_mu2,
+            4.0 / c.rho * c.L * omega / Tp1
+            + 4.0 / c.rho * curv * c.gamma0 * omega / Tp1 ** (1.0 - d),
+        )
+        check("avg_scaled2", avg_s2_mu, 4.0 * omega / Tp1)
+        check("avg_step2", avg_s2, 4.0 * c.mu_max * omega / Tp1)
+        check(
+            "prev_gap_sq",
+            prev_gap**2,
+            c.M3 / (c.alpha0 * Tp1**d) + 2.0 * c.M0**2 * c.eta0 / (c.alpha0 * Tp1),
+        )
         # ||c(x^t)-y^t||^2 <= 2*M3/beta_{t-1} for t >= 1: the gap column of
         # row t-1 is ||c(x^t)-y^t|| and its beta_t column is beta_{t-1}.
-        if have("gap_sq_vs_beta", "M3"):
-            gaps_all = np.array([r.gap for r in trace])
-            betas_all = np.array([r.beta_t for r in trace])
-            check(
-                "gap_sq_vs_beta",
-                gaps_all**2,
-                2.0 * c.M3 / betas_all,
-                np.array([r.t + 1 for r in trace], dtype=float),
-            )
-        if omega is not None and have(
-            "avg_residual_sq", "rho", "L", "L_c", "M_c", "M0", "mu_max"
-        ):
-            curv = c.L_c * c.M0 + c.M_c**2
-            aver = (
-                (32.0 * (c.L / c.rho + 1.0) + 8.0 * c.mu_max * c.L**2) * omega / Tp1
-                + 32.0 / c.rho * curv * c.gamma0 * omega / Tp1 ** (1.0 - d)
-                + 16.0 * c.eta0 * c.M_c**2 * c.M2 / ((1.0 - d) * Tp1)
-            )
-            check("avg_residual_sq", np.cumsum(resid**2) / Tn, aver, tt)
-            if have("min_residual_step_gap", "lambda2", "lambda3", "lambda4", "M3"):
-                check(
-                    "min_residual_step_gap",
-                    np.minimum.accumulate(resid**2 + step2 + prev_gap**2),
-                    (c.lambda2 + c.lambda3 * (np.log(Tn) + 1.0)) / Tp1
-                    + c.lambda4 * omega / Tp1 ** (1.0 - d)
-                    + c.M3 / (c.alpha0 * Tp1**d)
-                    + 2.0 * c.M0**2 * c.eta0 / (c.alpha0 * Tp1),
-                    tt,
-                )
+        check(
+            "gap_sq_vs_beta",
+            np.array([r.gap for r in trace]) ** 2,
+            2.0 * c.M3 / np.array([r.beta_t for r in trace]),
+            np.array([r.t + 1 for r in trace], dtype=float),
+        )
+        aver = (
+            (32.0 * (c.L / c.rho + 1.0) + 8.0 * c.mu_max * c.L**2) * omega / Tp1
+            + 32.0 / c.rho * curv * c.gamma0 * omega / Tp1 ** (1.0 - d)
+            + 16.0 * c.eta0 * c.M_c**2 * c.M2 / ((1.0 - d) * Tp1)
+        )
+        check("avg_residual_sq", np.cumsum(resid**2) / Tn, aver)
+        check(
+            "min_residual_step_gap",
+            np.minimum.accumulate(resid**2 + step2 + prev_gap**2),
+            (c.lambda2 + c.lambda3 * (np.log(Tn) + 1.0)) / Tp1
+            + c.lambda4 * omega / Tp1 ** (1.0 - d)
+            + c.M3 / (c.alpha0 * Tp1**d)
+            + 2.0 * c.M0**2 * c.eta0 / (c.alpha0 * Tp1),
+        )
     else:  # bounded_domains
-        if have("avg_scaled2_sq", "lambda5", "M1", "M0"):
-            check(
-                "avg_scaled2_sq",
-                avg_s2_mu2,
-                4.0 * c.lambda5 * c.M1 / Tp1 ** (1.0 - d)
-                + 4.0 * c.lambda5 * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - 2.0 * d),
-                tt,
-            )
-        if have("avg_scaled2", "M1", "M0", "gamma0"):
-            check(
-                "avg_scaled2",
-                avg_s2_mu,
-                4.0 * c.M1 / Tp1 + 4.0 * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - d),
-                tt,
-            )
-            if have("avg_step2", "mu_max"):
-                check(
-                    "avg_step2",
-                    avg_s2,
-                    4.0 * c.mu_max * c.M1 / Tp1
-                    + 4.0 * c.mu_max * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - d),
-                    tt,
-                )
-        if have("min_residual_step", "lambda6", "lambda7", "lambda8"):
-            check(
-                "min_residual_step",
-                np.minimum.accumulate(resid**2 + step2),
-                c.lambda6 / Tp1
-                + c.lambda7 / Tp1 ** (1.0 - d)
-                + c.lambda8 / Tp1 ** (1.0 - 2.0 * d),
-                tt,
-            )
+        check(
+            "avg_scaled2_sq",
+            avg_s2_mu2,
+            4.0 * c.lambda5 * c.M1 / Tp1 ** (1.0 - d)
+            + 4.0 * c.lambda5 * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - 2.0 * d),
+        )
+        check(
+            "avg_scaled2",
+            avg_s2_mu,
+            4.0 * c.M1 / Tp1 + 4.0 * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - d),
+        )
+        check(
+            "avg_step2",
+            avg_s2,
+            4.0 * c.mu_max * c.M1 / Tp1 + 4.0 * c.mu_max * c.M0**2 * c.gamma0 / Tp1 ** (1.0 - d),
+        )
+        check(
+            "min_residual_step",
+            np.minimum.accumulate(resid**2 + step2),
+            c.lambda6 / Tp1 + c.lambda7 / Tp1 ** (1.0 - d) + c.lambda8 / Tp1 ** (1.0 - 2.0 * d),
+        )
 
     report.checkable = report.checked > 0
     return report

@@ -62,7 +62,6 @@ class ProxOracle:
 
     value: Callable[[Vector], float]
     prox: Callable[[Vector, float], Vector]
-    domain_description: str = ""
 
 
 @dataclasses.dataclass(frozen=True)

@@ -89,6 +89,13 @@ def _gamma_prime(t: np.ndarray, r_lo: float) -> np.ndarray:
     return np.where(t >= r_lo, -1.0 / np.maximum(t, r_lo) ** 2, -1.0 / r_lo**2)
 
 
+def _norms(inst: MimoInstance) -> tuple[float, float]:
+    """(||A||, E) with E = sqrt(n)*||A|| + ||yhat||, a bound on the residual
+    norm ||A*phi(r,theta) - yhat|| over the box."""
+    normA = float(np.linalg.norm(inst.A, 2))
+    return normA, math.sqrt(inst.n) * normA + float(np.linalg.norm(inst.yhat))
+
+
 def mimo_problem(inst: MimoInstance) -> Problem:
     """Composite bundle over x = (r, theta) in R^{2n}; the constraint map
     lands in R^n."""
@@ -137,17 +144,16 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
     # Gradient-Lipschitz bound on the box closure (valid, deliberately loose):
     # ||J_phi|| <= 1 since J_phi^T J_phi = diag(1,...,1, r^2) with r <= 1; the
-    # residual norm is at most E = sqrt(n)*||A|| + ||yhat||; the curvature of
-    # phi contributes per-coordinate 2x2 blocks of norm <= 2*sqrt(2)*||A^T e||;
-    # the barrier contributes 2*lam1/r_lo^3.
-    normA = float(np.linalg.norm(A, 2))
-    E = math.sqrt(n) * normA + float(np.linalg.norm(yhat))
+    # residual norm is at most E; the curvature of phi contributes
+    # per-coordinate 2x2 blocks of norm <= 2*sqrt(2)*||A^T e||; the barrier
+    # contributes 2*lam1/r_lo^3.
+    normA, E = _norms(inst)
     L = normA**2 + 2.0 * math.sqrt(2.0) * normA * E + 2.0 * lam1 / r_lo**3
 
     return Problem(
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=L),
-        g=ProxOracle(g_value, g_prox, domain_description=f"[{r_lo},1]^n x R^n"),
-        h=ProxOracle(h_value, h_prox, domain_description="l1 (full domain)"),
+        g=ProxOracle(g_value, g_prox),
+        h=ProxOracle(h_value, h_prox),
         c=MapOracle(
             c_value,
             c_vjp,
@@ -164,8 +170,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
 def mimo_sup_abs_fg(inst: MimoInstance) -> float:
     """Bound on sup |f+g| over the box: data fit <= E^2/2, barrier <= n/r_lo."""
-    normA = float(np.linalg.norm(inst.A, 2))
-    E = math.sqrt(inst.n) * normA + float(np.linalg.norm(inst.yhat))
+    _, E = _norms(inst)
     return 0.5 * E**2 + inst.lambda1 * inst.n / inst.r_lo
 
 

@@ -231,8 +231,8 @@ def mlp_problem(inst: MlpInstance) -> Problem:
 
     return Problem(
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=0.0),
-        g=ProxOracle(g_value, g_prox, domain_description=f"l1 on ||v||_inf <= {R}"),
-        h=ProxOracle(h_value, h_prox, domain_description="lp sample loss (full domain)"),
+        g=ProxOracle(g_value, g_prox),
+        h=ProxOracle(h_value, h_prox),
         c=MapOracle(c_value, c_vjp),
         n=nv,
         m=m,

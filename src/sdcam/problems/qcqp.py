@@ -108,9 +108,14 @@ def qcqp_generate(
     )
 
 
+def _constraints(inst: QcqpInstance, x: Vector) -> Vector:
+    """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m."""
+    return 0.5 * np.einsum("ijk,j,k->i", inst.Q, x, x) + inst.bi @ x + inst.ri
+
+
 def qcqp_problem(inst: QcqpInstance) -> Problem:
     """Composite-problem bundle with analytic constants attached."""
-    Q0, b0, Q, bi, ri = inst.Q0, inst.b0, inst.Q, inst.bi, inst.ri
+    Q0, b0, Q, bi = inst.Q0, inst.b0, inst.Q, inst.bi
     alpha, p, r = inst.alpha, inst.p, inst.r
 
     def f_value(x: Vector) -> float:
@@ -128,7 +133,7 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         return prox_lp_box(z, LpProxParams(p=p, alpha=alpha, gamma=gamma), r)
 
     def c_value(x: Vector) -> Vector:
-        return 0.5 * np.einsum("ijk,j,k->i", Q, x, x) + bi @ x + ri
+        return _constraints(inst, x)
 
     def c_vjp(x: Vector, w: Vector) -> Vector:
         return np.einsum("i,ijk,k->j", w, Q, x) + w @ bi
@@ -151,8 +156,8 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
 
     return Problem(
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=float(np.linalg.norm(Q0, 2))),
-        g=ProxOracle(g_value, g_prox, domain_description=f"lp penalty on ||x||_inf <= {r}"),
-        h=ProxOracle(h_value, h_prox, domain_description="nonpositive orthant"),
+        g=ProxOracle(g_value, g_prox),
+        h=ProxOracle(h_value, h_prox),
         c=MapOracle(c_value, c_vjp, jac_lipschitz_bound=L_c, jac_norm_bound=M_c),
         n=inst.n,
         m=inst.m,
@@ -168,6 +173,5 @@ def qcqp_initial_point(inst: QcqpInstance):
 
 def relative_feasibility(inst: QcqpInstance, x: Vector) -> float:
     """Norm of the positive constraint violations scaled by max(|ri|, 1)."""
-    Q, bi, ri = inst.Q, inst.bi, inst.ri
-    cx = 0.5 * np.einsum("ijk,j,k->i", Q, x, x) + bi @ x + ri
-    return float(np.linalg.norm(np.maximum(cx, 0.0) / np.maximum(np.abs(ri), 1.0)))
+    cx = _constraints(inst, x)
+    return float(np.linalg.norm(np.maximum(cx, 0.0) / np.maximum(np.abs(inst.ri), 1.0)))

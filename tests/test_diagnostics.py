@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdcam.diagnostics import (
+    RateConstants,
     certificate,
     rate_bound_check,
     rate_constants,
@@ -17,6 +19,7 @@ from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle
 from sdcam.schedule import ScheduleSpec
 from sdcam.solver import SolverConfig, solve
 from sdcam.problems import (
+    FAMILIES,
     mlp_generate,
     mlp_problem,
     mlp_initial_point,
@@ -221,7 +224,8 @@ def test_rate_bound_check_skips_without_guessing():
     assert rep.checkable
     assert rep.passed
     assert "mu_floor" in rep.skipped
-    assert "L_c" in rep.missing
+    assert rc.provenance["L_c"] == "unavailable"
+    assert "min_residual_step_gap" in rep.skipped
     # the inequalities that only need M1/M2/M3 must have been checked
     assert rep.checked > 0
 
@@ -233,7 +237,6 @@ def test_rate_bound_check_skips_non_finite_bound():
     rc.M0 = 1e200  # M0**2 overflows, so three bounds are inf
     rep = rate_bound_check(res.trace, rc, "bounded_domains")
     assert rep.skipped == ["avg_scaled2_sq", "avg_scaled2", "avg_step2"]
-    assert rep.missing == []
     rows = sum(1 for r in res.trace if r.t >= 1)
     assert rep.checked == base.checked - 3 * rows
     assert rep.passed and rep.violations == []
@@ -246,9 +249,88 @@ def test_rate_constants_without_a_finite_schedule_constant():
     rc = rate_constants(prob, sched, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max)
     assert rc.eta0 is None and rc.provenance["eta0"] == "unavailable"
     assert rc.M0 is not None and rc.alpha0 is not None
-    for name in ("lambda4", "lambda5", "lambda6", "lambda7", "lambda8"):
+    # lambda4 and lambda5 do not read eta0; lambda6-8 need delta < 1/2
+    for name in ("lambda4", "lambda5"):
+        assert getattr(rc, name) is not None and rc.provenance[name] == "computed"
+    for name in ("lambda6", "lambda7", "lambda8"):
         assert getattr(rc, name) is None and rc.provenance[name] == "unavailable"
     for regime in ("lipschitz_h", "full_domain_h", "bounded_domains"):
         rep = rate_bound_check(res.trace, rc, regime)
         assert "mu_floor" not in rep.skipped and rep.checked > 0
         assert rep.passed
+
+
+def _without(p, name):
+    """``p`` with the user-supplied constant ``name`` removed."""
+    if name == "L":
+        return dataclasses.replace(p, f=dataclasses.replace(p.f, lipschitz_bound=None))
+    if name == "L_c":
+        return dataclasses.replace(p, c=dataclasses.replace(p.c, jac_lipschitz_bound=None))
+    if name == "M_c":
+        return dataclasses.replace(p, c=dataclasses.replace(p.c, jac_norm_bound=None))
+    if name == "M_h":
+        return dataclasses.replace(p, h_lipschitz_bound=None)
+    if name == "inf_fg_lower_bound":
+        return dataclasses.replace(p, inf_fg_lower_bound=None)
+    return p
+
+
+@pytest.mark.parametrize(
+    "dropped, unavailable",
+    [
+        ("L", {"L", "lambda1", "lambda2", "lambda3", "lambda5", "lambda6", "lambda7", "lambda8"}),
+        ("L_c", {"L_c", "lambda1", "lambda4", "lambda5", "lambda7", "lambda8"}),
+        ("M_c", {"M_c", "lambda2", "lambda4", "lambda5", "lambda6", "lambda7", "lambda8"}),
+        ("M_h", {"M_h", "K0", "lambda1"}),
+        ("rho", {"rho", "lambda2", "lambda3", "lambda4", "lambda5", "lambda7", "lambda8"}),
+        ("mu_max", {"mu_max", "lambda2", "lambda3", "lambda6", "lambda7"}),
+        ("sup_abs_fg_bound", {"M2", "M3", "lambda2", "lambda3"}),
+        (
+            "inf_fg_lower_bound",
+            {"M0", "M1", "K0", "lambda2", "lambda4", "lambda5", "lambda6", "lambda7", "lambda8"},
+        ),
+    ],
+)
+def test_rate_constant_filled_exactly_when_its_inputs_are(dropped, unavailable):
+    fam = FAMILIES["mimo"]
+    prob, x0, y0, _, sup = fam.setup(fam.generate(3, **fam.check_kwargs))
+    cfg = SolverConfig(
+        schedule=ScheduleSpec(family="power", beta0=1.0, delta=1.0 / 3.0),
+        max_successful_iters=50, max_total_trials=5000, **fam.solver_defaults,
+    )
+    res = solve(prob, cfg, x0, y0)
+    inputs = {"rho": cfg.rho, "mu_max": cfg.mu_max, "sup_abs_fg_bound": sup}
+    if dropped in inputs:
+        inputs[dropped] = None
+    rc = rate_constants(_without(prob, dropped), cfg.schedule, res.anchors, **inputs)
+    got = {name for name, tag in rc.provenance.items() if tag == "unavailable"}
+    assert got == unavailable
+    for name, tag in rc.provenance.items():
+        assert (getattr(rc, name) is None) == (tag == "unavailable"), name
+
+
+@pytest.mark.parametrize(
+    "regime, inequalities",
+    [
+        (
+            "lipschitz_h",
+            ["mu_floor", "avg_scaled2_sq", "avg_scaled2", "avg_step2", "avg_prev_gap",
+             "avg_residual_sq", "min_residual_gap"],
+        ),
+        (
+            "full_domain_h",
+            ["mu_floor", "avg_scaled2_sq", "avg_scaled2", "avg_step2", "prev_gap_sq",
+             "gap_sq_vs_beta", "avg_residual_sq", "min_residual_step_gap"],
+        ),
+        (
+            "bounded_domains",
+            ["mu_floor", "avg_scaled2_sq", "avg_scaled2", "avg_step2", "min_residual_step"],
+        ),
+    ],
+)
+def test_rate_bound_check_skipped_lists_every_unchecked_inequality(regime, inequalities):
+    _, _, res = _qcqp_run(iters=20)
+    rep = rate_bound_check(res.trace, RateConstants(), regime)
+    assert rep.checked == 0
+    assert not rep.checkable
+    assert rep.skipped == inequalities
