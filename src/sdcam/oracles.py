@@ -5,31 +5,34 @@ A problem is a bundle of four oracles:
 - ``SmoothOracle`` for the smooth term f (value + gradient),
 - ``ProxOracle`` for the prox-friendly terms g and h (extended-real value +
   proximal mapping),
-- ``MapOracle`` for the inner map c (value + vector-Jacobian products).
+- ``MapOracle`` for the inner map c (value + vector-Jacobian products, and
+  ``linearize``, which gives both from one pass).
 
 Dense Jacobians are never formed: the solver only ever needs J_c(x)^T w.
 Extended-real values use IEEE ``inf`` (``g.value(x) == inf`` iff x is outside
 dom g), so +inf comparisons are exact.
 
 ``check_gradient`` / ``check_vjp`` verify user oracles against central finite
-differences.
+differences; ``check_vjp`` also checks the ``linearize`` pullback.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
+Pullback = Callable[[Vector], Vector]
 
 __all__ = [
     "SmoothOracle",
     "ProxOracle",
     "MapOracle",
+    "Pullback",
     "Problem",
     "CheckReport",
     "check_gradient",
@@ -70,12 +73,26 @@ class MapOracle:
 
     ``vjp(x, w)`` returns J_c(x)^T w (length n).  ``jac_lipschitz_bound`` and
     ``jac_norm_bound`` are optional user-supplied constants L_c and M_c.
+    ``linearizer(x) -> (c(x), pullback)`` is an optional one-pass form of
+    ``linearize`` for maps whose value and adjoint share work.
     """
 
     value: Callable[[Vector], Vector]
     vjp: Callable[[Vector, Vector], Vector]
     jac_lipschitz_bound: Optional[float] = None
     jac_norm_bound: Optional[float] = None
+    linearizer: Optional[Callable[[Vector], Tuple[Vector, Pullback]]] = None
+
+    def linearize(self, x: Vector) -> Tuple[Vector, Pullback]:
+        """``(c(x), pullback)`` with ``pullback(w) = J_c(x)^T w``, in the style
+        of ``jax.vjp``.  The pullback does not change when the caller later
+        mutates x.  Without a ``linearizer`` it is built from ``value`` and
+        ``vjp`` at a copy of x.
+        """
+        if self.linearizer is not None:
+            return self.linearizer(x)
+        x = np.array(x, dtype=float)
+        return self.value(x), lambda w: self.vjp(x, w)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,6 +133,7 @@ class CheckReport:
 
 
 _REL_TOL = 1e-5
+_VALUE_REL_TOL = 1e-13
 _MAX_DIRECTIONS = 32
 
 
@@ -177,8 +195,10 @@ def check_vjp(
     h_step: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> CheckReport:
-    """Compare ``<vjp(x, w), d>`` against a central difference of ``<w, c(.)>``
-    along d, for random w and d.  Passes iff every trial agrees to 1e-5.
+    """Compare ``<vjp(x, w), d>`` and ``<pullback(w), d>`` (from
+    ``c.linearize(x)``) against a central difference of ``<w, c(.)>`` along d,
+    for random w and d.  Passes iff every trial agrees to 1e-5 and
+    ``linearize(x)[0]`` equals ``value(x)`` to 1e-13 relative.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
@@ -186,22 +206,40 @@ def check_vjp(
     h = default_fd_step(x) if h_step is None else float(h_step)
     rng = rng if rng is not None else np.random.default_rng(0)
     cx = np.asarray(c.value(x), dtype=float)
+    c_lin, pullback = c.linearize(x)
+    c_lin = np.asarray(c_lin, dtype=float)
+    if c_lin.shape != cx.shape:
+        raise ValueError(f"linearize value shape {c_lin.shape} != value shape {cx.shape}")
+    value_err = float(np.max(np.abs(c_lin - cx) / np.maximum(1.0, np.abs(cx)), initial=0.0))
+    if not value_err <= _VALUE_REL_TOL:
+        return CheckReport(
+            max_rel_error=value_err,
+            passed=False,
+            message=f"linearize(x)[0] differs from value(x) by {value_err:.3g} relative",
+        )
     m = cx.size
     worst = 0.0
     worst_i: Optional[int] = None
+    worst_name = ""
     for i in range(trials):
         w = rng.standard_normal(m)
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
-        v = np.asarray(c.vjp(x, w), dtype=float)
-        if v.shape != x.shape:
-            raise ValueError(f"vjp shape {v.shape} != x shape {x.shape}")
-        an = float(v @ d)
         fd = float(w @ (np.asarray(c.value(x + h * d)) - np.asarray(c.value(x - h * d)))) / (2.0 * h)
-        err = _rel_err(fd, an)
-        if err > worst:
-            worst, worst_i = err, i
-    return CheckReport(max_rel_error=worst, passed=worst <= _REL_TOL, worst_index=worst_i)
+        for name, v in (("vjp", c.vjp(x, w)), ("pullback", pullback(w))):
+            v = np.asarray(v, dtype=float)
+            if v.shape != x.shape:
+                raise ValueError(f"{name} shape {v.shape} != x shape {x.shape}")
+            err = _rel_err(fd, float(v @ d))
+            if err > worst:
+                worst, worst_i, worst_name = err, i, name
+    passed = worst <= _REL_TOL
+    return CheckReport(
+        max_rel_error=worst,
+        passed=passed,
+        worst_index=worst_i,
+        message="" if passed else f"{worst_name} disagrees with central differences",
+    )
 
 
 def objective(p: Problem, x: Vector) -> float:

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..oracles import MapOracle, Problem, ProxOracle, SmoothOracle, Vector
+from ..oracles import MapOracle, Problem, ProxOracle, Pullback, SmoothOracle, Vector
 from ..prox import LpProxParams, prox_l1_box, prox_lp_power
 from .mnist_idx import read_idx
 
@@ -96,11 +96,12 @@ def _forward(
     return out[:, 0], acts
 
 
-def _vjp(v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray, w: Vector) -> Vector:
+def _backward(
+    layers: List[Tuple[np.ndarray, np.ndarray]], acts: List[np.ndarray], kind: str, w: Vector
+) -> Vector:
     """Gradient of sum_i w_i * MLP(a_i; v) with respect to the packed
-    parameter vector, by reverse accumulation."""
-    layers = _unpack(np.asarray(v, dtype=float), dims)
-    _, acts = _forward(v, dims, kind, X)
+    parameter vector, by reverse accumulation over the layers of v and the
+    activations ``_forward`` returned for them."""
     grads: List[Tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore
     G = np.asarray(w, dtype=float)[:, None]  # (n_samples, 1) at the output
     for l in range(len(layers) - 1, -1, -1):
@@ -109,6 +110,23 @@ def _vjp(v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray, w: Vector) 
         if l > 0:
             G = (G @ W) * _act_prime_from_value(acts[l], kind)
     return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+
+
+def _vjp(v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray, w: Vector) -> Vector:
+    """``_backward`` after a forward pass from scratch."""
+    _, acts = _forward(v, dims, kind, X)
+    return _backward(_unpack(np.asarray(v, dtype=float), dims), acts, kind, w)
+
+
+def _linearize(
+    v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray
+) -> Tuple[np.ndarray, Pullback]:
+    """The network outputs at v and the pullback w -> sum_i w_i grad MLP(a_i; v),
+    which reuses this forward pass.  The pullback holds its own copy of v."""
+    v = np.array(v, dtype=float)
+    out, acts = _forward(v, dims, kind, X)
+    layers = _unpack(v, dims)
+    return out, lambda w: _backward(layers, acts, kind, w)
 
 
 def mlp_generate(
@@ -218,6 +236,10 @@ def mlp_problem(inst: MlpInstance) -> Problem:
     def c_vjp(v: Vector, w: Vector) -> Vector:
         return _vjp(v, dims, kind, X, w)
 
+    def c_linearize(v: Vector) -> Tuple[Vector, Pullback]:
+        out, pullback = _linearize(v, dims, kind, X)
+        return out - y, pullback
+
     def h_value(u: Vector) -> float:
         return float(h_weight * np.sum(np.abs(u) ** p))
 
@@ -233,7 +255,7 @@ def mlp_problem(inst: MlpInstance) -> Problem:
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=0.0),
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
-        c=MapOracle(c_value, c_vjp),
+        c=MapOracle(c_value, c_vjp, linearizer=c_linearize),
         n=nv,
         m=m,
         inf_fg_lower_bound=0.0,

@@ -16,10 +16,12 @@ bit-reproducible given (seed, params) and portable across platforms.
 from __future__ import annotations
 
 import dataclasses
+import functools
+from typing import Tuple
 
 import numpy as np
 
-from ..oracles import MapOracle, Problem, ProxOracle, SmoothOracle, Vector
+from ..oracles import MapOracle, Problem, ProxOracle, Pullback, SmoothOracle, Vector
 from ..prox import LpProxParams, prox_lp_box, prox_lp_power
 
 __all__ = [
@@ -108,14 +110,18 @@ def qcqp_generate(
     )
 
 
-def _constraints(inst: QcqpInstance, x: Vector) -> Vector:
-    """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m."""
-    return 0.5 * np.einsum("ijk,j,k->i", inst.Q, x, x) + inst.bi @ x + inst.ri
+def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, Pullback]:
+    """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and the
+    pullback w -> J_c(x)^T w, from one matrix product Qx[i] = Qi x.  Row i of
+    J_c(x) is (Qi x + bi)^T because each Qi is symmetric."""
+    Qx = (inst.Q.reshape(-1, inst.n) @ x).reshape(inst.m, inst.n)
+    bi = inst.bi
+    return 0.5 * (Qx @ x) + bi @ x + inst.ri, lambda w: w @ Qx + w @ bi
 
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
     """Composite-problem bundle with analytic constants attached."""
-    Q0, b0, Q, bi = inst.Q0, inst.b0, inst.Q, inst.bi
+    Q0, b0, Q = inst.Q0, inst.b0, inst.Q
     alpha, p, r = inst.alpha, inst.p, inst.r
 
     def f_value(x: Vector) -> float:
@@ -133,10 +139,10 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         return prox_lp_box(z, LpProxParams(p=p, alpha=alpha, gamma=gamma), r)
 
     def c_value(x: Vector) -> Vector:
-        return _constraints(inst, x)
+        return _linearize(inst, x)[0]
 
     def c_vjp(x: Vector, w: Vector) -> Vector:
-        return np.einsum("i,ijk,k->j", w, Q, x) + w @ bi
+        return _linearize(inst, x)[1](w)
 
     def h_value(y: Vector) -> float:
         return 0.0 if np.all(y <= 0.0) else float("inf")
@@ -144,7 +150,7 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
     def h_prox(z: Vector, gamma: float) -> Vector:
         return np.minimum(z, 0.0)
 
-    spec_norms = np.array([np.linalg.norm(Qi, 2) for Qi in Q])
+    spec_norms = np.abs(np.linalg.eigvalsh(Q)).max(axis=1)  # each Qi is symmetric
     L_c = float(np.sqrt(np.sum(spec_norms**2)))
     M_c = float(inst.r * np.sqrt(inst.n) * L_c)
 
@@ -158,7 +164,13 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=float(np.linalg.norm(Q0, 2))),
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
-        c=MapOracle(c_value, c_vjp, jac_lipschitz_bound=L_c, jac_norm_bound=M_c),
+        c=MapOracle(
+            c_value,
+            c_vjp,
+            jac_lipschitz_bound=L_c,
+            jac_norm_bound=M_c,
+            linearizer=functools.partial(_linearize, inst),
+        ),
         n=inst.n,
         m=inst.m,
         inf_fg_lower_bound=inf_fg_lb,
@@ -173,5 +185,5 @@ def qcqp_initial_point(inst: QcqpInstance):
 
 def relative_feasibility(inst: QcqpInstance, x: Vector) -> float:
     """Norm of the positive constraint violations scaled by max(|ri|, 1)."""
-    cx = _constraints(inst, x)
+    cx = _linearize(inst, x)[0]
     return float(np.linalg.norm(np.maximum(cx, 0.0) / np.maximum(np.abs(inst.ri), 1.0)))

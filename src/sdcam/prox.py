@@ -76,8 +76,10 @@ def lp_threshold(p: float, w: float) -> float:
 
 
 def _lp_objective(u, a, w: float, p: float):
-    # reduced objective (1/2)(u-a)^2 + w*u^p on u >= 0, a = |z|, w = alpha*gamma
-    return 0.5 * np.float_power(u - a, 2.0) + w * np.float_power(u, p)
+    # reduced objective (1/2)(u-a)^2 + w*u^p on u >= 0, a = |z|, w = alpha*gamma;
+    # a huge |z| gives inf or NaN here, and the caller's comparisons settle it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * np.float_power(u - a, 2.0) + w * np.float_power(u, p)
 
 
 def _golden_section(lo: float, a: float, w: float, p: float) -> float:
@@ -126,9 +128,10 @@ def prox_lp_power(z, params: LpProxParams):
         if active.size == 0:
             break
         ua, aa = u[active], a[active]
-        phi = ua - aa + w * p * np.float_power(ua, p - 1.0)
-        res = np.abs(phi) / gamma
-        u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN stop below
+            phi = ua - aa + w * p * np.float_power(ua, p - 1.0)
+            res = np.abs(phi) / gamma
+            u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
         stop = (res <= _NEWTON_TOL) | ~((0.0 < u_new) & (u_new <= aa)) | (u_new == ua)
         converged[active[stop]] = res[stop] <= 1e3 * _NEWTON_TOL  # stalls count if close
         u[active[~stop]] = u_new[~stop]

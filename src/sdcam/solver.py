@@ -18,8 +18,10 @@ is indexed by the accepted-step counter only: rejected trials reuse beta_t.
 
 c(x^t), grad f(x^t) and J_c(x^t)^T (c(x^t) - y^t) are computed once per
 iterate and cached across rejected trials; the backtracking loop re-solves only
-the prox.  The stationarity residual of an accepted step comes from the same
-cache through the identity
+the prox.  Each trial point gets c(x~) and its pullback from one
+``c.linearize`` call; an accepted step applies that pullback to c(x~) - y, so
+the map is swept once per trial.  The stationarity residual of an accepted
+step comes from the same cache through the identity
 
     ||grad f(x^{t+1}) - grad f(x^t) - (beta_t - beta_{t-1}) J_c(x^t)^T (c(x^t) - y^t)
       - (2/mu_t)(x^{t+1} - x^t)||,
@@ -36,7 +38,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .oracles import Problem, Vector
+from .oracles import Problem, Pullback, Vector
 from .schedule import ScheduleSpec, beta_at
 
 __all__ = [
@@ -88,7 +90,8 @@ class SolverConfig:
 @dataclasses.dataclass
 class SolverState:
     """Mutable run state; caches c(x), grad f(x) and J_c(x)^T (c(x) - y) at the
-    current iterate."""
+    current iterate, and the linearized gradient v for the beta_t of its last
+    trial (``v_beta`` is NaN until then and after every accepted step)."""
 
     t: int
     x: Vector
@@ -102,6 +105,8 @@ class SolverState:
     trial_count: int = 0
     unsuccessful_count: int = 0
     unsuccessful_since_accept: int = 0
+    v: Optional[Vector] = None  # grad f(x) + v_beta * J_c(x)^T (c(x) - y)
+    v_beta: float = math.nan
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,12 +166,16 @@ class ConditionReport:
     tol: float
     c_trial: Vector
     fg_trial: float
+    pullback: Pullback  # w -> J_c(x~)^T w
 
 
-def _linearize(p: Problem, x: Vector, c_x: Vector, y: Vector) -> Tuple[Vector, Vector]:
-    """grad f(x) and J_c(x)^T (c(x) - y), the two terms of v at the iterate (x, y)."""
+def _linearize(
+    p: Problem, x: Vector, c_x: Vector, pullback: Pullback, y: Vector
+) -> Tuple[Vector, Vector]:
+    """grad f(x) and J_c(x)^T (c(x) - y), the two terms of v at the iterate
+    (x, y); ``pullback`` comes from ``p.c.linearize(x)``."""
     grad_fx = np.asarray(p.f.grad(x), dtype=float)
-    jtd = np.asarray(p.c.vjp(x, c_x - y), dtype=float)
+    jtd = np.asarray(pullback(c_x - y), dtype=float)
     if not (np.isfinite(grad_fx).all() and np.isfinite(jtd).all()):
         raise SolverError("grad f(x) or J_c(x)^T (c(x) - y) is not finite")
     return grad_fx, jtd
@@ -189,22 +198,35 @@ def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
     h0 = float(p.h.value(y0))
     if h0 == math.inf:
         raise ValueError("y0 is infeasible: h(y0) = +inf")
-    c_x = np.asarray(p.c.value(x0), dtype=float)
+    c_x, pullback = p.c.linearize(x0)
+    c_x = np.asarray(c_x, dtype=float)
     fg_x = float(p.f.value(x0)) + g0
     if not (math.isfinite(fg_x) and np.isfinite(c_x).all()):
         raise SolverError("f(x0) + g(x0) or c(x0) is not finite")
-    grad_fx, jtd = _linearize(p, x0, c_x, y0)
+    grad_fx, jtd = _linearize(p, x0, c_x, pullback, y0)
     return SolverState(
         t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd, fg_x=fg_x, h_y=h0
     )
 
 
 def trial_step(p: Problem, st: SolverState, beta_t: float, mu: float) -> Vector:
-    """Exact minimizer of <v,x> + (1/mu)||x-x^t||^2 + g(x)."""
+    """Exact minimizer of <v,x> + (1/mu)||x-x^t||^2 + g(x).
+
+    v = grad f(x^t) + beta_t * J_c(x^t)^T (c(x^t) - y^t) is computed once per
+    iterate and beta_t, and kept in ``st`` for the rejected trials that follow.
+    Raises SolverError when v is not finite (beta_t too large for float64).
+    """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    v = st.grad_fx + beta_t * st.jtd
-    return np.asarray(p.g.prox(st.x - 0.5 * mu * v, 0.5 * mu), dtype=float)
+    if st.v_beta != beta_t:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = st.grad_fx + beta_t * st.jtd
+        if not np.isfinite(v).all():
+            raise SolverError(
+                f"v = grad f(x) + beta_t * J_c(x)^T (c(x) - y) is not finite at beta_t={beta_t!r}"
+            )
+        st.v, st.v_beta = v, beta_t
+    return np.asarray(p.g.prox(st.x - 0.5 * mu * st.v, 0.5 * mu), dtype=float)
 
 
 def condition_check(
@@ -227,7 +249,8 @@ def condition_check(
     if g_trial == math.inf:
         raise SolverError("g.prox returned a point outside dom g")
     fg_trial = float(p.f.value(x_trial)) + g_trial
-    c_trial = np.asarray(p.c.value(x_trial), dtype=float)
+    c_trial, pullback = p.c.linearize(x_trial)
+    c_trial = np.asarray(c_trial, dtype=float)
     dx = float(np.linalg.norm(x_trial - x_t))
     dc = float(np.linalg.norm(c_trial - c_xt))
     margin_i = math.sqrt(1.0 / (mu * beta_t)) * dx - dc
@@ -240,7 +263,7 @@ def condition_check(
         )
     tol = 1e-12 * (1.0 + abs(fg_xt))
     passed = margin_i >= -tol and margin_ii >= -tol
-    return ConditionReport(passed, margin_i, margin_ii, tol, c_trial, fg_trial)
+    return ConditionReport(passed, margin_i, margin_ii, tol, c_trial, fg_trial, pullback)
 
 
 def step(
@@ -269,7 +292,7 @@ def step(
     h_y_new = float(p.h.value(y_new))
     if h_y_new == math.inf:
         raise SolverError("h.prox returned a point outside dom h")
-    grad_new, jtd_new = _linearize(p, x_trial, rep.c_trial, y_new)
+    grad_new, jtd_new = _linearize(p, x_trial, rep.c_trial, rep.pullback, y_new)
     residual = float(
         np.linalg.norm(
             grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu_t) * dx
@@ -304,6 +327,7 @@ def step(
     st.c_x = rep.c_trial
     st.grad_fx = grad_new
     st.jtd = jtd_new
+    st.v_beta = math.nan
     st.fg_x = rep.fg_trial
     st.y = y_new
     st.h_y = h_y_new

@@ -125,6 +125,36 @@ def test_run_with_huge_beta0_writes_strict_summary(tmp_path, beta0, delta, unava
     assert report["checked"] > 0 and report["passed"] is True
 
 
+def _huge_beta0_qcqp(tmp_path, beta0, delta):
+    path, _ = _cfg(
+        tmp_path,
+        seed=3,
+        problem={"family": "qcqp", "n": 10, "m": 3},
+        schedule={"beta0": beta0, "delta": delta},
+    )
+    return path
+
+
+def test_run_qcqp_prox_overflow_is_silent(tmp_path):
+    # The lp-prox objective overflows at this beta0; it must not warn (the
+    # suite turns RuntimeWarnings into errors), and every trial is rejected.
+    path = _huge_beta0_qcqp(tmp_path, 1e300, 1.0 / 3.0)
+    assert main(["run", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "trial budget"
+    assert summary["successful_iters"] == 0
+
+
+def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys):
+    # beta_t * J_c^T (c - y) overflows: the run fails at v, naming v and beta_t,
+    # instead of passing inf into g.prox and blaming the acceptance margins.
+    path = _huge_beta0_qcqp(tmp_path, 1e305, 0.6)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "v = grad f(x) + beta_t * J_c(x)^T (c(x) - y) is not finite" in err
+    assert "beta_t=1e+305" in err
+
+
 def test_summary_writes_non_finite_floats_as_null(tmp_path):
     inf, nan = float("inf"), float("nan")
     row = TraceRow(

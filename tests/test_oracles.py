@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,33 @@ def test_check_vjp_fails_on_wrong_adjoint():
     c = MapOracle(value=lambda x: J @ x, vjp=lambda x, w: J @ w)  # J, not J.T
     rep = check_vjp(c, np.ones(2), rng=np.random.default_rng(0))
     assert not rep.passed
+
+
+def test_check_vjp_checks_the_linearize_pullback():
+    rng = np.random.default_rng(3)
+    J = rng.standard_normal((4, 6))
+    x = rng.standard_normal(6)
+    good = MapOracle(
+        value=lambda x: J @ x,
+        vjp=lambda x, w: J.T @ w,
+        linearizer=lambda x: (J @ x, lambda w: J.T @ w),
+    )
+    assert check_vjp(good, x).passed
+    wrong_pullback = dataclasses.replace(good, linearizer=lambda x: (J @ x, lambda w: 2.0 * (J.T @ w)))
+    rep = check_vjp(wrong_pullback, x)
+    assert not rep.passed and rep.message.startswith("pullback")
+    wrong_value = dataclasses.replace(good, linearizer=lambda x: (J @ x + 1e-9, lambda w: J.T @ w))
+    rep = check_vjp(wrong_value, x)
+    assert not rep.passed and "linearize(x)[0] differs from value(x)" in rep.message
+
+
+def test_default_linearize_is_value_and_vjp():
+    J = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    c = MapOracle(value=lambda x: J @ x, vjp=lambda x, w: J.T @ w)
+    x, w = np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0])
+    c_x, pullback = c.linearize(x)
+    np.testing.assert_array_equal(c_x, J @ x)
+    np.testing.assert_array_equal(pullback(w), J.T @ w)
 
 
 def test_default_fd_step_scales_with_point():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 
 from sdcam.oracles import check_gradient, check_vjp
 from sdcam.problems import (
+    FAMILIES,
     IdxData,
     load_instance,
     mimo_generate,
@@ -23,6 +25,7 @@ from sdcam.problems import (
     save_instance,
 )
 from sdcam.problems.mimo import phi, mimo_sup_abs_fg
+from sdcam.problems.mlp import _vjp
 
 
 # --- QCQP ---------------------------------------------------------------------
@@ -89,6 +92,47 @@ def test_qcqp_lipschitz_constants_dominate_samples():
         # Jacobian rows are Qi x; Frobenius bound must dominate spectral norm
         J = np.einsum("ijk,k->ij", inst.Q, x)
         assert np.linalg.norm(J, 2) <= prob.c.jac_norm_bound + 1e-9
+
+
+def test_qcqp_linearize_matches_einsum_reference():
+    # The einsum formulas of c and J_c^T w are the independent reference; bi is
+    # made nonzero so that its terms are checked too.
+    inst = qcqp_generate(4, n=7, m=3)
+    rng = np.random.default_rng(6)
+    inst = dataclasses.replace(inst, bi=rng.standard_normal((3, 7)))
+    prob = qcqp_problem(inst)
+    for _ in range(10):
+        x = rng.uniform(-inst.r, inst.r, 7)
+        w = rng.standard_normal(3)
+        c_ref = 0.5 * np.einsum("ijk,j,k->i", inst.Q, x, x) + inst.bi @ x + inst.ri
+        jtw_ref = np.einsum("i,ijk,k->j", w, inst.Q, x) + w @ inst.bi
+        # rounding scale of the sums: |Q| |x|^2 + |bi| |x| + |ri|
+        scale = np.abs(inst.Q).sum() * np.abs(x).max() ** 2 + np.abs(inst.bi).sum() + 1.0
+        c_x, pullback = prob.c.linearize(x)
+        np.testing.assert_allclose(c_x, c_ref, rtol=0.0, atol=1e-14 * scale)
+        np.testing.assert_allclose(pullback(w), jtw_ref, rtol=0.0, atol=1e-14 * scale)
+        np.testing.assert_array_equal(prob.c.value(x), c_x)
+        np.testing.assert_array_equal(prob.c.vjp(x, w), pullback(w))
+        rel_ref = np.linalg.norm(np.maximum(c_ref, 0.0) / np.maximum(np.abs(inst.ri), 1.0))
+        assert relative_feasibility(inst, x) == pytest.approx(rel_ref, rel=1e-12, abs=1e-14 * scale)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_linearize_pullback_survives_mutating_x(family):
+    # The pullback is applied only after x has been overwritten in place; it
+    # must still give J_c^T w at the point linearize saw.
+    fam = FAMILIES[family]
+    prob, x0, *_ = fam.setup(fam.generate(5, **fam.check_kwargs))
+    rng = np.random.default_rng(3)
+    x = x0 + 0.1 * rng.standard_normal(x0.size)
+    x_saved = x.copy()
+    w = rng.standard_normal(prob.m)
+    c_x, pullback = prob.c.linearize(x)
+    c_saved = c_x.copy()
+    x[:] = rng.standard_normal(x.size)
+    np.testing.assert_array_equal(pullback(w), prob.c.vjp(x_saved, w))
+    np.testing.assert_array_equal(c_x, c_saved)
+    np.testing.assert_array_equal(c_x, prob.c.value(x_saved))
 
 
 def test_relative_feasibility_examples():
@@ -202,6 +246,20 @@ def test_mlp_sigmoid_activation_vjp():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(inst.param_count) * 0.3
     assert check_vjp(prob.c, v, rng=rng).passed
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_mlp_pullback_equals_vjp_from_scratch(activation):
+    inst = mlp_generate(2, layer_dims=(5, 4, 3, 1), n_samples=12, activation=activation)
+    prob = mlp_problem(inst)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(inst.param_count) * 0.3
+    c_x, pullback = prob.c.linearize(v)
+    np.testing.assert_array_equal(c_x, prob.c.value(v))
+    for _ in range(3):
+        w = rng.standard_normal(12)
+        ref = _vjp(v, inst.layer_dims, activation, inst.features, w)
+        np.testing.assert_array_equal(pullback(w), ref)
 
 
 def test_mlp_initial_point_inside_box():

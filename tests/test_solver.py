@@ -81,9 +81,9 @@ def test_trial_step_free_g_is_half_mu_gradient_step():
     x0 = np.array([2.0, -1.0])
     y0 = np.array([0.5, 0.5])
     st = _state(p, x0, y0, mu=0.1)
-    beta = 3.0
-    v = x0 + beta * (x0 - y0)
-    np.testing.assert_allclose(trial_step(p, st, beta, 0.1), x0 - 0.05 * v)
+    for beta in (1.0, 3.0):  # v is kept per beta_t: a new beta_t recomputes it
+        v = x0 + beta * (x0 - y0)
+        np.testing.assert_allclose(trial_step(p, st, beta, 0.1), x0 - 0.05 * v)
 
 
 def test_trial_step_rejects_nonpositive_mu():
@@ -91,6 +91,13 @@ def test_trial_step_rejects_nonpositive_mu():
     st = _state(p, np.ones(2), np.zeros(2), mu=1.0)
     with pytest.raises(ValueError):
         trial_step(p, st, 1.0, 0.0)
+
+
+def test_trial_step_raises_on_non_finite_v():
+    p = _identity_problem()
+    st = _state(p, np.full(2, 1e10), np.zeros(2), mu=1.0)
+    with pytest.raises(SolverError, match=r"not finite at beta_t=1e\+305"):
+        trial_step(p, st, 1e305, 1.0)
 
 
 def test_condition_check_accepts_at_fixed_point():
@@ -242,7 +249,11 @@ def test_solver_error_on_prox_leaving_domain():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_oracle_calls_per_run(family):
     # Each oracle value at an iterate is computed once: T trials, A accepted steps.
+    # A family with a one-pass linearizer sweeps its map once per trial and
+    # never calls c.value or c.vjp; without one, linearize is built from them.
     prob, x0, y0, rel_feas, cfg = _family_run(family, 0, max_successful_iters=30)
+    fused = family in ("qcqp", "mlp")
+    assert (prob.c.linearizer is not None) == fused
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -255,9 +266,22 @@ def test_oracle_calls_per_run(family):
     for name in ORACLES:
         term, method = name.split(".")
         prob = _replace_oracle(prob, name, counted(name, getattr(getattr(prob, term), method)))
+    if fused:
+        linearizer = prob.c.linearizer
+
+        def linearize(x):
+            c_x, pullback = linearizer(x)
+            return c_x, counted("c.pullback", pullback)
+
+        prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
     res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
     T, A = res.total_trials, len(res.trace)
     assert A == 30 and T > A
+    map_counts = (
+        {"c.linearize": T + 1, "c.pullback": A + 1}
+        if fused
+        else {"c.value": T + 1, "c.vjp": A + 1}
+    )
     assert dict(counts) == {
         "f.value": T + 1,
         "f.grad": A + 1,
@@ -265,8 +289,7 @@ def test_oracle_calls_per_run(family):
         "g.prox": T,
         "h.value": A + 1,
         "h.prox": A,
-        "c.value": T + 1,
-        "c.vjp": A + 1,
+        **map_counts,
     }
 
 
