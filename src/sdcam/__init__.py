@@ -33,8 +33,6 @@ from .solver import (
 from .diagnostics import (
     stationarity_residual,
     select_subsequence,
-    certificate,
-    CertificateReport,
     suggest_delta,
     RateConstants,
     rate_constants,
@@ -70,8 +68,6 @@ __all__ = [
     "solve",
     "stationarity_residual",
     "select_subsequence",
-    "certificate",
-    "CertificateReport",
     "suggest_delta",
     "RateConstants",
     "rate_constants",

@@ -78,7 +78,7 @@ def _require_keys(obj: Any, allowed: Dict[str, bool], where: str) -> None:
         raise UsageError(f"{where} must be a JSON object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise UsageError(f"unknown key(s) {unknown} in {where}")
+        raise UsageError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
     missing = sorted(k for k, req in allowed.items() if req and k not in obj)
     if missing:
         raise UsageError(f"missing required key(s) {missing} in {where}")
@@ -174,8 +174,7 @@ def _solver_config(cfg: Dict[str, Any], fam: Family) -> SolverConfig:
             "eta": False,
             "max_successful_iters": True,
             "max_total_trials": False,
-            "stop_residual": False,
-            "stop_gap": False,
+            "stop_eps": False,
         },
         "solver",
     )
@@ -192,7 +191,7 @@ def _solver_config(cfg: Dict[str, Any], fam: Family) -> SolverConfig:
         schedule = ScheduleSpec(**schedule_cfg)
         return SolverConfig(
             schedule=schedule,
-            assert_level=cfg.get("assert_level", "cheap"),
+            assert_level=cfg.get("assert_level", "off"),
             **solver_cfg,
         )
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type

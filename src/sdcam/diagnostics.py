@@ -1,5 +1,5 @@
-"""Stationarity residuals, certificates, rate constants, and
-complexity-bound checks for solver traces.
+"""Stationarity residuals, rate constants, and complexity-bound checks for
+solver traces.
 
 The stationarity residual is built from the exact subgradient witnesses that
 the two prox subproblems certify at an accepted step:
@@ -13,6 +13,9 @@ grad f + dg + J_c^T dh anchored at (x^{t+1}, y^t, z=x^t).
 ``stationarity_residual`` computes it from scratch, calling the oracles again;
 it is the reference that the tests compare the solver's trace residual
 against, which ``sdcam.solver`` derives from values it has already cached.
+It is the first of the three distances of the paper's (eps1, eps2,
+eps3)-stationarity, ``TraceRow.certifies``; the other two are the trace's
+``prev_gap`` = ||c(x^{t+1}) - y^t|| and ``step_norm`` = ||x^{t+1} - x^t||.
 
 ``rate_bound_check`` evaluates, for a finished trace, the running-average and
 min-style inequalities that are guaranteed to hold for the logged quantities
@@ -34,8 +37,6 @@ from .schedule import ScheduleSpec
 __all__ = [
     "stationarity_residual",
     "select_subsequence",
-    "certificate",
-    "CertificateReport",
     "RateConstants",
     "rate_constants",
     "RateBoundReport",
@@ -75,39 +76,6 @@ def select_subsequence(a: Sequence[float]) -> List[int]:
     arr = np.asarray(a, dtype=float)
     b = np.cumsum(arr) / np.arange(1, arr.size + 1)
     return [int(T) for T in range(2, arr.size + 1) if b[T - 1] <= b[T - 2]]
-
-
-@dataclasses.dataclass(frozen=True)
-class CertificateReport:
-    passed: bool
-    d1: float
-    d2: float
-    d3: float
-
-
-def certificate(
-    p: Problem,
-    x: Vector,
-    y: Vector,
-    z: Vector,
-    psi: Vector,
-    xi: Vector,
-    eps1: float,
-    eps2: float,
-    eps3: float,
-) -> CertificateReport:
-    """Approximate-stationarity certificate from caller-provided subgradient
-    witnesses psi in dg(x) and xi in dh(y), with the Jacobian anchored at z."""
-    d1 = float(
-        np.linalg.norm(
-            np.asarray(p.f.grad(x), dtype=float)
-            + np.asarray(psi, dtype=float)
-            + np.asarray(p.c.vjp(z, xi), dtype=float)
-        )
-    )
-    d2 = float(np.linalg.norm(np.asarray(p.c.value(x), dtype=float) - np.asarray(y)))
-    d3 = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(z)))
-    return CertificateReport(d1 <= eps1 and d2 <= eps2 and d3 <= eps3, d1, d2, d3)
 
 
 def suggest_delta(eps1: float, eps2: float) -> float:

@@ -63,10 +63,15 @@ def load_instance(path: str) -> Any:
     for key in ("seed", "params", "data"):
         if key not in doc:
             raise ValueError(f"instance file {path} is missing field {key!r}")
+    seed, params, data = doc["seed"], doc["params"], doc["data"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed in instance file {path} must be an integer")
+    for key, value in (("params", params), ("data", data)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} in instance file {path} must be a JSON object")
     cls = FAMILIES[family].instance_type
 
-    kwargs: Dict[str, Any] = {"seed": doc["seed"]}
-    params, data = doc["params"], doc["data"]
+    kwargs: Dict[str, Any] = {"seed": seed}
     for field in dataclasses.fields(cls):
         if field.name == "seed":
             continue

@@ -62,6 +62,27 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 1
 
 
+def test_run_stop_eps(tmp_path, capsys):
+    # MIMO's check instance at delta 1/3 certifies (0.1, 0.1, 0.1) within 1000 steps.
+    path, cfg = _cfg(
+        tmp_path,
+        seed=0,
+        problem={"family": "mimo", "n": 6, "m": 12},
+        solver={"max_successful_iters": 1000, "stop_eps": 0.1},
+        schedule={"beta0": 1.0, "delta": 1.0 / 3.0},
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    assert summary["successful_iters"] < 1000
+    cfg["solver"] = {"max_successful_iters": 30, "stop_residual": 1e-6}
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "stop_residual" in err and "stop_eps" in err
+
+
 def test_run_rejects_bad_schema_version(tmp_path):
     path, cfg = _cfg(tmp_path)
     cfg["schema_version"] = 99
@@ -359,6 +380,9 @@ def _drop_data_shape(doc):
         ("config", {"schedule": 7}),
         ("config", {"solver": {"max_successful_iters": "5"}}),
         ("check", _drop_data_shape),
+        ("check", lambda doc: {**doc, "params": 5}),
+        ("check", lambda doc: {**doc, "data": 5}),
+        ("check", lambda doc: {**doc, "seed": "x"}),
     ],
     ids=[
         "check-no-seed",
@@ -371,6 +395,9 @@ def _drop_data_shape(doc):
         "config-schedule-not-object",
         "config-solver-key-type",
         "check-data-no-shape",
+        "check-params-not-object",
+        "check-data-not-object",
+        "check-seed-not-integer",
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):

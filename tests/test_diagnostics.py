@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sdcam.diagnostics import (
     RateConstants,
-    certificate,
     rate_bound_check,
     rate_constants,
     select_subsequence,
@@ -132,19 +131,6 @@ def test_stationarity_residual_matches_independent_assembly():
     expected = np.linalg.norm(grad_f(x_next) + psi + jac_T(x_t, xi))
     got = stationarity_residual(p, x_t, x_next, y_t, mu_t, beta_t, beta_prev)
     assert got == pytest.approx(float(expected), rel=1e-12)
-
-
-def test_certificate_report():
-    p = _linear_problem()
-    x = np.zeros(2)
-    rep = certificate(p, x, x, x, psi=-x, xi=np.zeros(2), eps1=1e-9, eps2=1e-9, eps3=1e-9)
-    assert rep.passed
-    rep2 = certificate(
-        p, np.ones(2), np.zeros(2), np.ones(2), psi=np.zeros(2), xi=np.zeros(2),
-        eps1=1e-9, eps2=1e-9, eps3=1e-9,
-    )
-    assert not rep2.passed
-    assert rep2.d2 == pytest.approx(math.sqrt(2.0))
 
 
 # --- rate constants and bound checks ------------------------------------------

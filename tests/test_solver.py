@@ -136,17 +136,28 @@ def test_mu_grows_by_eta_capped_at_mu_max():
     assert mus[3] == pytest.approx(0.5)
 
 
-def test_converged_status_with_stop_thresholds():
-    p = _identity_problem()
-    cfg = _config(
-        max_successful_iters=10_000,
-        stop_residual=1e-8,
-        stop_gap=1e-8,
+def test_trace_row_certifies_reads_the_three_distances():
+    res = solve(_identity_problem(), _config(max_successful_iters=1), np.ones(2), np.zeros(2))
+    row = dataclasses.replace(
+        res.trace[0], residual=1.0, prev_gap=2.0, step_norm=3.0, gap=9.0, scaled_step=9.0
     )
-    res = solve(p, cfg, np.zeros(2), np.zeros(2))
+    assert row.certifies(1.0, 2.0, 3.0)
+    for eps in ((0.9, 2.0, 3.0), (1.0, 1.9, 3.0), (1.0, 2.0, 2.9)):
+        assert not row.certifies(*eps)
+
+
+def test_converged_status_with_stop_thresholds():
+    # MIMO's check instance at delta 1/3 first certifies a (0.1, 0.1, 0.1)-
+    # stationary point after about 175 accepted steps (seed 0).
+    schedule = ScheduleSpec(family="power", beta0=1.0, delta=1.0 / 3.0)
+    prob, x0, y0, _, cfg = _family_run(
+        "mimo", 0, schedule=schedule, max_successful_iters=1000, stop_eps=0.1
+    )
+    res = solve(prob, cfg, x0, y0)
     assert res.status == "converged"
-    assert len(res.trace) == 1
-    assert res.trace[0].step_norm == pytest.approx(0.0, abs=1e-15)
+    assert 1 < len(res.trace) < 1000
+    assert res.trace[-1].certifies(0.1, 0.1, 0.1)
+    assert not any(row.certifies(0.1, 0.1, 0.1) for row in res.trace[:-1])
 
 
 def test_iteration_and_trial_budget_statuses():
@@ -189,8 +200,12 @@ def test_config_validation():
         _config(eta=0.5)
     with pytest.raises(ValueError):
         _config(max_successful_iters=0)
-    with pytest.raises(ValueError):
-        _config(assert_level="loud")
+    for level in ("loud", "cheap"):
+        with pytest.raises(ValueError, match="assert_level"):
+            _config(assert_level=level)
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="stop_eps"):
+            _config(stop_eps=eps)
 
 
 def test_full_asserts_require_objective_lower_bound():
@@ -295,6 +310,8 @@ def test_oracle_calls_per_run(family):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_step_residual_matches_from_scratch_reference(family):
+    # The three distances TraceRow.certifies tests, each recomputed from the
+    # oracles at the witnesses (x^{t+1}, y^t, z = x^t).
     prob, x0, y0, _, cfg = _family_run(family, 0)
     st = initial_state(prob, x0, y0, cfg.mu_init)
     accepted = 0
@@ -307,6 +324,9 @@ def test_step_residual_matches_from_scratch_reference(family):
         beta_prev = beta_at(cfg.schedule, t - 1) if t >= 1 else cfg.schedule.beta0
         ref = stationarity_residual(prob, x_t, st.x, y_t, row.mu_t, row.beta_t, beta_prev)
         assert row.residual == pytest.approx(ref, rel=1e-10)
+        c_next = np.asarray(prob.c.value(st.x), dtype=float)
+        assert row.prev_gap == pytest.approx(float(np.linalg.norm(c_next - y_t)), rel=1e-10)
+        assert row.step_norm == pytest.approx(float(np.linalg.norm(st.x - x_t)), rel=1e-10)
 
 
 @pytest.mark.parametrize("rho", [0.8, 0.5])
