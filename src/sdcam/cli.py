@@ -294,6 +294,10 @@ def run_config_file(path: str) -> int:
         result.total_trials,
         trace_path,
     )
+    if not result.trace:
+        print(f"error: numerical failure: no accepted step in {result.total_trials} trials "
+              f"({result.status})", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"{path}: {result.status}, {len(result.trace)} accepted steps -> {trace_path}")
     return EXIT_OK
 

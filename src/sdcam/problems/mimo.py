@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from ..oracles import MapOracle, Problem, ProxOracle, SmoothOracle, Vector
-from ..prox import project_box, soft_threshold
+from ..prox import soft_threshold
 
 __all__ = [
     "MimoInstance",
@@ -109,7 +109,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
     def f_value(x: Vector) -> float:
         r, theta = x[:n], x[n:]
         e = A @ phi(r, theta) - yhat
-        return float(0.5 * e @ e + lam1 * np.sum(_gamma(r, r_lo)))
+        return float(0.5 * e @ e + lam1 * _gamma(r, r_lo).sum())
 
     def f_grad(x: Vector) -> Vector:
         r, theta = x[:n], x[n:]
@@ -123,10 +123,11 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
     def g_value(x: Vector) -> float:
         r = x[:n]
-        return 0.0 if np.all((r >= r_lo) & (r <= 1.0)) else float("inf")
+        return 0.0 if ((r >= r_lo) & (r <= 1.0)).all() else float("inf")
 
     def g_prox(z: Vector, gamma: float) -> Vector:
-        return project_box(z, lo, hi)
+        # project_box without its checks; initial_state's g(x0) < inf gives lo <= hi
+        return np.minimum(np.maximum(z, lo), hi)
 
     def c_value(x: Vector) -> Vector:
         return np.sin(0.5 * ppsk * x[n:])

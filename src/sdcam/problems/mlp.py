@@ -82,9 +82,10 @@ def _unpack(v: Vector, dims: Tuple[int, ...]) -> List[Tuple[np.ndarray, np.ndarr
 
 def _forward(
     v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Batched forward pass; returns outputs (n_samples,) and the list of
-    post-activation layer values (including the input) for backprop."""
+) -> Tuple[np.ndarray, List[np.ndarray], List[Tuple[np.ndarray, np.ndarray]]]:
+    """Batched forward pass; returns outputs (n_samples,), the list of
+    post-activation layer values (including the input) and the unpacked
+    layers of v, both for backprop."""
     layers = _unpack(np.asarray(v, dtype=float), dims)
     Z = X
     acts = [Z]
@@ -93,7 +94,7 @@ def _forward(
         acts.append(Z)
     W, b = layers[-1]
     out = Z @ W.T + b  # last layer linear, one output unit
-    return out[:, 0], acts
+    return out[:, 0], acts, layers
 
 
 def _backward(
@@ -114,8 +115,8 @@ def _backward(
 
 def _vjp(v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray, w: Vector) -> Vector:
     """``_backward`` after a forward pass from scratch."""
-    _, acts = _forward(v, dims, kind, X)
-    return _backward(_unpack(np.asarray(v, dtype=float), dims), acts, kind, w)
+    _, acts, layers = _forward(v, dims, kind, X)
+    return _backward(layers, acts, kind, w)
 
 
 def _linearize(
@@ -124,8 +125,7 @@ def _linearize(
     """The network outputs at v and the pullback w -> sum_i w_i grad MLP(a_i; v),
     which reuses this forward pass.  The pullback holds its own copy of v."""
     v = np.array(v, dtype=float)
-    out, acts = _forward(v, dims, kind, X)
-    layers = _unpack(v, dims)
+    out, acts, layers = _forward(v, dims, kind, X)
     return out, lambda w: _backward(layers, acts, kind, w)
 
 
@@ -167,7 +167,7 @@ def mlp_generate(
             teacher.append(rng_t.standard_normal((n_out, n_in)) / math.sqrt(n_in))
             teacher.append(rng_t.standard_normal(n_out))
         v_teacher = np.concatenate([a.ravel() for a in teacher])
-        raw, _ = _forward(v_teacher, layer_dims, activation, X)
+        raw = _forward(v_teacher, layer_dims, activation, X)[0]
         scale = max(1.0, float(np.max(np.abs(raw))))
         y = np.clip(raw / scale + 0.05 * _stream(seed, 2).standard_normal(n_samples), -1.0, 1.0)
     elif source == "idx":
@@ -187,7 +187,7 @@ def mlp_generate(
     else:
         raise ValueError(f"unknown source {source!r}")
 
-    out0, _ = _forward(np.zeros(_param_count(layer_dims)), layer_dims, activation, X)
+    out0 = _forward(np.zeros(_param_count(layer_dims)), layer_dims, activation, X)[0]
     C_radius = float(np.sum(np.abs(out0 - y) ** p) / p / (lam * n_samples))
     if C_radius <= 0.0:
         raise ValueError("degenerate instance: C_radius is zero (all targets fit at v=0)")
@@ -222,16 +222,14 @@ def mlp_problem(inst: MlpInstance) -> Problem:
         return np.zeros(nv)
 
     def g_value(v: Vector) -> float:
-        if np.any(np.abs(v) > R):
-            return float("inf")
-        return float(lam * np.sum(np.abs(v)))
+        a = np.abs(v)
+        return float("inf") if (a > R).any() else float(lam * a.sum())
 
     def g_prox(z: Vector, gamma: float) -> Vector:
         return prox_l1_box(z, gamma * lam, R)
 
     def c_value(v: Vector) -> Vector:
-        out, _ = _forward(v, dims, kind, X)
-        return out - y
+        return _forward(v, dims, kind, X)[0] - y
 
     def c_vjp(v: Vector, w: Vector) -> Vector:
         return _vjp(v, dims, kind, X, w)

@@ -28,6 +28,9 @@ step comes from the same cache through the identity
 
 which equals the witness norm of ``diagnostics.stationarity_residual`` up to
 rounding; grad f(x^{t+1}) is the gradient the next iterate needs anyway.
+
+||c(x^t) - y^t|| is cached with the iterate too, so a rejected trial computes
+one ``g.prox``, ``g.value``, ``f.value``, one ``c.linearize`` and three norms.
 """
 
 from __future__ import annotations
@@ -90,9 +93,10 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolverState:
-    """Mutable run state; caches c(x), grad f(x) and J_c(x)^T (c(x) - y) at the
-    current iterate, and the linearized gradient v for the beta_t of its last
-    trial (``v_beta`` is NaN until then and after every accepted step)."""
+    """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y) and
+    ||c(x) - y|| at the current iterate, and the linearized gradient v for the
+    beta_t of its last trial (``v_beta`` is NaN until then and after every
+    accepted step)."""
 
     t: int
     x: Vector
@@ -102,6 +106,7 @@ class SolverState:
     grad_fx: Vector
     jtd: Vector  # J_c(x)^T (c(x) - y)
     fg_x: float  # f(x) + g(x)
+    gap_x: float  # ||c(x) - y||
     h_y: float  # h(y)
     trial_count: int = 0
     unsuccessful_since_accept: int = 0
@@ -178,6 +183,11 @@ class ConditionReport:
     pullback: Pullback  # w -> J_c(x~)^T w
 
 
+def _norm(d: Vector) -> float:
+    """``np.linalg.norm`` of a 1-D float64 array, bit for bit, without its wrapper."""
+    return math.sqrt(d.dot(d))
+
+
 def _linearize(
     p: Problem, x: Vector, c_x: Vector, pullback: Pullback, y: Vector
 ) -> Tuple[Vector, Vector]:
@@ -214,7 +224,8 @@ def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
         raise SolverError("f(x0) + g(x0) or c(x0) is not finite")
     grad_fx, jtd = _linearize(p, x0, c_x, pullback, y0)
     return SolverState(
-        t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd, fg_x=fg_x, h_y=h0
+        t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd, fg_x=fg_x,
+        gap_x=_norm(c_x - y0), h_y=h0,
     )
 
 
@@ -247,6 +258,7 @@ def condition_check(
     mu: float,
     fg_xt: float,
     c_xt: Vector,
+    gap_xt: float,  # ||c(x^t) - y^t||
 ) -> ConditionReport:
     """Backtracking acceptance test; margins >= -tol means pass.
 
@@ -260,11 +272,11 @@ def condition_check(
     fg_trial = float(p.f.value(x_trial)) + g_trial
     c_trial, pullback = p.c.linearize(x_trial)
     c_trial = np.asarray(c_trial, dtype=float)
-    dx = float(np.linalg.norm(x_trial - x_t))
-    dc = float(np.linalg.norm(c_trial - c_xt))
+    dx = _norm(x_trial - x_t)
+    dc = _norm(c_trial - c_xt)
     margin_i = math.sqrt(1.0 / (mu * beta_t)) * dx - dc
-    lhs = fg_trial + 0.5 * beta_t * float(np.linalg.norm(c_trial - y_t)) ** 2
-    rhs = fg_xt + 0.5 * beta_t * float(np.linalg.norm(c_xt - y_t)) ** 2
+    lhs = fg_trial + 0.5 * beta_t * _norm(c_trial - y_t) ** 2
+    rhs = fg_xt + 0.5 * beta_t * gap_xt**2
     margin_ii = rhs - lhs - dx * dx / (2.0 * mu)
     if not (math.isfinite(margin_i) and math.isfinite(margin_ii)):
         raise SolverError(
@@ -285,7 +297,7 @@ def step(
     beta_t = beta_at(cfg.schedule, st.t)
     x_trial = trial_step(p, st, beta_t, st.mu)
     st.trial_count += 1
-    rep = condition_check(p, st.x, x_trial, st.y, beta_t, st.mu, st.fg_x, st.c_x)
+    rep = condition_check(p, st.x, x_trial, st.y, beta_t, st.mu, st.fg_x, st.c_x, st.gap_x)
     if not rep.passed:
         st.mu *= cfg.rho
         st.unsuccessful_since_accept += 1
@@ -294,19 +306,15 @@ def step(
     mu_t = st.mu
     beta_prev = beta_at(cfg.schedule, st.t - 1) if st.t >= 1 else cfg.schedule.beta0
     dx = x_trial - st.x
-    step_norm = float(np.linalg.norm(dx))
-    prev_gap = float(np.linalg.norm(rep.c_trial - st.y))
+    step_norm = _norm(dx)
+    prev_gap = _norm(rep.c_trial - st.y)
     y_new = np.asarray(p.h.prox(rep.c_trial, 1.0 / beta_t), dtype=float)
     h_y_new = float(p.h.value(y_new))
     if h_y_new == math.inf:
         raise SolverError("h.prox returned a point outside dom h")
     grad_new, jtd_new = _linearize(p, x_trial, rep.c_trial, rep.pullback, y_new)
-    residual = float(
-        np.linalg.norm(
-            grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu_t) * dx
-        )
-    )
-    gap = float(np.linalg.norm(rep.c_trial - y_new))
+    residual = _norm(grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu_t) * dx)
+    gap = _norm(rep.c_trial - y_new)
     H = rep.fg_trial + 0.5 * beta_t * prev_gap * prev_gap + st.h_y
     theta: Optional[float] = None
     if p.inf_fg_lower_bound is not None:
@@ -337,6 +345,7 @@ def step(
     st.jtd = jtd_new
     st.v_beta = math.nan
     st.fg_x = rep.fg_trial
+    st.gap_x = gap
     st.y = y_new
     st.h_y = h_y_new
     st.t += 1
@@ -363,11 +372,7 @@ def solve(
     if cfg.assert_level == "full" and p.inf_fg_lower_bound is None:
         raise ValueError("assert_level='full' requires inf_fg_lower_bound")
     st = initial_state(p, x0, y0, cfg.mu_init)
-    anchors = RunAnchors(
-        beta0=cfg.schedule.beta0,
-        gap_x0_y0=float(np.linalg.norm(st.c_x - st.y)),
-        h_y0=st.h_y,
-    )
+    anchors = RunAnchors(beta0=cfg.schedule.beta0, gap_x0_y0=st.gap_x, h_y0=st.h_y)
 
     trace: List[TraceRow] = []
     margins: List[Tuple[float, float]] = []

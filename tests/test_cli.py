@@ -156,11 +156,16 @@ def _huge_beta0_qcqp(tmp_path, beta0, delta):
     return path
 
 
-def test_run_qcqp_prox_overflow_is_silent(tmp_path):
+def test_run_qcqp_prox_overflow_is_silent(tmp_path, capsys):
     # The lp-prox objective overflows at this beta0; it must not warn (the
     # suite turns RuntimeWarnings into errors), and every trial is rejected.
+    # A run without an accepted step still writes its files, then exits 2.
     path = _huge_beta0_qcqp(tmp_path, 1e300, 1.0 / 3.0)
-    assert main(["run", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 2
+    assert "error: numerical failure: no accepted step in 1500 trials (trial budget)" in (
+        capsys.readouterr().err
+    )
+    assert (tmp_path / "trace.csv").read_text().splitlines() == [CSV_HEADER]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "trial budget"
     assert summary["successful_iters"] == 0

@@ -24,6 +24,7 @@ from sdcam.problems import (
     relative_feasibility,
     save_instance,
 )
+from sdcam.prox import project_box
 from sdcam.problems.mimo import phi, mimo_sup_abs_fg
 from sdcam.problems.mlp import _vjp
 
@@ -203,6 +204,22 @@ def test_mimo_constants_and_bounds():
     for _ in range(10):
         x = np.concatenate([rng.uniform(inst.r_lo, 1.0, 4), rng.uniform(-3, 3, 4)])
         assert abs(prob.f.value(x)) <= bound + 1e-9
+
+
+def test_mimo_g_prox_is_project_box_bit_for_bit():
+    n = 6
+    inst = mimo_generate(1, n=n, m=12, r_lo=0.5)
+    prox = mimo_problem(inst).g.prox
+    lo = np.concatenate([np.full(n, inst.r_lo), np.full(n, -np.inf)])
+    hi = np.concatenate([np.ones(n), np.full(n, np.inf)])
+    inf = math.inf
+    edge = np.array([-0.0, 0.0, inf, -inf, 0.5, 1.0] * 2)  # r block, then theta block
+    outside = np.array([-3.0, 0.2, 1.0 + 1e-16, 7.0, 0.49999999999999994, -1e308] + [1e308] * n)
+    rng = np.random.default_rng(0)
+    for z in [edge, outside, *(4.0 * rng.standard_normal(2 * n) for _ in range(50))]:
+        for gamma in (1e-8, 0.5, 3.0):
+            out, ref = prox(z, gamma), project_box(z, lo, hi)
+            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
 
 
 def test_mimo_validation():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
+from hypothesis.extra import numpy as hnp
 
 import sdcam.solver
 from sdcam.diagnostics import stationarity_residual
@@ -103,7 +106,7 @@ def test_trial_step_raises_on_non_finite_v():
 def test_condition_check_accepts_at_fixed_point():
     p = _identity_problem()
     x0 = np.zeros(2)
-    rep = condition_check(p, x0, x0, np.zeros(2), 1.0, 0.5, 0.0, np.zeros(2))
+    rep = condition_check(p, x0, x0, np.zeros(2), 1.0, 0.5, 0.0, np.zeros(2), 0.0)
     assert rep.passed
     assert rep.margin_i == pytest.approx(0.0, abs=1e-12)
 
@@ -258,7 +261,7 @@ def test_solver_error_on_prox_leaving_domain():
     p_bad = Problem(f=p.f, g=bad_g, h=p.h, c=p.c, n=2, m=2)
     st = _state(p, np.zeros(2), np.zeros(2), mu=1.0)
     with pytest.raises(SolverError):
-        condition_check(p_bad, st.x, st.x, st.y, 1.0, 1.0, 0.0, st.c_x)
+        condition_check(p_bad, st.x, st.x, st.y, 1.0, 1.0, 0.0, st.c_x, st.gap_x)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -346,4 +349,84 @@ def test_non_finite_trial_values_raise(oracle, value):
     st = _state(p, np.ones(2), np.zeros(2), mu=1.0)
     p_bad = _replace_oracle(p, oracle, _constant_oracle(oracle, value))
     with pytest.raises(SolverError, match="not finite"):
-        condition_check(p_bad, st.x, np.zeros(2), st.y, 1.0, 1.0, st.fg_x, st.c_x)
+        condition_check(
+            p_bad, st.x, np.zeros(2), st.y, 1.0, 1.0, st.fg_x, st.c_x, st.gap_x
+        )
+
+
+def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
+    """The acceptance margins of condition_check, every term recomputed from
+    the oracles and np.linalg.norm."""
+
+    def c(x):
+        return np.asarray(p.c.value(x), dtype=float)
+
+    def fg(x):
+        return float(p.f.value(x)) + float(p.g.value(x))
+
+    def norm(d):
+        return float(np.linalg.norm(d))
+
+    dx = norm(x_trial - x_t)
+    margin_i = math.sqrt(1.0 / (mu * beta_t)) * dx - norm(c(x_trial) - c(x_t))
+    lhs = fg(x_trial) + 0.5 * beta_t * norm(c(x_trial) - y_t) ** 2
+    rhs = fg(x_t) + 0.5 * beta_t * norm(c(x_t) - y_t) ** 2
+    return margin_i, rhs - lhs - dx * dx / (2.0 * mu)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_margins_match_from_scratch_bit_for_bit(family):
+    # The cached f+g, c(x^t) and ||c(x^t) - y^t|| must give the same margins,
+    # on rejected and on accepted trials, as recomputing them at x^t.
+    prob, x0, y0, _, cfg = _family_run(family, 0)
+    trial_points = []
+
+    def prox(z, gamma):
+        trial_points.append(np.asarray(g_prox(z, gamma), dtype=float))
+        return trial_points[-1]
+
+    g_prox = prob.g.prox
+    prob = _replace_oracle(prob, "g.prox", prox)
+    st = initial_state(prob, x0, y0, cfg.mu_init)
+    outcomes = collections.Counter()
+    while outcomes[True] < 30:
+        x_t, y_t, mu, beta_t = st.x, st.y, st.mu, beta_at(cfg.schedule, st.t)
+        row, rep = sdcam.solver.step(prob, st, cfg)
+        outcomes[row is not None] += 1
+        ref = _margins_from_scratch(prob, x_t, trial_points[-1], y_t, beta_t, mu)
+        assert (rep.margin_i, rep.margin_ii) == ref
+    assert outcomes[False] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        strategies.integers(0, 300),
+        elements=strategies.one_of(
+            strategies.floats(-1e150, 1e150, allow_subnormal=True),
+            strategies.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150]),
+        ),
+    )
+)
+def test_norm_is_numpy_norm_bit_for_bit(d):
+    assert sdcam.solver._norm(d) == float(np.linalg.norm(d))
+
+
+def test_solve_calls_step_and_beta_at_through_module_attributes(monkeypatch):
+    # The benchmark times trials by replacing these two module attributes;
+    # solve must look both up at call time, once per trial for step.
+    counts = collections.Counter()
+    for name in ("step", "beta_at"):
+        fn = getattr(sdcam.solver, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(sdcam.solver, name, counted)
+    prob, x0, y0, rel_feas, cfg = _family_run("mimo", 0, max_successful_iters=20)
+    res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
+    assert res.total_trials > len(res.trace) == 20
+    assert counts["step"] == res.total_trials
+    assert counts["beta_at"] >= res.total_trials
