@@ -272,7 +272,6 @@ def run_config_file(path: str) -> int:
     try:
         result = solve(problem, solver_cfg, x0, y0, rel_feas=rel_feas)
     except SolverError as exc:
-        logger.error("numerical failure: %s", exc)
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -489,16 +488,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         return int(args.func(args))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SolverError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, RuntimeError) as exc:
+    except (UsageError, FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

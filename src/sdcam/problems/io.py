@@ -88,4 +88,7 @@ def load_instance(path: str) -> Any:
             kwargs[field.name] = tuple(value) if isinstance(value, list) else value
         else:
             raise ValueError(f"missing field {field.name!r} for family {family!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:  # a parameter of the wrong type
+        raise ValueError(f"instance file {path}: {exc}") from exc

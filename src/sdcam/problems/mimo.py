@@ -32,6 +32,16 @@ __all__ = [
 ]
 
 
+def _check_params(n: int, m: int, p_psk: int, r_lo: float) -> None:
+    """The parameter checks of ``mimo_generate``, which every instance passes."""
+    if n < 1 or m < 1:
+        raise ValueError("n, m >= 1 required")
+    if p_psk < 2:
+        raise ValueError("p_psk >= 2 required")
+    if not (0.0 < r_lo <= 1.0):
+        raise ValueError("r_lo must lie in (0,1]")
+
+
 @dataclasses.dataclass
 class MimoInstance:
     n: int
@@ -43,6 +53,9 @@ class MimoInstance:
     lambda2: float
     r_lo: float
     seed: int
+
+    def __post_init__(self) -> None:
+        _check_params(self.n, self.m, self.p_psk, self.r_lo)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -64,12 +77,7 @@ def mimo_generate(
 ) -> MimoInstance:
     """A ~ N(0,1)/sqrt(2m); observations from a unit-amplitude ground truth
     on the PSK phase grid plus 0.05-level Gaussian noise."""
-    if n < 1 or m < 1:
-        raise ValueError("n, m >= 1 required")
-    if p_psk < 2:
-        raise ValueError("p_psk >= 2 required")
-    if not (0.0 < r_lo <= 1.0):
-        raise ValueError("r_lo must lie in (0,1]")
+    _check_params(n, m, p_psk, r_lo)
     A = _stream(seed, 0).standard_normal((2 * m, 2 * n)) / math.sqrt(2 * m)
     k = _stream(seed, 1).integers(0, p_psk, n)
     theta_star = 2.0 * math.pi * k / p_psk

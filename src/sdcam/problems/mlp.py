@@ -35,6 +35,20 @@ __all__ = [
 _ACTIVATIONS = ("tanh", "sigmoid")
 
 
+def _check_params(layer_dims: Tuple[int, ...], activation: str, p: float, lam: float) -> None:
+    """The parameter checks of ``mlp_generate``, which every instance passes."""
+    if layer_dims[-1] != 1:
+        raise ValueError("layer_dims must end in 1")
+    if len(layer_dims) < 2:
+        raise ValueError("need at least one layer")
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+    if not (0.0 < p < 1.0):
+        raise ValueError("p must lie in (0,1)")
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+
+
 @dataclasses.dataclass
 class MlpInstance:
     layer_dims: Tuple[int, ...]  # (n0, n1, ..., 1)
@@ -45,6 +59,9 @@ class MlpInstance:
     lam: float
     C_radius: float
     seed: int
+
+    def __post_init__(self) -> None:
+        _check_params(self.layer_dims, self.activation, self.p, self.lam)
 
     @property
     def param_count(self) -> int:
@@ -145,19 +162,9 @@ def mlp_generate(
     flattened and scaled by 1/255, labels mapped to [-1,1] via (x-4.5)/4.5.
     """
     layer_dims = tuple(int(d) for d in layer_dims)
-    if layer_dims[-1] != 1:
-        raise ValueError("layer_dims must end in 1")
-    if len(layer_dims) < 2:
-        raise ValueError("need at least one layer")
+    _check_params(layer_dims, activation, p, lam)
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie in (0,1)")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-
     if source == "synthetic":
         X = _stream(seed, 0).uniform(0.0, 1.0, (n_samples, layer_dims[0]))
         rng_t = _stream(seed, 1)
@@ -267,9 +274,9 @@ def mlp_sup_abs_fg(inst: MlpInstance) -> float:
     return inst.lam * inst.param_count * inst.C_radius
 
 
-def mlp_initial_point(inst: MlpInstance, seed: Optional[int] = None):
+def mlp_initial_point(inst: MlpInstance):
     """Xavier-uniform weights (zero biases) projected onto the box C; y0 = 0."""
-    rng = _stream(inst.seed if seed is None else seed, 3)
+    rng = _stream(inst.seed, 3)
     dims = inst.layer_dims
     parts = []
     for l in range(len(dims) - 1):

@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+def _check_params(n: int, m: int) -> None:
+    """The parameter checks of ``qcqp_generate``, which every instance passes."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    if m < 1:
+        raise ValueError("m >= 1 required")
+
+
 @dataclasses.dataclass
 class QcqpInstance:
     n: int
@@ -48,6 +56,9 @@ class QcqpInstance:
     scale0: float
     seed: int
     xbar: np.ndarray  # reference minimizer used to set ri and r
+
+    def __post_init__(self) -> None:
+        _check_params(self.n, self.m)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -67,11 +78,7 @@ def qcqp_generate(
     xbar minimizes (1/2)||x+b0||^2 + alpha*||x||_p^p (the lp prox of -b0 at
     unit step), and ri = -(1/4) xbar^T Qi xbar, r = ||xbar||_inf.
     """
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    if m < 1:
-        raise ValueError("m >= 1 required")
-
+    _check_params(n, m)
     params = LpProxParams(p=p, alpha=alpha, gamma=1.0)
     b0 = xbar = None
     for attempt in range(10):

@@ -1,16 +1,20 @@
 """Single-loop prox-penalty solver for  min f(x) + g(x) + h(c(x)).
 
-Each outer trial solves one prox subproblem
+``step`` runs one outer trial and is the only function that does.  It solves
+one prox subproblem
 
     x~ = argmin_x  <v, x> + (1/mu)*||x - x^t||^2 + g(x),
     v  = grad f(x^t) + beta_t * J_c(x^t)^T (c(x^t) - y^t),
 
-accepts it when the backtracking condition below holds, and then updates the
-auxiliary point y by one prox step on h:
+and accepts x~ when the backtracking condition
 
   (i)  ||c(x~) - c(x^t)||  <=  sqrt(1/(mu*beta_t)) * ||x~ - x^t||
   (ii) f(x~)+g(x~)+(beta_t/2)||c(x~)-y^t||^2
          <=  f(x^t)+g(x^t)+(beta_t/2)||c(x^t)-y^t||^2 - (1/(2mu))||x~-x^t||^2
+
+holds, each margin (right side minus left side) >= -1e-12*(1+|f(x^t)+g(x^t)|);
+it then updates the auxiliary point y by one prox step on h.  It returns
+(row, (margin_i, margin_ii)), with row None on a rejection.
 
 On acceptance mu grows by eta (capped at mu_max) and the schedule index t
 advances; on rejection mu shrinks by rho and the state is untouched.  beta_t
@@ -30,7 +34,8 @@ which equals the witness norm of ``diagnostics.stationarity_residual`` up to
 rounding; grad f(x^{t+1}) is the gradient the next iterate needs anyway.
 
 ||c(x^t) - y^t|| is cached with the iterate too, so a rejected trial computes
-one ``g.prox``, ``g.value``, ``f.value``, one ``c.linearize`` and three norms.
+one ``g.prox``, ``g.value``, ``f.value``, one ``c.linearize`` and three norms;
+an accepted step reuses ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 """
 
 from __future__ import annotations
@@ -52,9 +57,6 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "initial_state",
-    "trial_step",
-    "condition_check",
-    "ConditionReport",
     "step",
     "solve",
 ]
@@ -173,16 +175,6 @@ class SolveResult:
     condition_margins: List[Tuple[float, float]]
 
 
-@dataclasses.dataclass(frozen=True)
-class ConditionReport:
-    passed: bool
-    margin_i: float
-    margin_ii: float
-    c_trial: Vector
-    fg_trial: float
-    pullback: Pullback  # w -> J_c(x~)^T w
-
-
 def _norm(d: Vector) -> float:
     """``np.linalg.norm`` of a 1-D float64 array, bit for bit, without its wrapper."""
     return math.sqrt(d.dot(d))
@@ -229,13 +221,22 @@ def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
     )
 
 
-def trial_step(p: Problem, st: SolverState, beta_t: float, mu: float) -> Vector:
-    """Exact minimizer of <v,x> + (1/mu)||x-x^t||^2 + g(x).
+def step(
+    p: Problem,
+    st: SolverState,
+    cfg: SolverConfig,
+    rel_feas: Optional[Callable[[Vector], float]] = None,
+) -> Tuple[Optional[TraceRow], Tuple[float, float]]:
+    """One trial.  Returns (row, (margin_i, margin_ii)); row is None on rejection.
 
-    v = grad f(x^t) + beta_t * J_c(x^t)^T (c(x^t) - y^t) is computed once per
-    iterate and beta_t, and kept in ``st`` for the rejected trials that follow.
-    Raises SolverError when v is not finite (beta_t too large for float64).
+    v is kept in ``st`` for the rejected trials at the same iterate and
+    beta_t.  The tolerance of the test guards floating-point ties at margin 0.
+    A non-finite v (beta_t too large for float64), a prox result outside its
+    domain, or a non-finite margin (f or c returned NaN or inf at x~, or mu is
+    too small to invert) raises SolverError instead of rejecting the trial.
     """
+    beta_t = beta_at(cfg.schedule, st.t)
+    mu = st.mu
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if st.v_beta != beta_t:
@@ -246,93 +247,57 @@ def trial_step(p: Problem, st: SolverState, beta_t: float, mu: float) -> Vector:
                 f"v = grad f(x) + beta_t * J_c(x)^T (c(x) - y) is not finite at beta_t={beta_t!r}"
             )
         st.v, st.v_beta = v, beta_t
-    return np.asarray(p.g.prox(st.x - 0.5 * mu * st.v, 0.5 * mu), dtype=float)
-
-
-def condition_check(
-    p: Problem,
-    x_t: Vector,
-    x_trial: Vector,
-    y_t: Vector,
-    beta_t: float,
-    mu: float,
-    fg_xt: float,
-    c_xt: Vector,
-    gap_xt: float,  # ||c(x^t) - y^t||
-) -> ConditionReport:
-    """Backtracking acceptance test; margins >= -tol means pass.
-
-    tol = 1e-12*(1+|f(x^t)+g(x^t)|) guards floating-point ties at margin 0.
-    A margin that is not finite (f or c returned NaN or inf at x~, or mu is
-    too small to invert) raises SolverError instead of rejecting the trial.
-    """
+    x_trial = np.asarray(p.g.prox(st.x - 0.5 * mu * st.v, 0.5 * mu), dtype=float)
+    st.trial_count += 1
     g_trial = float(p.g.value(x_trial))
     if g_trial == math.inf:
         raise SolverError("g.prox returned a point outside dom g")
     fg_trial = float(p.f.value(x_trial)) + g_trial
     c_trial, pullback = p.c.linearize(x_trial)
     c_trial = np.asarray(c_trial, dtype=float)
-    dx = _norm(x_trial - x_t)
-    dc = _norm(c_trial - c_xt)
-    margin_i = math.sqrt(1.0 / (mu * beta_t)) * dx - dc
-    lhs = fg_trial + 0.5 * beta_t * _norm(c_trial - y_t) ** 2
-    rhs = fg_xt + 0.5 * beta_t * gap_xt**2
-    margin_ii = rhs - lhs - dx * dx / (2.0 * mu)
+    dx = x_trial - st.x
+    step_norm = _norm(dx)
+    prev_gap = _norm(c_trial - st.y)
+    margin_i = math.sqrt(1.0 / (mu * beta_t)) * step_norm - _norm(c_trial - st.c_x)
+    lhs = fg_trial + 0.5 * beta_t * prev_gap**2
+    rhs = st.fg_x + 0.5 * beta_t * st.gap_x**2
+    margin_ii = rhs - lhs - step_norm * step_norm / (2.0 * mu)
     if not (math.isfinite(margin_i) and math.isfinite(margin_ii)):
         raise SolverError(
             f"acceptance margins ({margin_i!r}, {margin_ii!r}) are not finite at mu={mu!r}"
         )
-    tol = 1e-12 * (1.0 + abs(fg_xt))
-    passed = margin_i >= -tol and margin_ii >= -tol
-    return ConditionReport(passed, margin_i, margin_ii, c_trial, fg_trial, pullback)
-
-
-def step(
-    p: Problem,
-    st: SolverState,
-    cfg: SolverConfig,
-    rel_feas: Optional[Callable[[Vector], float]] = None,
-) -> Tuple[Optional[TraceRow], ConditionReport]:
-    """One trial.  Returns (row, report); row is None on rejection."""
-    beta_t = beta_at(cfg.schedule, st.t)
-    x_trial = trial_step(p, st, beta_t, st.mu)
-    st.trial_count += 1
-    rep = condition_check(p, st.x, x_trial, st.y, beta_t, st.mu, st.fg_x, st.c_x, st.gap_x)
-    if not rep.passed:
+    tol = 1e-12 * (1.0 + abs(st.fg_x))
+    if not (margin_i >= -tol and margin_ii >= -tol):
         st.mu *= cfg.rho
         st.unsuccessful_since_accept += 1
-        return None, rep
+        return None, (margin_i, margin_ii)
 
-    mu_t = st.mu
     beta_prev = beta_at(cfg.schedule, st.t - 1) if st.t >= 1 else cfg.schedule.beta0
-    dx = x_trial - st.x
-    step_norm = _norm(dx)
-    prev_gap = _norm(rep.c_trial - st.y)
-    y_new = np.asarray(p.h.prox(rep.c_trial, 1.0 / beta_t), dtype=float)
+    y_new = np.asarray(p.h.prox(c_trial, 1.0 / beta_t), dtype=float)
     h_y_new = float(p.h.value(y_new))
     if h_y_new == math.inf:
         raise SolverError("h.prox returned a point outside dom h")
-    grad_new, jtd_new = _linearize(p, x_trial, rep.c_trial, rep.pullback, y_new)
-    residual = _norm(grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu_t) * dx)
-    gap = _norm(rep.c_trial - y_new)
-    H = rep.fg_trial + 0.5 * beta_t * prev_gap * prev_gap + st.h_y
+    grad_new, jtd_new = _linearize(p, x_trial, c_trial, pullback, y_new)
+    residual = _norm(grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu) * dx)
+    gap = _norm(c_trial - y_new)
+    H = fg_trial + 0.5 * beta_t * prev_gap * prev_gap + st.h_y
     theta: Optional[float] = None
     if p.inf_fg_lower_bound is not None:
         theta = (
-            (rep.fg_trial - p.inf_fg_lower_bound) / beta_t
+            (fg_trial - p.inf_fg_lower_bound) / beta_t
             + 0.5 * prev_gap * prev_gap
             + st.h_y / beta_t
         )
     row = TraceRow(
         t=st.t,
-        mu_t=mu_t,
+        mu_t=mu,
         beta_t=beta_t,
         step_norm=step_norm,
-        scaled_step=step_norm / mu_t,
+        scaled_step=step_norm / mu,
         gap=gap,
         prev_gap=prev_gap,
         residual=residual,
-        fg_value=rep.fg_trial,
+        fg_value=fg_trial,
         h_at_y=h_y_new,
         H_value=H,
         Theta_value=theta,
@@ -340,18 +305,18 @@ def step(
         rel_feas=None if rel_feas is None else float(rel_feas(x_trial)),
     )
     st.x = x_trial
-    st.c_x = rep.c_trial
+    st.c_x = c_trial
     st.grad_fx = grad_new
     st.jtd = jtd_new
     st.v_beta = math.nan
-    st.fg_x = rep.fg_trial
+    st.fg_x = fg_trial
     st.gap_x = gap
     st.y = y_new
     st.h_y = h_y_new
     st.t += 1
     st.mu = min(cfg.mu_max, cfg.eta * st.mu)
     st.unsuccessful_since_accept = 0
-    return row, rep
+    return row, (margin_i, margin_ii)
 
 
 def solve(
@@ -384,7 +349,7 @@ def solve(
         if st.trial_count >= cfg.max_total_trials:
             status = "trial budget"
             break
-        row, rep = step(p, st, cfg, rel_feas)
+        row, step_margins = step(p, st, cfg, rel_feas)
         if row is None:
             continue
         if not all(
@@ -392,7 +357,7 @@ def solve(
             for q in (row.step_norm, row.gap, row.prev_gap, row.residual, row.fg_value)
         ):
             raise SolverError(f"non-finite trace quantities at t={row.t}")
-        margins.append((rep.margin_i, rep.margin_ii))
+        margins.append(step_margins)
         if cfg.assert_level == "full" and row.t >= 1:
             # The previous row holds H's terms at (x^t, y^t) and beta_{t-1}.
             prev = trace[-1]

@@ -171,14 +171,17 @@ def test_run_qcqp_prox_overflow_is_silent(tmp_path, capsys):
     assert summary["successful_iters"] == 0
 
 
-def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys):
+def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys, caplog):
     # beta_t * J_c^T (c - y) overflows: the run fails at v, naming v and beta_t,
     # instead of passing inf into g.prox and blaming the acceptance margins.
+    # The failure is reported once, by the error line, and not logged as well.
     path = _huge_beta0_qcqp(tmp_path, 1e305, 0.6)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
+    assert err.count("numerical failure") == 1
     assert "v = grad f(x) + beta_t * J_c(x)^T (c(x) - y) is not finite" in err
     assert "beta_t=1e+305" in err
+    assert not [r for r in caplog.records if "numerical failure" in r.getMessage()]
 
 
 def test_summary_writes_non_finite_floats_as_null(tmp_path):
@@ -271,6 +274,27 @@ def test_family_table_gen_load_and_check(tmp_path, capsys, name):
     assert main(["check", "--instance", str(first), "--prox-instances", "20"]) == 0
     assert main(["check", "--family", name, "--seed", "0", "--prox-instances", "20"]) == 0
     assert capsys.readouterr().out.count(f"oracle checks ({name}, 10 points): pass") == 2
+
+
+@pytest.mark.parametrize(
+    "name, key, value", [("mimo", "r_lo", 2.0), ("mimo", "p_psk", 1), ("mlp", "lam", -1.0)]
+)
+def test_instance_file_gets_the_generators_parameter_checks(tmp_path, capsys, name, key, value):
+    # An edited instance file must fail as the generator would on that
+    # parameter, not later at x0 or inside a prox, nor run to exit 0.
+    fam = FAMILIES[name]
+    with pytest.raises(ValueError) as expected:
+        fam.generate(0, **{**fam.check_kwargs, key: value})
+    inst = tmp_path / "inst.json"
+    save_instance(fam.generate(0, **fam.check_kwargs), str(inst))
+    doc = json.loads(inst.read_text())
+    doc["params"][key] = value
+    inst.write_text(json.dumps(doc))
+    run_cfg = _cfg(tmp_path, problem={"instance": str(inst)})[0]
+    for argv in (["run", "--config", str(run_cfg)], ["check", "--instance", str(inst)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {expected.value}\n"
 
 
 def test_check_requires_target():
@@ -388,6 +412,7 @@ def _drop_data_shape(doc):
         ("check", lambda doc: {**doc, "params": 5}),
         ("check", lambda doc: {**doc, "data": 5}),
         ("check", lambda doc: {**doc, "seed": "x"}),
+        ("run", lambda doc: {**doc, "params": {**doc["params"], "n": "4"}}),
     ],
     ids=[
         "check-no-seed",
@@ -403,6 +428,7 @@ def _drop_data_shape(doc):
         "check-params-not-object",
         "check-data-not-object",
         "check-seed-not-integer",
+        "run-param-type",
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):

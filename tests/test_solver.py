@@ -12,14 +12,7 @@ import sdcam.solver
 from sdcam.diagnostics import stationarity_residual
 from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle
 from sdcam.schedule import ScheduleSpec, beta_at
-from sdcam.solver import (
-    SolverConfig,
-    SolverError,
-    condition_check,
-    initial_state,
-    solve,
-    trial_step,
-)
+from sdcam.solver import SolverConfig, SolverError, TraceRow, initial_state, solve, step
 from sdcam.problems import FAMILIES, qcqp_generate, qcqp_problem, qcqp_initial_point
 
 ORACLES = ("f.value", "f.grad", "g.value", "g.prox", "h.value", "h.prox", "c.value", "c.vjp")
@@ -77,38 +70,62 @@ def _constant_oracle(name, value):
     return lambda *args: np.full(2, value)
 
 
+def _beta0_config(beta0):
+    """_config whose schedule starts at beta_0 = beta0."""
+    return _config(schedule=ScheduleSpec(family="power", beta0=beta0, delta=0.5))
+
+
+def _recording_prox(p, points):
+    """p with g.prox appending each trial point x~ to points."""
+
+    def prox(z, gamma):
+        points.append(np.asarray(g_prox(z, gamma), dtype=float))
+        return points[-1]
+
+    g_prox = p.g.prox
+    return _replace_oracle(p, "g.prox", prox)
+
+
 def test_trial_step_free_g_is_half_mu_gradient_step():
     # with g = 0 the prox is the identity, so x~ = x - (mu/2) v with
-    # v = grad f(x) + beta * J^T (c(x) - y)
-    p = _identity_problem()
+    # v = grad f(x) + beta * J^T (c(x) - y); mu = 10 makes both trials fail
+    # condition (i), so the second one runs at the same iterate
+    points = []
+    p = _recording_prox(_identity_problem(), points)
     x0 = np.array([2.0, -1.0])
     y0 = np.array([0.5, 0.5])
-    st = _state(p, x0, y0, mu=0.1)
+    st = _state(p, x0, y0, mu=10.0)
     for beta in (1.0, 3.0):  # v is kept per beta_t: a new beta_t recomputes it
+        mu = st.mu
+        row, _ = step(p, st, _beta0_config(beta))
+        assert row is None
         v = x0 + beta * (x0 - y0)
-        np.testing.assert_allclose(trial_step(p, st, beta, 0.1), x0 - 0.05 * v)
+        np.testing.assert_allclose(points[-1], x0 - 0.5 * mu * v)
+    assert st.v_beta == 3.0
 
 
 def test_trial_step_rejects_nonpositive_mu():
     p = _identity_problem()
-    st = _state(p, np.ones(2), np.zeros(2), mu=1.0)
-    with pytest.raises(ValueError):
-        trial_step(p, st, 1.0, 0.0)
+    st = _state(p, np.ones(2), np.zeros(2), mu=0.0)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        step(p, st, _config())
 
 
 def test_trial_step_raises_on_non_finite_v():
     p = _identity_problem()
     st = _state(p, np.full(2, 1e10), np.zeros(2), mu=1.0)
     with pytest.raises(SolverError, match=r"not finite at beta_t=1e\+305"):
-        trial_step(p, st, 1e305, 1.0)
+        step(p, st, _beta0_config(1e305))
 
 
 def test_condition_check_accepts_at_fixed_point():
+    # v = 0 at x = y = 0, so x~ = x^t and both sides of each condition agree
     p = _identity_problem()
-    x0 = np.zeros(2)
-    rep = condition_check(p, x0, x0, np.zeros(2), 1.0, 0.5, 0.0, np.zeros(2), 0.0)
-    assert rep.passed
-    assert rep.margin_i == pytest.approx(0.0, abs=1e-12)
+    st = _state(p, np.zeros(2), np.zeros(2), mu=0.5)
+    row, (margin_i, margin_ii) = step(p, st, _config())
+    assert row is not None
+    assert margin_i == pytest.approx(0.0, abs=1e-12)
+    assert margin_ii == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rejection_shrinks_mu_and_preserves_state():
@@ -260,8 +277,8 @@ def test_solver_error_on_prox_leaving_domain():
     bad_g = ProxOracle(value=lambda x: math.inf, prox=lambda z, gamma: np.asarray(z))
     p_bad = Problem(f=p.f, g=bad_g, h=p.h, c=p.c, n=2, m=2)
     st = _state(p, np.zeros(2), np.zeros(2), mu=1.0)
-    with pytest.raises(SolverError):
-        condition_check(p_bad, st.x, st.x, st.y, 1.0, 1.0, 0.0, st.c_x, st.gap_x)
+    with pytest.raises(SolverError, match="outside dom g"):
+        step(p_bad, st, _config())
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -349,13 +366,11 @@ def test_non_finite_trial_values_raise(oracle, value):
     st = _state(p, np.ones(2), np.zeros(2), mu=1.0)
     p_bad = _replace_oracle(p, oracle, _constant_oracle(oracle, value))
     with pytest.raises(SolverError, match="not finite"):
-        condition_check(
-            p_bad, st.x, np.zeros(2), st.y, 1.0, 1.0, st.fg_x, st.c_x, st.gap_x
-        )
+        step(p_bad, st, _config())
 
 
 def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
-    """The acceptance margins of condition_check, every term recomputed from
+    """The acceptance margins of step, every term recomputed from
     the oracles and np.linalg.norm."""
 
     def c(x):
@@ -380,21 +395,14 @@ def test_step_margins_match_from_scratch_bit_for_bit(family):
     # on rejected and on accepted trials, as recomputing them at x^t.
     prob, x0, y0, _, cfg = _family_run(family, 0)
     trial_points = []
-
-    def prox(z, gamma):
-        trial_points.append(np.asarray(g_prox(z, gamma), dtype=float))
-        return trial_points[-1]
-
-    g_prox = prob.g.prox
-    prob = _replace_oracle(prob, "g.prox", prox)
+    prob = _recording_prox(prob, trial_points)
     st = initial_state(prob, x0, y0, cfg.mu_init)
     outcomes = collections.Counter()
     while outcomes[True] < 30:
         x_t, y_t, mu, beta_t = st.x, st.y, st.mu, beta_at(cfg.schedule, st.t)
-        row, rep = sdcam.solver.step(prob, st, cfg)
+        row, margins = step(prob, st, cfg)
         outcomes[row is not None] += 1
-        ref = _margins_from_scratch(prob, x_t, trial_points[-1], y_t, beta_t, mu)
-        assert (rep.margin_i, rep.margin_ii) == ref
+        assert margins == _margins_from_scratch(prob, x_t, trial_points[-1], y_t, beta_t, mu)
     assert outcomes[False] > 0
 
 
@@ -415,18 +423,24 @@ def test_norm_is_numpy_norm_bit_for_bit(d):
 
 def test_solve_calls_step_and_beta_at_through_module_attributes(monkeypatch):
     # The benchmark times trials by replacing these two module attributes;
-    # solve must look both up at call time, once per trial for step.
+    # solve must look both up at call time, once per trial for step, and it
+    # tells a rejection from an acceptance by step(...)[0] being None.
     counts = collections.Counter()
     for name in ("step", "beta_at"):
         fn = getattr(sdcam.solver, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            if _name == "step":
+                counts["step", type(out[0])] += 1
+            return out
 
         monkeypatch.setattr(sdcam.solver, name, counted)
     prob, x0, y0, rel_feas, cfg = _family_run("mimo", 0, max_successful_iters=20)
     res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
     assert res.total_trials > len(res.trace) == 20
     assert counts["step"] == res.total_trials
+    assert counts["step", type(None)] == res.total_unsuccessful
+    assert counts["step", TraceRow] == len(res.trace)
     assert counts["beta_at"] >= res.total_trials
