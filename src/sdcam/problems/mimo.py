@@ -89,8 +89,8 @@ def mimo_generate(
 
 
 def _gamma(t: np.ndarray, r_lo: float) -> np.ndarray:
-    # 1/t above r_lo, C^1 linear extension below
-    return np.where(t >= r_lo, 1.0 / np.maximum(t, r_lo), -(t - r_lo) / r_lo**2 + 1.0 / r_lo)
+    # 1/t above r_lo, C^1 linear extension below; the min term is 0 above r_lo
+    return 1.0 / np.maximum(t, r_lo) - np.minimum(t - r_lo, 0.0) / r_lo**2
 
 
 def _gamma_prime(t: np.ndarray, r_lo: float) -> np.ndarray:

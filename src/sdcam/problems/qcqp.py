@@ -59,6 +59,11 @@ class QcqpInstance:
 
     def __post_init__(self) -> None:
         _check_params(self.n, self.m)
+        # (bytes of x, c(x)) at the last point ``_linearize`` saw, so that
+        # ``relative_feasibility`` at an accepted trial point makes no second
+        # ``Q`` product.  An attribute, not a field: equality, ``repr``,
+        # ``dataclasses.replace`` and instance files do not see it.
+        self._c_at: Tuple[bytes, Vector] = (b"", np.empty(0))
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -120,10 +125,14 @@ def qcqp_generate(
 def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, Pullback]:
     """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and the
     pullback w -> J_c(x)^T w, from one matrix product Qx[i] = Qi x.  Row i of
-    J_c(x) is (Qi x + bi)^T because each Qi is symmetric."""
+    J_c(x) is (Qi x + bi)^T because each Qi is symmetric.  Records c(x)
+    under the bytes of x for ``relative_feasibility``."""
+    x = np.asarray(x, dtype=float)
     Qx = (inst.Q.reshape(-1, inst.n) @ x).reshape(inst.m, inst.n)
     bi = inst.bi
-    return 0.5 * (Qx @ x) + bi @ x + inst.ri, lambda w: w @ Qx + w @ bi
+    c_x = 0.5 * (Qx @ x) + bi @ x + inst.ri
+    inst._c_at = (x.tobytes(), c_x.copy())  # one assignment: a racing reader sees a whole pair
+    return c_x, lambda w: w @ Qx + w @ bi
 
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
@@ -191,6 +200,12 @@ def qcqp_initial_point(inst: QcqpInstance):
 
 
 def relative_feasibility(inst: QcqpInstance, x: Vector) -> float:
-    """Norm of the positive constraint violations scaled by max(|ri|, 1)."""
-    cx = _linearize(inst, x)[0]
+    """Norm of the positive constraint violations scaled by max(|ri|, 1).
+
+    Takes c(x) from the last ``_linearize`` call when it saw the same bytes of
+    x (the solver's accepted trial point), else computes it from scratch."""
+    x = np.asarray(x, dtype=float)
+    key, cx = inst._c_at
+    if key != x.tobytes():
+        cx = _linearize(inst, x)[0]
     return float(np.linalg.norm(np.maximum(cx, 0.0) / np.maximum(np.abs(inst.ri), 1.0)))

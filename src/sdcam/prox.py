@@ -77,9 +77,9 @@ def lp_threshold(p: float, w: float) -> float:
 
 def _lp_objective(u, a, w: float, p: float):
     # reduced objective (1/2)(u-a)^2 + w*u^p on u >= 0, a = |z|, w = alpha*gamma;
-    # a huge |z| gives inf or NaN here, and the caller's comparisons settle it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * np.float_power(u - a, 2.0) + w * np.float_power(u, p)
+    # a huge |z| gives inf or NaN here, and the caller's comparisons settle it,
+    # so callers evaluate it under np.errstate(over="ignore", invalid="ignore")
+    return 0.5 * np.float_power(u - a, 2.0) + w * np.float_power(u, p)
 
 
 def _golden_section(lo: float, a: float, w: float, p: float) -> float:
@@ -105,6 +105,45 @@ def _golden_section(lo: float, a: float, w: float, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _lp_stationary(a: Vector, params: LpProxParams):
+    """For a = |z| >= 0: the interior stationary point u of the reduced
+    objective q (0 below the threshold), q(u) and q(0), each objective
+    evaluated once.  Callers break the tie between u and 0 from these."""
+    p, w, gamma = params.p, params.alpha * params.gamma, params.gamma
+    live = ~(a < lp_threshold(p, w))  # NaN stays live and comes out NaN
+    al = a[live]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN are settled by comparisons
+        # Newton on phi(u) = u - a + w*p*u^(p-1), convex and increasing on the
+        # branch containing the larger root; started at u = a it stays above the
+        # root and decreases monotonically; each entry stops at its own test.
+        ul = al.copy()
+        converged = np.zeros(al.shape, dtype=bool)
+        active = np.arange(al.size)
+        for _ in range(_NEWTON_MAX_ITER):
+            if active.size == 0:
+                break
+            ua, aa = ul[active], al[active]
+            phi = ua - aa + w * p * np.float_power(ua, p - 1.0)
+            res = np.abs(phi) / gamma
+            u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
+            stop = (res <= _NEWTON_TOL) | ~((0.0 < u_new) & (u_new <= aa)) | (u_new == ua)
+            converged[active[stop]] = res[stop] <= 1e3 * _NEWTON_TOL  # stalls count if close
+            ul[active[~stop]] = u_new[~stop]
+            active = active[~stop]
+
+        u_c = (w * p * (1.0 - p)) ** (1.0 / (2.0 - p))  # inflection of phi
+        for i in np.flatnonzero(~converged):
+            logger.debug("prox_lp_power: Newton fallback to golden-section (|z|=%r)", al[i])
+            ul[i] = _golden_section(u_c, al[i], w, p)
+
+        q_0 = _lp_objective(0.0, a, w, p)
+        q_u = np.array(q_0)  # a copy, also of a 0-d result
+        q_u[live] = _lp_objective(ul, al, w, p)
+    u = np.zeros(a.shape)
+    u[live] = ul
+    return u, q_u, q_0
+
+
 def prox_lp_power(z, params: LpProxParams):
     """Global minimizer of (1/(2*gamma))*(u-z)^2 + alpha*|u|^p, element-wise.
 
@@ -113,37 +152,8 @@ def prox_lp_power(z, params: LpProxParams):
     (sparsity-preferring selection from the set-valued prox).
     """
     z = np.asarray(z, dtype=float)
-    p, w, gamma = params.p, params.alpha * params.gamma, params.gamma
-    out = np.zeros(z.shape)
-    live = ~(np.abs(z) < lp_threshold(p, w))  # NaN stays live and comes out NaN
-    a = np.abs(z[live])
-
-    # Newton on phi(u) = u - a + w*p*u^(p-1), convex and increasing on the
-    # branch containing the larger root; started at u = a it stays above the
-    # root and decreases monotonically; each entry stops at its own test.
-    u = a.copy()
-    converged = np.zeros(a.shape, dtype=bool)
-    active = np.arange(a.size)
-    for _ in range(_NEWTON_MAX_ITER):
-        if active.size == 0:
-            break
-        ua, aa = u[active], a[active]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN stop below
-            phi = ua - aa + w * p * np.float_power(ua, p - 1.0)
-            res = np.abs(phi) / gamma
-            u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
-        stop = (res <= _NEWTON_TOL) | ~((0.0 < u_new) & (u_new <= aa)) | (u_new == ua)
-        converged[active[stop]] = res[stop] <= 1e3 * _NEWTON_TOL  # stalls count if close
-        u[active[~stop]] = u_new[~stop]
-        active = active[~stop]
-
-    u_c = (w * p * (1.0 - p)) ** (1.0 / (2.0 - p))  # inflection of phi
-    for i in np.flatnonzero(~converged):
-        logger.debug("prox_lp_power: Newton fallback to golden-section (|z|=%r)", a[i])
-        u[i] = _golden_section(u_c, a[i], w, p)
-
-    tie = _lp_objective(u, a, w, p) >= _lp_objective(0.0, a, w, p) - _TIE_TOL
-    out[live] = np.where(tie, 0.0, np.copysign(u, z[live]))
+    u, q_u, q_0 = _lp_stationary(np.abs(z), params)
+    out = np.where(q_u >= q_0 - _TIE_TOL, 0.0, np.copysign(u, z))
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,17 +161,20 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     """Element-wise minimizer of (1/(2g))(z_i-u)^2 + alpha*|u|^p over [-r, r].
 
     Exact via candidate enumeration: {0, sign(z_i)*r, clamped interior prox}.
+    The clamped candidate min(u, r) reuses q(u) or q(r); where the tie test
+    picks 0 instead of u, q(u) >= q(0) - 1e-12, so it can never win there.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
     z = np.asarray(z, dtype=float)
-    p, w = params.p, params.alpha * params.gamma
     a = np.abs(z)
-    best_u, best_q = np.zeros(z.shape), _lp_objective(0.0, a, w, p)
-    for u in (np.full(z.shape, r), np.minimum(np.abs(prox_lp_power(z, params)), r)):
-        q = _lp_objective(u, a, w, p)
-        better = q < best_q - _TIE_TOL
-        best_u, best_q = np.where(better, u, best_u), np.where(better, q, best_q)
+    u, q_u, q_0 = _lp_stationary(a, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_r = _lp_objective(r, a, params.alpha * params.gamma, params.p)
+    best_u, best_q = np.zeros(z.shape), q_0
+    for u_k, q_k in ((r, q_r), (np.minimum(u, r), np.where(u > r, q_r, q_u))):
+        better = q_k < best_q - _TIE_TOL
+        best_u, best_q = np.where(better, u_k, best_u), np.where(better, q_k, best_q)
     return np.where(z < 0.0, -best_u, best_u)
 
 

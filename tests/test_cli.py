@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -48,6 +49,48 @@ def test_run_byte_deterministic(tmp_path):
     first = (tmp_path / "trace.csv").read_bytes()
     assert main(["run", "--config", str(path)]) == 0
     assert (tmp_path / "trace.csv").read_bytes() == first
+
+
+# sha256 of the trace and the summary of three fixed runs (200 accepted steps,
+# beta0 1, family solver defaults).  A refactor or a speed-up must keep them.
+_FIXED_RUNS = {
+    "qcqp": (
+        1, {"family": "qcqp", "n": 20, "m": 5}, 0.3,
+        "cae991af597cf0b7ba30b537610caf55f41f73efa6afb5ef65f952bb64f3a235",
+        "fc7a674db1265c0bfcd3b26b64ebbc7bfe45e36d8a58e16ce72baab9d452b5b5",
+    ),
+    "mimo": (
+        0, {"family": "mimo", "n": 8, "m": 16}, 1.0 / 3.0,
+        "7d71317cb4ca6055da4245db96a573bad400faaadec2f132975034cb380377ea",
+        "9166dd78f15aad76c7008c5bd607c2f13960e7b2f87cbb22679a5bb6bb0c79a9",
+    ),
+    "mlp": (
+        0, {"family": "mlp"}, 0.5,
+        "4505c541b013e78aba2d6e3339eaebd55200d852db39be23f9ba30e050dfcda2",
+        "73700aead5c26544dd6943a2d04eb232ee097c6e8e136d9cd77602c1ba5a2420",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED_RUNS))
+def test_fixed_run_trace_and_summary_digests(tmp_path, name):
+    seed, problem, delta, trace_sha, summary_sha = _FIXED_RUNS[name]
+    path, _ = _cfg(
+        tmp_path,
+        seed=seed,
+        problem=problem,
+        solver={"max_successful_iters": 200},
+        schedule={"beta0": 1.0, "delta": delta},
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    got = [
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("trace.csv", "summary.json")
+    ]
+    assert got == [trace_sha, summary_sha], (
+        f"{name}: the trace or summary bits changed.  Only a numerics change may "
+        "do that; it must update these digests and explain the change in CHANGES.md."
+    )
 
 
 def test_run_rejects_unknown_keys(tmp_path, capsys):
@@ -227,6 +270,15 @@ def test_gen_digest_is_stable(tmp_path, capsys):
         ]) == 0
         digests.append(capsys.readouterr().out.split()[1])
     assert digests[0] == digests[1]
+
+
+def test_gen_qcqp_digest_is_pinned(tmp_path, capsys):
+    assert main([
+        "gen", "--family", "qcqp", "--seed", "1", "--n", "20", "--m", "5",
+        "--out", str(tmp_path / "q.json"),
+    ]) == 0
+    digest = capsys.readouterr().out.split()[1]
+    assert digest == "ddc451a2a7c719c7f852bfd28b458f911ad398f4d2cf955f375a0d6354389801"
 
 
 def test_gen_rejects_keys_the_family_does_not_take(tmp_path, capsys):

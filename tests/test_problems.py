@@ -147,6 +147,53 @@ def test_relative_feasibility_examples():
     assert relative_feasibility(inst, np.zeros(4)) == pytest.approx(0.0)
 
 
+def test_relative_feasibility_reuses_c_only_at_the_same_bits(monkeypatch):
+    # relative_feasibility takes c(x) from the last linearize when it saw the
+    # same bytes of x; every other case recomputes.  The reference is a fresh
+    # copy of the instance, whose slot is empty.
+    import sdcam.problems.qcqp as qcqp
+
+    inst = qcqp_generate(2, n=9, m=4)
+    prob = qcqp_problem(inst)
+    rng = np.random.default_rng(8)
+    x, x2 = (rng.uniform(-3.0 * inst.r, 3.0 * inst.r, 9) for _ in range(2))
+
+    def from_scratch(v):
+        return relative_feasibility(dataclasses.replace(inst), v.copy())
+
+    # both points are infeasible, with different values, so a stale c shows
+    assert 0.0 < from_scratch(x) and 0.0 < from_scratch(x2) != from_scratch(x)
+    calls = []
+    real = qcqp._linearize
+    monkeypatch.setattr(qcqp, "_linearize", lambda *a: calls.append(1) or real(*a))
+
+    c_x, _ = prob.c.linearize(x)  # same x: no second Q product
+    c_x[:] = 1e3  # the caller owns the returned array
+    n = len(calls)
+    assert struct.pack("<d", relative_feasibility(inst, x)) == struct.pack("<d", from_scratch(x))
+    assert len(calls) == n + 1  # only from_scratch's
+
+    prob.c.linearize(x)  # another x
+    n = len(calls)
+    assert struct.pack("<d", relative_feasibility(inst, x2)) == struct.pack("<d", from_scratch(x2))
+    assert len(calls) == n + 2
+
+    prob.c.linearize(x)  # x overwritten in place in between
+    x[:] = x2
+    n = len(calls)
+    assert struct.pack("<d", relative_feasibility(inst, x)) == struct.pack("<d", from_scratch(x2))
+    assert len(calls) == n + 2
+
+
+def test_qcqp_instance_fields_and_repr_leave_out_the_c_slot():
+    inst = qcqp_generate(1, n=4, m=2)
+    qcqp_problem(inst).c.linearize(np.ones(4))
+    assert [f.name for f in dataclasses.fields(inst)] == [
+        "n", "m", "Q0", "b0", "Q", "bi", "ri", "alpha", "p", "r", "scale0", "seed", "xbar",
+    ]
+    assert "_c_at" not in repr(inst)
+
+
 # --- MIMO ---------------------------------------------------------------------
 
 
@@ -174,6 +221,31 @@ def test_mimo_barrier_is_c1_at_knee():
     assert above == pytest.approx(1.0 / r_lo, abs=1e-6)
     assert _gamma_prime(t - eps, r_lo)[0] == pytest.approx(-1.0 / r_lo**2, abs=1e-6)
     assert _gamma_prime(t + eps, r_lo)[0] == pytest.approx(-1.0 / r_lo**2, abs=1e-6)
+
+
+def _gamma_two_branch(t, r_lo):
+    # the earlier form of the barrier, which evaluated both branches
+    return np.where(t >= r_lo, 1.0 / np.maximum(t, r_lo), -(t - r_lo) / r_lo**2 + 1.0 / r_lo)
+
+
+@pytest.mark.parametrize("r_lo", [0.5, 0.1, 0.3, 1.0])
+def test_mimo_gamma_equals_two_branch_form_bit_for_bit(r_lo):
+    # on the box and off it, where check_gradient evaluates f too
+    from sdcam.problems.mimo import _gamma
+
+    rng = np.random.default_rng(9)
+    t = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, r_lo],
+        [np.nextafter(r_lo, 0.0), np.nextafter(r_lo, 2.0)],
+        r_lo + 1e-9 * rng.standard_normal(100),
+        rng.uniform(-2.0, 2.0, 400),
+        rng.uniform(0.1, 1.2, 400),
+        rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-300, 300, 100),
+    ])
+    np.testing.assert_array_equal(
+        _gamma(t, r_lo).view(np.int64), _gamma_two_branch(t, r_lo).view(np.int64)
+    )
+    assert np.isnan(_gamma(np.array([np.nan]), r_lo)).all()
 
 
 def test_mimo_gradient_everywhere_on_and_off_box():
