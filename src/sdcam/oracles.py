@@ -142,6 +142,15 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _fd_step(x: Vector, h_step: Optional[float]) -> float:
+    """The central-difference step of the checkers: ``h_step``, or the default
+    at x, which must lie in [1e-8, 1e-2]."""
+    h = default_fd_step(x) if h_step is None else float(h_step)
+    if not (1e-8 <= h <= 1e-2):
+        raise ValueError(f"h_step {h} outside [1e-8, 1e-2]")
+    return h
+
+
 def check_gradient(
     f: SmoothOracle,
     x: Vector,
@@ -154,9 +163,7 @@ def check_gradient(
     directions.  Passes iff the max relative error is <= 1e-5.
     """
     x = np.asarray(x, dtype=float)
-    h = default_fd_step(x) if h_step is None else float(h_step)
-    if not (1e-8 <= h <= 1e-2):
-        raise ValueError(f"h_step {h} outside [1e-8, 1e-2]")
+    h = _fd_step(x, h_step)
     n = x.size
     g = np.asarray(f.grad(x), dtype=float)
     if g.shape != x.shape:
@@ -201,7 +208,7 @@ def check_vjp(
     ``linearize(x)[0]`` equals ``value(x)`` to 1e-13 relative.
     """
     x = np.asarray(x, dtype=float)
-    h = default_fd_step(x) if h_step is None else float(h_step)
+    h = _fd_step(x, h_step)
     rng = rng if rng is not None else np.random.default_rng(0)
     cx = np.asarray(c.value(x), dtype=float)
     c_lin, pullback = c.linearize(x)

@@ -130,12 +130,6 @@ def _backward(
     return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
 
 
-def _vjp(v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray, w: Vector) -> Vector:
-    """``_backward`` after a forward pass from scratch."""
-    _, acts, layers = _forward(v, dims, kind, X)
-    return _backward(layers, acts, kind, w)
-
-
 def _linearize(
     v: Vector, dims: Tuple[int, ...], kind: str, X: np.ndarray
 ) -> Tuple[np.ndarray, Pullback]:
@@ -235,15 +229,15 @@ def mlp_problem(inst: MlpInstance) -> Problem:
     def g_prox(z: Vector, gamma: float) -> Vector:
         return prox_l1_box(z, gamma * lam, R)
 
-    def c_value(v: Vector) -> Vector:
-        return _forward(v, dims, kind, X)[0] - y
-
-    def c_vjp(v: Vector, w: Vector) -> Vector:
-        return _vjp(v, dims, kind, X, w)
-
     def c_linearize(v: Vector) -> Tuple[Vector, Pullback]:
         out, pullback = _linearize(v, dims, kind, X)
         return out - y, pullback
+
+    def c_value(v: Vector) -> Vector:
+        return c_linearize(v)[0]
+
+    def c_vjp(v: Vector, w: Vector) -> Vector:
+        return c_linearize(v)[1](w)
 
     def h_value(u: Vector) -> float:
         return float(h_weight * np.sum(np.abs(u) ** p))

@@ -103,8 +103,8 @@ def qcqp_generate(
         Q[i] = 0.5 * (Qi + Qi.T)
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
-    if np.any(ri >= 0.0):
-        raise RuntimeError("degenerate instance: some ri >= 0")
+    if not np.all(np.isfinite(ri) & (ri < 0.0)):
+        raise RuntimeError("degenerate instance: some ri >= 0 or not finite")
     return QcqpInstance(
         n=n,
         m=m,

@@ -134,7 +134,10 @@ def _lp_stationary(a: Vector, params: LpProxParams):
         u_c = (w * p * (1.0 - p)) ** (1.0 / (2.0 - p))  # inflection of phi
         for i in np.flatnonzero(~converged):
             logger.debug("prox_lp_power: Newton fallback to golden-section (|z|=%r)", al[i])
-            ul[i] = _golden_section(u_c, al[i], w, p)
+            try:
+                ul[i] = _golden_section(u_c, al[i], w, p)
+            except OverflowError:  # a huge |z|: Newton's last iterate is the root to rounding
+                pass
 
         q_0 = _lp_objective(0.0, a, w, p)
         q_u = np.array(q_0)  # a copy, also of a 0-d result

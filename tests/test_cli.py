@@ -465,6 +465,9 @@ def _drop_data_shape(doc):
         ("check", lambda doc: {**doc, "data": 5}),
         ("check", lambda doc: {**doc, "seed": "x"}),
         ("run", lambda doc: {**doc, "params": {**doc["params"], "n": "4"}}),
+        # xbar ~ 1e250 overflows the offsets ri to NaN
+        ("config", {"seed": 3, "problem": {"family": "qcqp", "n": 10, "m": 3, "p": 0.99,
+                                           "scale0": 1e250}}),
     ],
     ids=[
         "check-no-seed",
@@ -481,6 +484,7 @@ def _drop_data_shape(doc):
         "check-data-not-object",
         "check-seed-not-integer",
         "run-param-type",
+        "config-qcqp-ri-not-finite",
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):

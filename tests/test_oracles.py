@@ -61,9 +61,14 @@ def test_check_gradient_uses_random_directions_in_high_dimension():
 
 
 def test_check_gradient_rejects_bad_step():
+    # check_vjp takes its step through the same check as check_gradient
     f = SmoothOracle(value=lambda x: 0.0, grad=lambda x: np.zeros_like(x))
-    with pytest.raises(ValueError):
-        check_gradient(f, np.zeros(2), h_step=1.0)
+    c = MapOracle(value=lambda x: x.copy(), vjp=lambda x, w: np.asarray(w, dtype=float))
+    for h_step in (1.0, 0.0, -1e-4, math.nan):
+        with pytest.raises(ValueError, match=r"outside \[1e-8, 1e-2\]"):
+            check_gradient(f, np.zeros(2), h_step=h_step)
+        with pytest.raises(ValueError, match=r"outside \[1e-8, 1e-2\]"):
+            check_vjp(c, np.zeros(2), h_step=h_step)
 
 
 def test_check_vjp_passes_on_linear_map():

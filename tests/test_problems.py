@@ -26,7 +26,7 @@ from sdcam.problems import (
 )
 from sdcam.prox import project_box
 from sdcam.problems.mimo import phi, mimo_sup_abs_fg
-from sdcam.problems.mlp import _vjp
+from sdcam.problems.mlp import _backward, _forward
 
 
 # --- QCQP ---------------------------------------------------------------------
@@ -347,8 +347,11 @@ def test_mlp_pullback_equals_vjp_from_scratch(activation):
     np.testing.assert_array_equal(c_x, prob.c.value(v))
     for _ in range(3):
         w = rng.standard_normal(12)
-        ref = _vjp(v, inst.layer_dims, activation, inst.features, w)
+        # reverse accumulation after a forward pass of its own
+        _, acts, layers = _forward(v, inst.layer_dims, activation, inst.features)
+        ref = _backward(layers, acts, activation, w)
         np.testing.assert_array_equal(pullback(w), ref)
+        np.testing.assert_array_equal(prob.c.vjp(v, w), ref)
 
 
 def test_mlp_initial_point_inside_box():

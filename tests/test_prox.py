@@ -217,6 +217,18 @@ def test_lp_prox_output_bits_are_pinned():
     assert box.hexdigest() == "0ffe0d480797be8c851f831b8402dc57c9942219df0de9e1739e0fa06a5ac1ee"
 
 
+@pytest.mark.parametrize("gamma", [1e-8, 1.0, 1e6])
+@pytest.mark.parametrize("z", [1e200, -1e250, 1e300])
+def test_lp_prox_of_huge_input_near_p_one_is_the_input(z, gamma):
+    # Newton stalls here and the golden-section fallback overflows in float
+    # arithmetic; Newton's last iterate is already z to rounding.  The suite
+    # turns RuntimeWarnings into errors, so this also checks for silence.
+    params = LpProxParams(p=0.99, alpha=1.0, gamma=gamma)
+    assert prox_lp_power(z, params) == z
+    np.testing.assert_array_equal(prox_lp_power(np.array([z, -z]), params), [z, -z])
+    assert prox_lp_box(np.array([z]), params, 2.0 * abs(z))[0] == z
+
+
 def test_prox_lp_box_signs_of_zero():
     # z = -0.0 gives +0.0; a negative z whose optimum is 0 gives -0.0
     assert prox_lp_power(0.02, _BOX_PARAMS) == 0.0

@@ -9,10 +9,13 @@ from hypothesis import strategies
 from hypothesis.extra import numpy as hnp
 
 import sdcam.solver
-from sdcam.diagnostics import stationarity_residual
+from sdcam.diagnostics import rate_bound_check, rate_constants, stationarity_residual
 from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle
+from sdcam.prox import soft_threshold
 from sdcam.schedule import ScheduleSpec, beta_at
-from sdcam.solver import SolverConfig, SolverError, TraceRow, initial_state, solve, step
+from sdcam.solver import (
+    RunAnchors, SolverConfig, SolverError, TraceRow, initial_state, solve, step,
+)
 from sdcam.problems import FAMILIES, qcqp_generate, qcqp_problem, qcqp_initial_point
 
 ORACLES = ("f.value", "f.grad", "g.value", "g.prox", "h.value", "h.prox", "c.value", "c.vjp")
@@ -247,6 +250,30 @@ def test_full_asserts_pass(family):
         )
 
 
+def test_full_asserts_catch_a_non_optimal_h_prox():
+    # An h.prox that moves away from its minimizer breaks the merit decrease,
+    # which no acceptance margin sees; "off" runs through it.
+    h = ProxOracle(
+        value=lambda u: float(np.abs(u).sum()),
+        prox=lambda z, gamma: np.asarray(z, dtype=float) + 1.0,
+    )
+    p = dataclasses.replace(_identity_problem(), h=h)
+    res = solve(p, _config(max_successful_iters=10), np.ones(2), np.zeros(2))
+    assert len(res.trace) == 10
+    with pytest.raises(SolverError, match="merit nonincrease violated at t=1"):
+        solve(p, _config(max_successful_iters=10, assert_level="full"), np.ones(2), np.zeros(2))
+
+
+def test_step_raises_on_non_finite_gap():
+    # h.prox lands 1e200 away, so ||c(x~) - y|| overflows: step must not
+    # return a row with gap = inf.
+    h = ProxOracle(value=lambda u: 0.0, prox=lambda z, gamma: np.full(2, 1e200))
+    p = dataclasses.replace(_identity_problem(), h=h)
+    st = _state(p, np.zeros(2), np.zeros(2), mu=0.5)
+    with np.errstate(over="ignore"), pytest.raises(SolverError, match="gap = inf is not finite"):
+        step(p, st, _config())
+
+
 def test_anchors_record_first_accepted_step():
     inst = qcqp_generate(3, n=8, m=2)
     prob = qcqp_problem(inst)
@@ -444,3 +471,103 @@ def test_solve_calls_step_and_beta_at_through_module_attributes(monkeypatch):
     assert counts["step", type(None)] == res.total_unsuccessful
     assert counts["step", TraceRow] == len(res.trace)
     assert counts["beta_at"] >= res.total_trials
+
+
+def _random_problem(rng, n, m, h_kind, c_kind):
+    """A small problem with every constant rate_bound_check reads.
+
+    f = (1/2) x^T P x + q^T x with P = I + A^T A, so L = ||P|| and
+    inf f >= -||q||^2/2; g the indicator of the box [-R, R]^n; c linear,
+    Bx + d, or quadratic with rows (1/2) x^T Q_i x + b_i^T x + d_i, whose
+    Jacobian is Lipschitz with L_c = sqrt(sum ||Q_i||^2) and bounded on the box
+    by sqrt(sum (||Q_i|| R sqrt(n) + ||b_i||)^2); h = lam*||.||_1
+    (Lipschitz) or the indicator of the nonpositive orthant."""
+    A = rng.standard_normal((n, n))
+    P = np.eye(n) + A.T @ A
+    q = rng.standard_normal(n)
+    f = SmoothOracle(
+        value=lambda x: float(0.5 * x @ P @ x + q @ x),
+        grad=lambda x: P @ x + q,
+        lipschitz_bound=float(np.linalg.norm(P, 2)),
+    )
+    R = float(rng.uniform(0.5, 2.0))
+    g = ProxOracle(
+        value=lambda x: 0.0 if np.all(np.abs(x) <= R) else math.inf,
+        prox=lambda z, gamma: np.clip(z, -R, R),
+    )
+    B, d = rng.standard_normal((m, n)), rng.standard_normal(m)
+    if c_kind == "linear":
+        c = MapOracle(lambda x: B @ x + d, lambda x, w: w @ B,
+                      jac_lipschitz_bound=0.0, jac_norm_bound=float(np.linalg.norm(B, 2)))
+    else:
+        G = rng.standard_normal((m, n, n))
+        Q = 0.5 * (G + G.transpose(0, 2, 1))
+        q_norms = np.linalg.norm(Q, 2, axis=(1, 2))
+        c = MapOracle(
+            lambda x: 0.5 * (Q @ x) @ x + B @ x + d,
+            lambda x, w: w @ (Q @ x) + w @ B,
+            jac_lipschitz_bound=float(np.sqrt(np.sum(q_norms**2))),
+            jac_norm_bound=float(np.sqrt(np.sum(
+                (q_norms * R * math.sqrt(n) + np.linalg.norm(B, axis=1)) ** 2))),
+        )
+    if h_kind == "l1":
+        lam = float(rng.uniform(0.1, 1.0))
+        h = ProxOracle(lambda u: float(lam * np.abs(u).sum()),
+                       lambda z, gamma: soft_threshold(z, lam * gamma))
+        h_lip = lam * math.sqrt(m)
+    else:
+        h = ProxOracle(lambda u: 0.0 if np.all(u <= 0.0) else math.inf,
+                       lambda z, gamma: np.minimum(z, 0.0))
+        h_lip = None
+    x0 = np.clip(rng.standard_normal(n), -R, R)
+    return Problem(f=f, g=g, h=h, c=c, n=n, m=m, inf_fg_lower_bound=-0.5 * float(q @ q),
+                   h_lipschitz_bound=h_lip), x0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=strategies.integers(0, 2**32 - 1),
+    n=strategies.integers(2, 4),
+    m=strategies.integers(1, 3),
+    h_kind=strategies.sampled_from(["l1", "nonpositive"]),
+    c_kind=strategies.sampled_from(["linear", "quadratic"]),
+    beta0=strategies.floats(0.5, 2.0),
+    delta=strategies.floats(0.1, 0.45),
+    rho=strategies.sampled_from([0.5, 0.8]),
+)
+def test_accepted_steps_keep_the_papers_guarantees(seed, n, m, h_kind, c_kind, beta0, delta,
+                                                   rho):
+    # Per accepted row: both margins pass, H_value meets the pseudo-descent
+    # bound built from the previous row with the slack -margin_ii (condition
+    # (ii) and that inequality are one), Theta does not increase, and the
+    # cached residual is the from-scratch one; then the regime's rate bounds.
+    prob, x0 = _random_problem(np.random.default_rng(seed), n, m, h_kind, c_kind)
+    schedule = ScheduleSpec(family="power", beta0=beta0, delta=delta)
+    cfg = _config(mu_max=1e3, rho=rho, eta=1.0 / rho, schedule=schedule)
+    st = initial_state(prob, x0, np.zeros(m), cfg.mu_init)
+    anchors = RunAnchors(beta0=beta0, gap_x0_y0=st.gap_x, h_y0=st.h_y)
+    trace = []
+    while len(trace) < 30:
+        x_t, y_t, t, fg_x = st.x, st.y, st.t, st.fg_x
+        row, (margin_i, margin_ii) = step(prob, st, cfg)
+        if row is None:
+            continue
+        tol = 1e-12 * (1.0 + abs(fg_x))
+        assert margin_i >= -tol and margin_ii >= -tol
+        if trace:
+            prev = trace[-1]
+            h_prev = prev.fg_value + 0.5 * prev.beta_t * prev.gap**2 + prev.h_at_y
+            bound = (h_prev - row.step_norm**2 / (2.0 * row.mu_t)
+                     + 0.5 * (row.beta_t - prev.beta_t) * prev.gap**2)
+            assert abs(row.H_value - bound + margin_ii) <= 1e-12 * (1.0 + abs(h_prev))
+            assert row.Theta_value <= prev.Theta_value + 1e-12 * (1.0 + abs(prev.Theta_value))
+        else:
+            anchors.fg_x1, anchors.gap_x1_y0 = row.fg_value, row.prev_gap
+        beta_prev = beta_at(schedule, t - 1) if t >= 1 else beta0
+        ref = stationarity_residual(prob, x_t, st.x, y_t, row.mu_t, row.beta_t, beta_prev)
+        assert abs(row.residual - ref) <= 1e-10 * (1.0 + ref)
+        trace.append(row)
+    regime = "lipschitz_h" if h_kind == "l1" else "bounded_domains"
+    consts = rate_constants(prob, schedule, anchors, rho=cfg.rho, mu_max=cfg.mu_max)
+    report = rate_bound_check(trace, consts, regime)
+    assert report.passed and not report.skipped, report
