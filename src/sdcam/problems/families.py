@@ -62,8 +62,7 @@ def _qcqp_setup(inst: QcqpInstance) -> Setup:
 
 def _qcqp_structure(inst: QcqpInstance) -> Tuple[str, bool]:
     eigs = np.linalg.eigvalsh(inst.Q).min(axis=1)
-    ok = bool(np.all(eigs >= -1e-10)) and bool(np.all(inst.ri < 0.0))
-    return "PSD blocks, negative offsets", ok
+    return "PSD blocks", bool(np.all(eigs >= -1e-10))
 
 
 def _mimo_setup(inst: MimoInstance) -> Setup:

@@ -59,6 +59,8 @@ class QcqpInstance:
 
     def __post_init__(self) -> None:
         _check_params(self.n, self.m)
+        if not np.all(np.isfinite(self.ri) & (self.ri < 0.0)):
+            raise RuntimeError("degenerate instance: some ri >= 0 or not finite")
         # (bytes of x, c(x)) at the last point ``_linearize`` saw, so that
         # ``relative_feasibility`` at an accepted trial point makes no second
         # ``Q`` product.  An attribute, not a field: equality, ``repr``,
@@ -103,8 +105,6 @@ def qcqp_generate(
         Q[i] = 0.5 * (Qi + Qi.T)
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
-    if not np.all(np.isfinite(ri) & (ri < 0.0)):
-        raise RuntimeError("degenerate instance: some ri >= 0 or not finite")
     return QcqpInstance(
         n=n,
         m=m,

@@ -6,25 +6,24 @@ u -> alpha*|u|^p with p in (0,1), element-wise on arrays:
     prox(z) = argmin_u  (1/(2*gamma))*(u - z)^2 + alpha*|u|^p.
 
 It is computed by a closed-form threshold test followed by a Newton iteration
-from |z| (the reduced stationarity equation is convex and increasing on the
-relevant branch, so Newton from the right endpoint converges monotonically),
-with a golden-section fallback.  Ties between 0 and the interior stationary
-point are broken toward 0 for reproducible traces.  Every power is libm ``pow``
-(``np.float_power`` on arrays, ``**`` on floats; never SIMD ``**`` on arrays).
+from |z|, with no fallback.  The reduced stationarity equation is convex and
+increasing on the relevant branch, so Newton from the right endpoint decreases
+monotonically toward the root without overshooting it: an entry that stops
+before its residual test is met does so because its Newton step rounds to
+nothing, and its last iterate is the root to float64.  Ties between 0 and the
+interior stationary point are broken toward 0 for reproducible traces.  Every
+power is libm ``pow`` (``np.float_power`` on arrays, ``**`` on floats; never
+SIMD ``**`` on arrays).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
-import math
 
 import numpy as np
 from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "LpProxParams",
@@ -37,7 +36,6 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 100
 
@@ -82,29 +80,6 @@ def _lp_objective(u, a, w: float, p: float):
     return 0.5 * np.float_power(u - a, 2.0) + w * np.float_power(u, p)
 
 
-def _golden_section(lo: float, a: float, w: float, p: float) -> float:
-    # Minimizer of the reduced objective on [lo, a]; Python floats are fastest.
-    def f(u: float) -> float:
-        return 0.5 * (u - a) ** 2 + w * u**p
-
-    hi = a = float(a)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(200):
-        if hi - lo < 1e-15 * (1.0 + hi):
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def _lp_stationary(a: Vector, params: LpProxParams):
     """For a = |z| >= 0: the interior stationary point u of the reduced
     objective q (0 below the threshold), q(u) and q(0), each objective
@@ -115,9 +90,9 @@ def _lp_stationary(a: Vector, params: LpProxParams):
     with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN are settled by comparisons
         # Newton on phi(u) = u - a + w*p*u^(p-1), convex and increasing on the
         # branch containing the larger root; started at u = a it stays above the
-        # root and decreases monotonically; each entry stops at its own test.
+        # root and decreases monotonically; each entry stops at its own test,
+        # and one that stops short of the residual test keeps its last iterate.
         ul = al.copy()
-        converged = np.zeros(al.shape, dtype=bool)
         active = np.arange(al.size)
         for _ in range(_NEWTON_MAX_ITER):
             if active.size == 0:
@@ -127,17 +102,8 @@ def _lp_stationary(a: Vector, params: LpProxParams):
             res = np.abs(phi) / gamma
             u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
             stop = (res <= _NEWTON_TOL) | ~((0.0 < u_new) & (u_new <= aa)) | (u_new == ua)
-            converged[active[stop]] = res[stop] <= 1e3 * _NEWTON_TOL  # stalls count if close
             ul[active[~stop]] = u_new[~stop]
             active = active[~stop]
-
-        u_c = (w * p * (1.0 - p)) ** (1.0 / (2.0 - p))  # inflection of phi
-        for i in np.flatnonzero(~converged):
-            logger.debug("prox_lp_power: Newton fallback to golden-section (|z|=%r)", al[i])
-            try:
-                ul[i] = _golden_section(u_c, al[i], w, p)
-            except OverflowError:  # a huge |z|: Newton's last iterate is the root to rounding
-                pass
 
         q_0 = _lp_objective(0.0, a, w, p)
         q_u = np.array(q_0)  # a copy, also of a 0-d result
@@ -152,7 +118,8 @@ def prox_lp_power(z, params: LpProxParams):
 
     Takes an array of any shape (or a scalar, which gives a float).  Returns
     0 wherever 0 ties the interior stationary point to within 1e-12
-    (sparsity-preferring selection from the set-valued prox).
+    (sparsity-preferring selection from the set-valued prox).  An input of
+    +-inf gives +-inf, and NaN gives NaN.
     """
     z = np.asarray(z, dtype=float)
     u, q_u, q_0 = _lp_stationary(np.abs(z), params)

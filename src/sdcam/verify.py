@@ -86,6 +86,8 @@ def verify_prox_family(
     """Check that prox_fn(z, params) never loses to the brute-force grid
     minimizer by more than 1e-8 in objective value, over random scalar
     instances with p in {0.5, 0.8} and gamma log-uniform on [1e-3, 1e3]."""
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be at least 1, got {n_instances}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     max_excess = -math.inf
     worst = None

@@ -448,6 +448,13 @@ def _drop_data_shape(doc):
     return doc
 
 
+def _set_ri(value):
+    def malform(doc):
+        doc["data"]["ri"]["values"] = [value] * len(doc["data"]["ri"]["values"])
+        return doc
+    return malform
+
+
 @pytest.mark.parametrize(
     "command, malform",
     [
@@ -468,6 +475,9 @@ def _drop_data_shape(doc):
         # xbar ~ 1e250 overflows the offsets ri to NaN
         ("config", {"seed": 3, "problem": {"family": "qcqp", "n": 10, "m": 3, "p": 0.99,
                                            "scale0": 1e250}}),
+        ("run", _set_ri(float("nan"))),
+        ("run", _set_ri(0.5)),
+        ("argv", ["check", "--family", "qcqp", "--seed", "0", "--prox-instances", "0"]),
     ],
     ids=[
         "check-no-seed",
@@ -485,10 +495,15 @@ def _drop_data_shape(doc):
         "check-seed-not-integer",
         "run-param-type",
         "config-qcqp-ri-not-finite",
+        "run-ri-nan",
+        "run-ri-positive",
+        "check-prox-instances-zero",
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):
-    if command == "config":
+    if command == "argv":
+        argv = malform
+    elif command == "config":
         argv = ["run", "--config", str(_cfg(tmp_path, **malform)[0])]
     elif command == "subseq":
         trace = tmp_path / "t.csv"
