@@ -51,35 +51,43 @@ def test_run_byte_deterministic(tmp_path):
     assert (tmp_path / "trace.csv").read_bytes() == first
 
 
-# sha256 of the trace and the summary of three fixed runs (200 accepted steps,
-# beta0 1, family solver defaults).  A refactor or a speed-up must keep them.
+# sha256 of the trace and the summary of four fixed runs (200 accepted steps,
+# beta0 1, the family's solver defaults updated by the given keys).  A refactor
+# or a speed-up must keep them.  "mimo-backtrack" has the solver settings of
+# the mimo-8x16-backtrack benchmark workload, where most trials are rejected.
 _FIXED_RUNS = {
     "qcqp": (
-        1, {"family": "qcqp", "n": 20, "m": 5}, 0.3,
+        1, {"family": "qcqp", "n": 20, "m": 5}, {}, 0.3,
         "cae991af597cf0b7ba30b537610caf55f41f73efa6afb5ef65f952bb64f3a235",
         "fc7a674db1265c0bfcd3b26b64ebbc7bfe45e36d8a58e16ce72baab9d452b5b5",
     ),
     "mimo": (
-        0, {"family": "mimo", "n": 8, "m": 16}, 1.0 / 3.0,
+        0, {"family": "mimo", "n": 8, "m": 16}, {}, 1.0 / 3.0,
         "7d71317cb4ca6055da4245db96a573bad400faaadec2f132975034cb380377ea",
         "9166dd78f15aad76c7008c5bd607c2f13960e7b2f87cbb22679a5bb6bb0c79a9",
     ),
     "mlp": (
-        0, {"family": "mlp"}, 0.5,
+        0, {"family": "mlp"}, {}, 0.5,
         "4505c541b013e78aba2d6e3339eaebd55200d852db39be23f9ba30e050dfcda2",
         "73700aead5c26544dd6943a2d04eb232ee097c6e8e136d9cd77602c1ba5a2420",
+    ),
+    "mimo-backtrack": (
+        0, {"family": "mimo", "n": 8, "m": 16}, {"rho": 0.9, "eta": 2.0, "mu_init": 1.0},
+        1.0 / 3.0,
+        "968c198b15d3438cb9bc86a2c0ad0d746230f8292f89ac1b92d00e1fe4cb3712",
+        "a3bca08968fa2ee966d5e2042fe310fbd92a821fe47a10074d019e72d77a148f",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_FIXED_RUNS))
 def test_fixed_run_trace_and_summary_digests(tmp_path, name):
-    seed, problem, delta, trace_sha, summary_sha = _FIXED_RUNS[name]
+    seed, problem, solver, delta, trace_sha, summary_sha = _FIXED_RUNS[name]
     path, _ = _cfg(
         tmp_path,
         seed=seed,
         problem=problem,
-        solver={"max_successful_iters": 200},
+        solver={"max_successful_iters": 200, **solver},
         schedule={"beta0": 1.0, "delta": delta},
     )
     assert main(["run", "--config", str(path)]) == 0
