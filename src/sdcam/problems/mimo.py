@@ -9,6 +9,11 @@ t >= r_lo, extended linearly (C^1) below r_lo.  Composite mapping: f is the
 data fit plus the gamma barrier, g the box indicator, c = sin(p_psk*theta/2)
 (diagonal Jacobian in the theta block), h = lambda2*||.||_1.
 
+Where min(r) >= r_lo, which holds at every point the solver evaluates f at
+(g.prox lands in the box), f sums 1/r, which is gamma(r) to the bit.  The C^1
+extension is evaluated only off the box, where check_gradient's central
+differences may land.
+
 Randomness: Philox streams (0,) for A, (1,) for the PSK ground truth,
 (2,) for the observation noise.
 """
@@ -113,11 +118,15 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
     lo = np.concatenate([np.full(n, r_lo), np.full(n, -np.inf)])
     hi = np.concatenate([np.ones(n), np.full(n, np.inf)])
+    # the ufunc reductions behind .min(), .max() and .sum(), minus their wrappers
+    vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
     def f_value(x: Vector) -> float:
         r, theta = x[:n], x[n:]
         e = A @ phi(r, theta) - yhat
-        return float(0.5 * e @ e + lam1 * _gamma(r, r_lo).sum())
+        # in the box _gamma(r) is 1/r to the bit; NaN fails the test and takes _gamma
+        barrier = 1.0 / r if vmin(r) >= r_lo else _gamma(r, r_lo)
+        return float(0.5 * (e @ e) + lam1 * vsum(barrier))
 
     def f_grad(x: Vector) -> Vector:
         r, theta = x[:n], x[n:]
@@ -131,7 +140,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
     def g_value(x: Vector) -> float:
         r = x[:n]
-        return 0.0 if ((r >= r_lo) & (r <= 1.0)).all() else float("inf")
+        return 0.0 if vmin(r) >= r_lo and vmax(r) <= 1.0 else math.inf  # NaN gives inf
 
     def g_prox(z: Vector, gamma: float) -> Vector:
         # project_box without its checks; initial_state's g(x0) < inf gives lo <= hi

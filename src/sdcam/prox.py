@@ -85,6 +85,9 @@ def _lp_stationary(a: Vector, params: LpProxParams):
     objective q (0 below the threshold), q(u) and q(0), each objective
     evaluated once.  Callers break the tie between u and 0 from these."""
     p, w, gamma = params.p, params.alpha * params.gamma, params.gamma
+    # w*p*t and w*p*(p-1)*t group left to right, so the scalar products are
+    # formed once and every array product keeps its bits
+    wp, wpp = w * p, w * p * (p - 1.0)
     live = ~(a < lp_threshold(p, w))  # NaN stays live and comes out NaN
     al = a[live]
     with np.errstate(over="ignore", invalid="ignore"):  # inf/NaN are settled by comparisons
@@ -92,20 +95,30 @@ def _lp_stationary(a: Vector, params: LpProxParams):
         # branch containing the larger root; started at u = a it stays above the
         # root and decreases monotonically; each entry stops at its own test,
         # and one that stops short of the residual test keeps its last iterate.
+        # An entry goes on while |phi|/gamma > tol, 0 < u_new <= a and
+        # u_new != u: the exact complement of the stop test
+        # |phi|/gamma <= tol or not 0 < u_new <= a or u_new == u, NaN included,
+        # since a NaN phi gives a NaN u_new, which fails 0 < u_new.  The
+        # entries that go on, their a and their positions in ul are carried
+        # compacted from pass to pass.
         ul = al.copy()
-        active = np.arange(al.size)
+        ua, aa, idx = al, al, np.arange(al.size)
         for _ in range(_NEWTON_MAX_ITER):
-            if active.size == 0:
+            if idx.size == 0:
                 break
-            ua, aa = ul[active], al[active]
-            phi = ua - aa + w * p * np.float_power(ua, p - 1.0)
-            res = np.abs(phi) / gamma
-            u_new = ua - phi / (1.0 + w * p * (p - 1.0) * np.float_power(ua, p - 2.0))
-            stop = (res <= _NEWTON_TOL) | ~((0.0 < u_new) & (u_new <= aa)) | (u_new == ua)
-            ul[active[~stop]] = u_new[~stop]
-            active = active[~stop]
+            phi = ua - aa + wp * np.float_power(ua, p - 1.0)
+            u_new = ua - phi / (1.0 + wpp * np.float_power(ua, p - 2.0))
+            keep = np.abs(phi) / gamma > _NEWTON_TOL
+            keep &= 0.0 < u_new
+            keep &= u_new <= aa
+            keep &= u_new != ua
+            ua, aa, idx = u_new[keep], aa[keep], idx[keep]
+            ul[idx] = ua
 
-        q_0 = _lp_objective(0.0, a, w, p)
+        # q(0) = (1/2)(0 - a)^2 + w*0^p to the bit: 0 - a is -a but for the
+        # sign of a zero, pow(-a, 2) == pow(a, 2), and adding w*0.0 = 0.0
+        # (w finite) changes nothing, since the square is never -0.0
+        q_0 = 0.5 * np.float_power(a, 2.0)
         q_u = np.array(q_0)  # a copy, also of a 0-d result
         q_u[live] = _lp_objective(ul, al, w, p)
     u = np.zeros(a.shape)
@@ -154,7 +167,7 @@ def prox_l1_box(z: Vector, gamma_lambda: float, R: float) -> Vector:
     this convex separable composite)."""
     if R <= 0.0:
         raise ValueError("R must be positive")
-    return np.clip(soft_threshold(z, gamma_lambda), -R, R)
+    return np.minimum(np.maximum(soft_threshold(z, gamma_lambda), -R), R)  # np.clip's ufuncs
 
 
 def project_box(z: Vector, lo: Vector, hi: Vector) -> Vector:

@@ -259,6 +259,50 @@ def test_mimo_gradient_everywhere_on_and_off_box():
         assert check_vjp(prob.c, x, rng=rng).passed
 
 
+def _mimo_points(inst, rng):
+    """In-box points, points with r_i at r_lo and at 1 exactly, and every
+    point check_gradient evaluates f at from starts with r in [r_lo/2, 1.2]."""
+    n, r_lo = inst.n, inst.r_lo
+    pts = [np.concatenate([rng.uniform(r_lo, 1.0, n), rng.uniform(-3, 3, n)]) for _ in range(50)]
+    pts += [
+        np.concatenate([rng.choice([r_lo, 1.0], n), rng.uniform(-3, 3, n)]) for _ in range(20)
+    ]
+    pts += [np.concatenate([np.full(n, b), np.zeros(n)]) for b in (r_lo, 1.0)]
+    f = mimo_problem(inst).f
+    seen = []
+    spy = dataclasses.replace(f, value=lambda x: seen.append(np.array(x)) or f.value(x))
+    for _ in range(5):
+        x = np.concatenate([rng.uniform(0.5 * r_lo, 1.2, n), rng.uniform(-3, 3, n)])
+        check_gradient(spy, x, rng=rng)
+    assert any((x[:n] < r_lo).any() for x in seen) and any((x[:n] > 1.0).any() for x in seen)
+    return pts + seen
+
+
+@pytest.mark.parametrize("r_lo", [0.5, 0.1, 1.0])
+def test_mimo_f_and_g_values_equal_the_plain_expressions_bit_for_bit(r_lo):
+    # f sums 1/r where min(r) >= r_lo and g takes two reductions; both must
+    # give the bits of the plain expressions, on the box and off it
+    from sdcam.problems.mimo import _gamma
+
+    inst = mimo_generate(2, n=4, m=8, r_lo=r_lo)
+    prob = mimo_problem(inst)
+    n, A, yhat, lam1 = inst.n, inst.A, inst.yhat, inst.lambda1
+    rng = np.random.default_rng(12)
+    for x in _mimo_points(inst, rng):
+        r, theta = x[:n], x[n:]
+        e = A @ phi(r, theta) - yhat
+        ref = float(0.5 * e @ e + lam1 * _gamma(r, r_lo).sum())
+        assert struct.pack("<d", prob.f.value(x)) == struct.pack("<d", ref)
+    inf, nan = math.inf, math.nan
+    below, above = np.nextafter(r_lo, 0.0), np.nextafter(1.0, 2.0)
+    for r in ([r_lo, 1.0], [below, 1.0], [r_lo, above], [nan, 1.0], [1.0, nan],
+              [inf, 1.0], [-inf, 1.0], [0.0, -0.0], [r_lo, r_lo], [1.0, 1.0]):
+        x = np.concatenate([np.resize(r, n), np.zeros(n)])
+        ref = 0.0 if ((x[:n] >= r_lo) & (x[:n] <= 1.0)).all() else inf
+        assert prob.g.value(x) == ref
+        assert prob.g.value(np.concatenate([np.ones(n), np.resize(r, n)])) == 0.0  # theta is free
+
+
 def test_mimo_constants_and_bounds():
     inst = mimo_generate(0, n=4, m=8, p_psk=4)
     prob = mimo_problem(inst)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from sdcam.prox import (
     LpProxParams,
+    _lp_objective,
+    _lp_stationary,
     lp_threshold,
     project_box,
     prox_l1_box,
@@ -232,6 +234,30 @@ def test_lp_prox_output_bits_are_pinned():
         box.update(np.asarray(prox_lp_box(z, params, r), dtype="<f8").tobytes())
     assert power.hexdigest() == "a4fddda1b3a4d1eb38336ea51f19df78f5a85fd1bd67c4b69e0fbc6d3893f3a4"
     assert box.hexdigest() == "b8723d2b13a34d4c04697d8b5013caa125b20dfb330180201a10566dfd5a8034"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        _BOX_PARAMS,
+        _STALL_PARAMS,
+        LpProxParams(p=0.1, alpha=5.0, gamma=1e6),
+        LpProxParams(p=0.99, alpha=1e-3, gamma=1e-8),
+        LpProxParams(p=0.5, alpha=1e150, gamma=1e150),
+    ],
+)
+def test_lp_q0_equals_the_objective_at_zero_bit_for_bit(params):
+    # _lp_stationary forms q(0) as 0.5*a^2 instead of evaluating the
+    # objective at u = 0; the two must agree to the bit, NaN included
+    a = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan, 1.5])
+    w = params.alpha * params.gamma
+    for arg in (a, np.abs(a), *a):
+        arg = np.asarray(arg)
+        q_0 = _lp_stationary(arg, params)[2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _lp_objective(0.0, arg, w, params.p)
+        assert np.shape(q_0) == np.shape(ref)
+        np.testing.assert_array_equal(_bits(q_0), _bits(ref))
 
 
 @pytest.mark.parametrize("gamma", [1e-8, 1.0, 1e6])
