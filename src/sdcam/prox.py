@@ -146,6 +146,7 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     Exact via candidate enumeration: {0, sign(z_i)*r, clamped interior prox}.
     The clamped candidate min(u, r) reuses q(u) or q(r); where the tie test
     picks 0 instead of u, q(u) >= q(0) - 1e-12, so it can never win there.
+    An input of +-inf gives +-r, and NaN gives NaN.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
@@ -154,10 +155,14 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     u, q_u, q_0 = _lp_stationary(a, params)
     with np.errstate(over="ignore", invalid="ignore"):
         q_r = _lp_objective(r, a, params.alpha * params.gamma, params.p)
+    clamped = np.minimum(u, r)
     best_u, best_q = np.zeros(z.shape), q_0
-    for u_k, q_k in ((r, q_r), (np.minimum(u, r), np.where(u > r, q_r, q_u))):
+    for u_k, q_k in ((r, q_r), (clamped, np.where(u > r, q_r, q_u))):
         better = q_k < best_q - _TIE_TOL
         best_u, best_q = np.where(better, u_k, best_u), np.where(better, q_k, best_q)
+    # at a = inf or NaN every objective value is inf or NaN, so no comparison
+    # holds and 0 would stay; the clamped prox there is r or NaN
+    best_u = np.where(a < np.inf, best_u, clamped)
     return np.where(z < 0.0, -best_u, best_u)
 
 

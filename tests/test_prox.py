@@ -226,14 +226,16 @@ def _lp_prox_battery():
 
 def test_lp_prox_output_bits_are_pinned():
     # sha256 of the little-endian float64 outputs over the battery, recorded
-    # when the lp prox became Newton only.  A change here changes trace bits:
-    # update the digests only with a numerics change that CHANGES.md explains.
+    # when the lp prox became Newton only; the box digest was re-recorded when
+    # the box prox of +-inf became +-r and of NaN became NaN (its finite
+    # entries kept their bits).  A change here changes trace bits: update the
+    # digests only with a numerics change that CHANGES.md explains.
     power, box = hashlib.sha256(), hashlib.sha256()
     for params, r, z in _lp_prox_battery():
         power.update(np.asarray(prox_lp_power(z, params), dtype="<f8").tobytes())
         box.update(np.asarray(prox_lp_box(z, params, r), dtype="<f8").tobytes())
     assert power.hexdigest() == "a4fddda1b3a4d1eb38336ea51f19df78f5a85fd1bd67c4b69e0fbc6d3893f3a4"
-    assert box.hexdigest() == "b8723d2b13a34d4c04697d8b5013caa125b20dfb330180201a10566dfd5a8034"
+    assert box.hexdigest() == "faeeefb5d1222bc21437d2bbf7ab505a133d1a9b43cd4b82617daf462f17369f"
 
 
 @pytest.mark.parametrize(
@@ -273,6 +275,27 @@ def test_lp_prox_of_huge_input_near_p_one_is_the_input(z, gamma):
     # the non-finite contract: +-inf is its own prox, and NaN stays NaN
     special = np.array([np.inf, -np.inf, np.nan])
     np.testing.assert_array_equal(prox_lp_power(special, params), special)
+
+
+@pytest.mark.parametrize(
+    "params, r",
+    [
+        (_BOX_PARAMS, 1.0),
+        (_STALL_PARAMS, 2000.0),
+        (LpProxParams(p=0.99, alpha=1.0, gamma=1e6), 1e300),
+        (LpProxParams(p=0.1, alpha=1e-3, gamma=1e-8), 5e-324),
+    ],
+)
+def test_prox_lp_box_of_non_finite_input(params, r):
+    # +-inf gives +-r, the minimizer over [-r, r] as z grows without bound,
+    # and NaN gives NaN, so an overflowed or NaN input does not come back as
+    # a feasible point; finite entries alongside keep their elementwise bits
+    out = prox_lp_box(np.array([np.inf, -np.inf, np.nan]), params, r)
+    assert out[0] == r and out[1] == -r and np.isnan(out[2])
+    z = np.array([np.nan, 3.0 * r, -np.inf, 0.5 * r, np.inf, -0.0, -2.0 * r])
+    mixed = prox_lp_box(z, params, r)
+    each = [prox_lp_box(np.array([zi]), params, r)[0] for zi in z]
+    np.testing.assert_array_equal(_bits(mixed), _bits(each))
 
 
 def test_prox_lp_box_signs_of_zero():

@@ -396,6 +396,21 @@ def test_non_finite_trial_values_raise(oracle, value):
         step(p_bad, st, _config())
 
 
+def test_qcqp_step_raises_on_nan_prox_input():
+    # a NaN that reaches QCQP's g.prox comes back NaN, not as the feasible
+    # point 0, so g.value is NaN and step raises on the non-finite margins
+    inst = qcqp_generate(3, n=8, m=2)
+    p = qcqp_problem(inst)
+    x0, y0 = qcqp_initial_point(inst)
+    prox = p.g.prox
+    p_nan = _replace_oracle(p, "g.prox", lambda z, gamma: prox(np.r_[np.nan, z[1:]], gamma))
+    x_trial = p_nan.g.prox(x0, 0.5)
+    assert np.isnan(x_trial[0]) and np.isnan(p.g.value(x_trial))
+    st = _state(p, x0, y0, mu=1.0)
+    with pytest.raises(SolverError, match="acceptance margins .* are not finite"):
+        step(p_nan, st, _config())
+
+
 def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
     """The acceptance margins of step, every term recomputed from
     the oracles and np.linalg.norm."""
