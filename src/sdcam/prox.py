@@ -172,7 +172,7 @@ def prox_l1_box(z: Vector, gamma_lambda: float, R: float) -> Vector:
     this convex separable composite)."""
     if R <= 0.0:
         raise ValueError("R must be positive")
-    return np.minimum(np.maximum(soft_threshold(z, gamma_lambda), -R), R)  # np.clip's ufuncs
+    return np.minimum(np.maximum(soft_threshold(z, gamma_lambda), -R), R)  # np.clip minus its wrapper
 
 
 def project_box(z: Vector, lo: Vector, hi: Vector) -> Vector:
