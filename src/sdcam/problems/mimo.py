@@ -10,9 +10,14 @@ data fit plus the gamma barrier, g the box indicator, c = sin(p_psk*theta/2)
 (diagonal Jacobian in the theta block), h = lambda2*||.||_1.
 
 Where min(r) >= r_lo, which holds at every point the solver evaluates f at
-(g.prox lands in the box), f sums 1/r, which is gamma(r) to the bit.  The C^1
-extension is evaluated only off the box, where check_gradient's central
-differences may land.
+(g.prox lands in the box), f sums 1/r and grad f takes -1/r^2, which are
+gamma(r) and gamma'(r) to the bit.  The C^1 extension is evaluated only off
+the box, where check_gradient's central differences may land.
+
+The map has a one-pass linearizer: it forms p_psk*theta/2 once per point and
+returns sin of it with a pullback that closes over it, so a trial makes one
+map pass and the accepted step's pullback adds one cos; c.value and c.vjp go
+through it.
 
 Randomness: Philox streams (0,) for A, (1,) for the PSK ground truth,
 (2,) for the observation noise.
@@ -22,10 +27,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Tuple
 
 import numpy as np
 
-from ..oracles import MapOracle, Problem, ProxOracle, SmoothOracle, Vector
+from ..oracles import MapOracle, Problem, ProxOracle, Pullback, SmoothOracle, Vector
 from ..prox import soft_threshold
 
 __all__ = [
@@ -118,23 +124,26 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
     lo = np.concatenate([np.full(n, r_lo), np.full(n, -np.inf)])
     hi = np.concatenate([np.ones(n), np.full(n, np.inf)])
-    # the ufunc reductions behind .min(), .max() and .sum(), minus their wrappers
+    # the ufunc reductions behind .min(), .max() and .sum(), minus their wrappers;
+    # likewise ndarray.dot makes the BLAS call of @ with less overhead
     vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
     def f_value(x: Vector) -> float:
         r, theta = x[:n], x[n:]
-        e = A @ phi(r, theta) - yhat
+        e = A.dot(phi(r, theta)) - yhat
         # in the box _gamma(r) is 1/r to the bit; NaN fails the test and takes _gamma
         barrier = 1.0 / r if vmin(r) >= r_lo else _gamma(r, r_lo)
-        return float(0.5 * (e @ e) + lam1 * vsum(barrier))
+        return float(0.5 * e.dot(e) + lam1 * vsum(barrier))
 
     def f_grad(x: Vector) -> Vector:
         r, theta = x[:n], x[n:]
         ct, st = np.cos(theta), np.sin(theta)
-        e = A @ phi(r, theta) - yhat
+        e = A @ np.concatenate([r * ct, r * st]) - yhat  # phi(r, theta)
         ate = A.T @ e
         u, v = ate[:n], ate[n:]
-        grad_r = ct * u + st * v + lam1 * _gamma_prime(r, r_lo)
+        # in the box _gamma_prime(r) is -1/r**2 to the bit, as in f_value
+        barrier = -1.0 / r**2 if vmin(r) >= r_lo else _gamma_prime(r, r_lo)
+        grad_r = ct * u + st * v + lam1 * barrier
         grad_theta = -r * st * u + r * ct * v
         return np.concatenate([grad_r, grad_theta])
 
@@ -146,16 +155,25 @@ def mimo_problem(inst: MimoInstance) -> Problem:
         # project_box without its checks; initial_state's g(x0) < inf gives lo <= hi
         return np.minimum(np.maximum(z, lo), hi)
 
+    def c_linearize(x: Vector) -> Tuple[Vector, Pullback]:
+        # arg is a fresh array, so the pullback needs no copy of x
+        arg = 0.5 * ppsk * x[n:]
+
+        def pullback(w: Vector) -> Vector:
+            out = np.zeros(2 * n)
+            out[n:] = 0.5 * ppsk * np.cos(arg) * w
+            return out
+
+        return np.sin(arg), pullback
+
     def c_value(x: Vector) -> Vector:
-        return np.sin(0.5 * ppsk * x[n:])
+        return c_linearize(x)[0]
 
     def c_vjp(x: Vector, w: Vector) -> Vector:
-        out = np.zeros(2 * n)
-        out[n:] = 0.5 * ppsk * np.cos(0.5 * ppsk * x[n:]) * w
-        return out
+        return c_linearize(x)[1](w)
 
     def h_value(y: Vector) -> float:
-        return float(lam2 * np.sum(np.abs(y)))
+        return float(lam2 * vsum(np.abs(y)))
 
     def h_prox(z: Vector, gamma: float) -> Vector:
         return soft_threshold(z, gamma * lam2)
@@ -177,6 +195,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
             c_vjp,
             jac_lipschitz_bound=ppsk**2 / 4.0,
             jac_norm_bound=ppsk / 2.0,
+            linearizer=c_linearize,
         ),
         n=2 * n,
         m=n,

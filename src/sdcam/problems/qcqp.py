@@ -45,7 +45,7 @@ def _check_params(n: int, m: int) -> None:
 class QcqpInstance:
     n: int
     m: int
-    Q0: np.ndarray  # (n, n), identity by construction
+    Q0: np.ndarray  # (n, n), the identity: f and inf_fg_lower_bound rely on it
     b0: np.ndarray  # (n,)
     Q: np.ndarray  # (m, n, n), each PSD
     bi: np.ndarray  # (m, n), zeros by construction
@@ -59,6 +59,8 @@ class QcqpInstance:
 
     def __post_init__(self) -> None:
         _check_params(self.n, self.m)
+        if not np.array_equal(self.Q0, np.eye(self.n)):
+            raise ValueError("Q0 must be the n x n identity")
         if not np.all(np.isfinite(self.ri) & (self.ri < 0.0)):
             raise RuntimeError("degenerate instance: some ri >= 0 or not finite")
         # (bytes of x, c(x)) at the last point ``_linearize`` saw, so that
@@ -136,15 +138,16 @@ def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, Pullback]:
 
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
-    """Composite-problem bundle with analytic constants attached."""
-    Q0, b0, Q = inst.Q0, inst.b0, inst.Q
+    """Composite-problem bundle with analytic constants attached.  Q0 = I, so
+    f(x) = (1/2)||x||^2 + b0^T x with gradient x + b0 and Lipschitz constant 1."""
+    b0, Q = inst.b0, inst.Q
     alpha, p, r = inst.alpha, inst.p, inst.r
 
     def f_value(x: Vector) -> float:
-        return float(0.5 * x @ (Q0 @ x) + b0 @ x)
+        return float(0.5 * x @ x + b0 @ x)
 
     def f_grad(x: Vector) -> Vector:
-        return Q0 @ x + b0
+        return x + b0
 
     def g_value(x: Vector) -> float:
         if np.any(np.abs(x) > r):
@@ -171,13 +174,13 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
     M_c = float(inst.r * np.sqrt(inst.n) * L_c)
 
     # Lower bound on inf {f+g}: the box-constrained quadratic is separable
-    # (Q0 = I), and the lp penalty is bounded below by -alpha*n*r^p... it is
+    # (Q0 = I, which the instance enforces), and the lp penalty is
     # nonnegative, so subtracting alpha*n*r^p only loosens the bound.
     x_free = np.clip(-b0, -r, r)
     inf_fg_lb = float(np.sum(0.5 * x_free**2 + b0 * x_free) - alpha * inst.n * r**p)
 
     return Problem(
-        f=SmoothOracle(f_value, f_grad, lipschitz_bound=float(np.linalg.norm(Q0, 2))),
+        f=SmoothOracle(f_value, f_grad, lipschitz_bound=1.0),
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
         c=MapOracle(

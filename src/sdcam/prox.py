@@ -19,6 +19,7 @@ SIMD ``**`` on arrays).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,8 +52,12 @@ class LpProxParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p must lie strictly in (0,1), got {self.p}")
-        if self.alpha <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("alpha and gamma must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError(
+                f"alpha and gamma must be positive and finite, got {self.alpha}, {self.gamma}"
+            )
+        if not self.alpha * self.gamma < math.inf:
+            raise ValueError(f"alpha*gamma overflows: {self.alpha} * {self.gamma}")
 
 
 def soft_threshold(z: Vector, tau: float) -> Vector:

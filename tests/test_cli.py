@@ -456,6 +456,11 @@ def _drop_data_shape(doc):
     return doc
 
 
+def _scale_q0(doc):
+    doc["data"]["Q0"]["values"] = (0.25 * np.asarray(doc["data"]["Q0"]["values"])).tolist()
+    return doc
+
+
 def _set_ri(value):
     def malform(doc):
         doc["data"]["ri"]["values"] = [value] * len(doc["data"]["ri"]["values"])
@@ -485,6 +490,7 @@ def _set_ri(value):
                                            "scale0": 1e250}}),
         ("run", _set_ri(float("nan"))),
         ("run", _set_ri(0.5)),
+        ("run", _scale_q0),
         ("argv", ["check", "--family", "qcqp", "--seed", "0", "--prox-instances", "0"]),
     ],
     ids=[
@@ -505,6 +511,7 @@ def _set_ri(value):
         "config-qcqp-ri-not-finite",
         "run-ri-nan",
         "run-ri-positive",
+        "run-q0-not-identity",
         "check-prox-instances-zero",
     ],
 )

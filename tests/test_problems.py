@@ -76,6 +76,30 @@ def test_qcqp_oracles_pass_fd_checks():
         assert check_vjp(prob.c, x, rng=rng).passed
 
 
+def test_qcqp_f_equals_the_q0_expressions_bit_for_bit():
+    # Q0 = I, so f and grad f drop the identity product; the bits must be
+    # those of the Q0 expressions, signed zeros included
+    inst = qcqp_generate(1, n=20, m=5)
+    prob = qcqp_problem(inst)
+    Q0, b0 = inst.Q0, inst.b0
+    rng = np.random.default_rng(14)
+    points = [rng.uniform(-inst.r, inst.r, 20) for _ in range(20)]
+    points += [np.zeros(20), np.full(20, -0.0), np.where(rng.random(20) < 0.5, -0.0, 1.5)]
+    for x in points:
+        ref = float(0.5 * x @ (Q0 @ x) + b0 @ x)
+        assert struct.pack("<d", prob.f.value(x)) == struct.pack("<d", ref)
+        assert prob.f.grad(x).tobytes() == (Q0 @ x + b0).tobytes()
+    assert prob.f.lipschitz_bound == float(np.linalg.norm(Q0, 2)) == 1.0
+
+
+def test_qcqp_instance_rejects_a_q0_other_than_the_identity():
+    # f, its Lipschitz constant and inf_fg_lower_bound all rely on Q0 = I
+    inst = qcqp_generate(1, n=20, m=5)
+    for Q0 in (0.25 * inst.Q0, np.eye(21), np.eye(20)[:, ::-1], np.full((20, 20), np.nan)):
+        with pytest.raises(ValueError, match="Q0"):
+            dataclasses.replace(inst, Q0=Q0)
+
+
 def test_qcqp_initial_point_feasible():
     inst = qcqp_generate(1, n=8, m=3)
     prob = qcqp_problem(inst)
@@ -301,6 +325,40 @@ def test_mimo_f_and_g_values_equal_the_plain_expressions_bit_for_bit(r_lo):
         ref = 0.0 if ((x[:n] >= r_lo) & (x[:n] <= 1.0)).all() else inf
         assert prob.g.value(x) == ref
         assert prob.g.value(np.concatenate([np.ones(n), np.resize(r, n)])) == 0.0  # theta is free
+
+
+def test_mimo_grad_map_and_h_equal_the_plain_expressions_bit_for_bit():
+    # grad f takes -1/r**2 where min(r) >= r_lo, the linearizer forms
+    # p_psk*theta/2 once for c and its pullback, and h sums with add.reduce;
+    # each must give the bits of the plain expressions, on the box and off it
+    from sdcam.problems.mimo import _gamma_prime
+
+    inst = mimo_generate(3, n=4, m=8, p_psk=8)
+    prob = mimo_problem(inst)
+    n, A, yhat, lam1, ppsk = inst.n, inst.A, inst.yhat, inst.lambda1, float(inst.p_psk)
+    rng = np.random.default_rng(13)
+    for x in _mimo_points(inst, rng):
+        r, theta = x[:n], x[n:]
+        ate = A.T @ (A @ phi(r, theta) - yhat)
+        u, v = ate[:n], ate[n:]
+        grad_ref = np.concatenate([
+            np.cos(theta) * u + np.sin(theta) * v + lam1 * _gamma_prime(r, r_lo=inst.r_lo),
+            -r * np.sin(theta) * u + r * np.cos(theta) * v,
+        ])
+        assert prob.f.grad(x).tobytes() == grad_ref.tobytes()
+
+        w = rng.standard_normal(n)
+        c_ref = np.sin(0.5 * ppsk * x[n:])
+        vjp_ref = np.zeros(2 * n)
+        vjp_ref[n:] = 0.5 * ppsk * np.cos(0.5 * ppsk * x[n:]) * w
+        c_x, pullback = prob.c.linearize(x)
+        for got, ref in ((c_x, c_ref), (prob.c.value(x), c_ref),
+                         (pullback(w), vjp_ref), (prob.c.vjp(x, w), vjp_ref)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+        y = np.concatenate([c_ref, [-0.0, 0.0]])
+        ref = float(inst.lambda2 * np.sum(np.abs(y)))
+        assert struct.pack("<d", prob.h.value(y)) == struct.pack("<d", ref)
 
 
 def test_mimo_constants_and_bounds():

@@ -124,6 +124,17 @@ def test_prox_lp_params_validation():
         LpProxParams(p=0.5, alpha=0.0, gamma=1.0)
     with pytest.raises(ValueError):
         LpProxParams(p=0.5, alpha=1.0, gamma=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for alpha, gamma in ((nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf), (nan, nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            LpProxParams(p=0.5, alpha=alpha, gamma=gamma)
+    with pytest.raises(ValueError):
+        LpProxParams(p=nan, alpha=1.0, gamma=1.0)
+    # w = alpha*gamma overflows, which prox_lp_power would meet as a
+    # divide-by-zero warning
+    with pytest.raises(ValueError, match="overflows"):
+        LpProxParams(p=0.5, alpha=1e300, gamma=1e300)
+    LpProxParams(p=0.5, alpha=1e150, gamma=1e150)  # w = 1e300 is finite
 
 
 def test_prox_lp_box_boundary_optimum():

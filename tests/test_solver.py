@@ -91,20 +91,33 @@ def _recording_prox(p, points):
 
 def test_trial_step_free_g_is_half_mu_gradient_step():
     # with g = 0 the prox is the identity, so x~ = x - (mu/2) v with
-    # v = grad f(x) + beta * J^T (c(x) - y); mu = 10 makes both trials fail
-    # condition (i), so the second one runs at the same iterate
+    # v = grad f(x) + beta * J^T (c(x) - y); mu = 10 makes every trial fail
+    # condition (i) (mu*beta > 1 throughout), so all run at the same iterate
     points = []
     p = _recording_prox(_identity_problem(), points)
     x0 = np.array([2.0, -1.0])
     y0 = np.array([0.5, 0.5])
     st = _state(p, x0, y0, mu=10.0)
-    for beta in (1.0, 3.0):  # v is kept per beta_t: a new beta_t recomputes it
+    # v, the right side of (ii) and the tolerance are kept per beta_t: a new
+    # beta_t at the same iterate recomputes them, and both margins match the
+    # ones formed from scratch
+    fg_x, gap_x = float(p.f.value(x0)), float(np.linalg.norm(x0 - y0))
+    for beta in (1.0, 3.0, 3.0, 1.0):
         mu = st.mu
-        row, _ = step(p, st, _beta0_config(beta))
+        row, (margin_i, margin_ii) = step(p, st, _beta0_config(beta))
         assert row is None
         v = x0 + beta * (x0 - y0)
         np.testing.assert_allclose(points[-1], x0 - 0.5 * mu * v)
-    assert st.v_beta == 3.0
+        x_t = points[-1]
+        dx = float(np.linalg.norm(x_t - x0))
+        lhs = float(p.f.value(x_t)) + 0.5 * beta * float(np.linalg.norm(x_t - y0)) ** 2
+        rhs = fg_x + 0.5 * beta * gap_x**2
+        assert st.v_beta == beta
+        assert st.rhs_ii == rhs
+        assert st.tol == 1e-12 * (1.0 + abs(fg_x))
+        assert margin_i == pytest.approx(math.sqrt(1.0 / (mu * beta)) * dx - dx, rel=1e-14)
+        assert margin_ii == pytest.approx(rhs - lhs - dx * dx / (2.0 * mu), rel=1e-14)
+        assert margin_i < -st.tol
 
 
 def test_trial_step_rejects_nonpositive_mu():
@@ -311,11 +324,10 @@ def test_solver_error_on_prox_leaving_domain():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_oracle_calls_per_run(family):
     # Each oracle value at an iterate is computed once: T trials, A accepted steps.
-    # A family with a one-pass linearizer sweeps its map once per trial and
-    # never calls c.value or c.vjp; without one, linearize is built from them.
+    # Every family has a one-pass linearizer: it sweeps its map once per trial,
+    # applies the pullback once per accepted step, and never calls c.value or c.vjp.
     prob, x0, y0, rel_feas, cfg = _family_run(family, 0, max_successful_iters=30)
-    fused = family in ("qcqp", "mlp")
-    assert (prob.c.linearizer is not None) == fused
+    assert prob.c.linearizer is not None
     counts = collections.Counter()
 
     def counted(name, fn):
@@ -328,22 +340,16 @@ def test_oracle_calls_per_run(family):
     for name in ORACLES:
         term, method = name.split(".")
         prob = _replace_oracle(prob, name, counted(name, getattr(getattr(prob, term), method)))
-    if fused:
-        linearizer = prob.c.linearizer
+    linearizer = prob.c.linearizer
 
-        def linearize(x):
-            c_x, pullback = linearizer(x)
-            return c_x, counted("c.pullback", pullback)
+    def linearize(x):
+        c_x, pullback = linearizer(x)
+        return c_x, counted("c.pullback", pullback)
 
-        prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
+    prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
     res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
     T, A = res.total_trials, len(res.trace)
     assert A == 30 and T > A
-    map_counts = (
-        {"c.linearize": T + 1, "c.pullback": A + 1}
-        if fused
-        else {"c.value": T + 1, "c.vjp": A + 1}
-    )
     assert dict(counts) == {
         "f.value": T + 1,
         "f.grad": A + 1,
@@ -351,7 +357,8 @@ def test_oracle_calls_per_run(family):
         "g.prox": T,
         "h.value": A + 1,
         "h.prox": A,
-        **map_counts,
+        "c.linearize": T + 1,
+        "c.pullback": A + 1,
     }
 
 
