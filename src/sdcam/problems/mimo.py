@@ -10,9 +10,9 @@ data fit plus the gamma barrier, g the box indicator, c = sin(p_psk*theta/2)
 (diagonal Jacobian in the theta block), h = lambda2*||.||_1.
 
 Where min(r) >= r_lo, which holds at every point the solver evaluates f at
-(g.prox lands in the box), f sums 1/r and grad f takes -1/r^2, which are
-gamma(r) and gamma'(r) to the bit.  The C^1 extension is evaluated only off
-the box, where check_gradient's central differences may land.
+(g.prox lands in the box), f sums 1/r, which is gamma(r) to the bit.  The C^1
+extension is evaluated only off the box, where check_gradient's central
+differences may land.
 
 The map has a one-pass linearizer: it forms p_psk*theta/2 once per point and
 returns sin of it with a pullback that closes over it, so a trial makes one
@@ -141,9 +141,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
         e = A @ np.concatenate([r * ct, r * st]) - yhat  # phi(r, theta)
         ate = A.T @ e
         u, v = ate[:n], ate[n:]
-        # in the box _gamma_prime(r) is -1/r**2 to the bit, as in f_value
-        barrier = -1.0 / r**2 if vmin(r) >= r_lo else _gamma_prime(r, r_lo)
-        grad_r = ct * u + st * v + lam1 * barrier
+        grad_r = ct * u + st * v + lam1 * _gamma_prime(r, r_lo)
         grad_theta = -r * st * u + r * ct * v
         return np.concatenate([grad_r, grad_theta])
 

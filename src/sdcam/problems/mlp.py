@@ -62,6 +62,9 @@ class MlpInstance:
 
     def __post_init__(self) -> None:
         _check_params(self.layer_dims, self.activation, self.p, self.lam)
+        # the radius of g's box, checked once here rather than mid-run by g.prox
+        if not 0.0 < self.C_radius < math.inf:
+            raise ValueError(f"C_radius must be positive and finite, got {self.C_radius}")
 
     @property
     def param_count(self) -> int:

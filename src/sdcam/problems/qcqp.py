@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import Tuple
 
 import numpy as np
@@ -61,6 +62,10 @@ class QcqpInstance:
         _check_params(self.n, self.m)
         if not np.array_equal(self.Q0, np.eye(self.n)):
             raise ValueError("Q0 must be the n x n identity")
+        # g's parameters, checked once here rather than mid-run by g.prox
+        LpProxParams(p=self.p, alpha=self.alpha, gamma=1.0)
+        if not 0.0 < self.r < math.inf:
+            raise ValueError(f"r must be positive and finite, got {self.r}")
         if not np.all(np.isfinite(self.ri) & (self.ri < 0.0)):
             raise RuntimeError("degenerate instance: some ri >= 0 or not finite")
         # (bytes of x, c(x)) at the last point ``_linearize`` saw, so that

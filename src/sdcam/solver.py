@@ -34,12 +34,9 @@ step comes from the same cache through the identity
 which equals the witness norm of ``diagnostics.stationarity_residual`` up to
 rounding; grad f(x^{t+1}) is the gradient the next iterate needs anyway.
 
-||c(x^t) - y^t|| is cached with the iterate too.  Under the same key as v,
-(iterate, beta_t), the state also keeps the right side of (ii),
-f(x^t)+g(x^t)+(beta_t/2)||c(x^t)-y^t||^2, and the tolerance of the test.  So a
-rejected trial computes one ``g.prox``, ``g.value``, ``f.value``, one
-``c.linearize`` and three norms; an accepted step reuses ||x~ - x^t|| and
-||c(x~) - y^t|| from its test.
+||c(x^t) - y^t|| is cached with the iterate too, so a rejected trial computes
+one ``g.prox``, ``g.value``, ``f.value``, one ``c.linearize`` and three norms;
+an accepted step reuses ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 """
 
 from __future__ import annotations
@@ -100,9 +97,8 @@ class SolverConfig:
 @dataclasses.dataclass
 class SolverState:
     """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y) and
-    ||c(x) - y|| at the current iterate, and for the beta_t of its last trial
-    the linearized gradient v, the right side of condition (ii) and the
-    tolerance of the test (``v_beta`` is NaN until then and after every
+    ||c(x) - y|| at the current iterate, and the linearized gradient v for the
+    beta_t of its last trial (``v_beta`` is NaN until then and after every
     accepted step)."""
 
     t: int
@@ -118,8 +114,6 @@ class SolverState:
     trial_count: int = 0
     unsuccessful_since_accept: int = 0
     v: Optional[Vector] = None  # grad f(x) + v_beta * J_c(x)^T (c(x) - y)
-    rhs_ii: float = math.nan  # fg_x + (v_beta/2) * gap_x**2
-    tol: float = math.nan  # 1e-12 * (1 + |fg_x|)
     v_beta: float = math.nan
 
 
@@ -236,12 +230,13 @@ def step(
 ) -> Tuple[Optional[TraceRow], Tuple[float, float]]:
     """One trial.  Returns (row, (margin_i, margin_ii)); row is None on rejection.
 
-    v, the right side of (ii) and the tolerance are kept in ``st`` for the
-    rejected trials at the same iterate and beta_t.  The tolerance of the test
-    guards floating-point ties at margin 0.
-    A non-finite v (beta_t too large for float64), a prox result outside its
-    domain, or a non-finite margin (f or c returned NaN or inf at x~, or mu is
-    too small to invert) raises SolverError instead of rejecting the trial.
+    v is kept in ``st`` for the rejected trials at the same iterate and
+    beta_t.  The tolerance of the test guards floating-point ties at margin 0.
+    A non-finite v (beta_t too large for float64), a ValueError from ``g.prox``
+    (say its step mu/2 is inf, or overflows a product with a weight of g), a
+    prox result outside its domain, or a non-finite margin (f or c returned NaN
+    or inf at x~, or mu is too small to invert) raises SolverError instead of
+    rejecting the trial.
     So does a non-finite gap or residual; finite margins cover the other terms.
     """
     beta_t = beta_at(cfg.schedule, st.t)
@@ -256,9 +251,10 @@ def step(
                 f"v = grad f(x) + beta_t * J_c(x)^T (c(x) - y) is not finite at beta_t={beta_t!r}"
             )
         st.v, st.v_beta = v, beta_t
-        st.rhs_ii = st.fg_x + 0.5 * beta_t * st.gap_x**2
-        st.tol = 1e-12 * (1.0 + abs(st.fg_x))
-    x_trial = np.asarray(p.g.prox(st.x - 0.5 * mu * st.v, 0.5 * mu), dtype=float)
+    try:
+        x_trial = np.asarray(p.g.prox(st.x - 0.5 * mu * st.v, 0.5 * mu), dtype=float)
+    except ValueError as exc:  # the problem's parameters were checked when it was built
+        raise SolverError(f"g.prox rejected its step mu/2 at mu={mu!r}: {exc}") from exc
     st.trial_count += 1
     g_trial = float(p.g.value(x_trial))
     if g_trial == math.inf:
@@ -271,12 +267,14 @@ def step(
     prev_gap = _norm(c_trial - st.y)
     margin_i = math.sqrt(1.0 / (mu * beta_t)) * step_norm - _norm(c_trial - st.c_x)
     lhs = fg_trial + 0.5 * beta_t * prev_gap**2
-    margin_ii = st.rhs_ii - lhs - step_norm * step_norm / (2.0 * mu)
+    rhs = st.fg_x + 0.5 * beta_t * st.gap_x**2
+    margin_ii = rhs - lhs - step_norm * step_norm / (2.0 * mu)
     if not (math.isfinite(margin_i) and math.isfinite(margin_ii)):
         raise SolverError(
             f"acceptance margins ({margin_i!r}, {margin_ii!r}) are not finite at mu={mu!r}"
         )
-    if not (margin_i >= -st.tol and margin_ii >= -st.tol):
+    tol = 1e-12 * (1.0 + abs(st.fg_x))
+    if not (margin_i >= -tol and margin_ii >= -tol):
         st.mu *= cfg.rho
         st.unsuccessful_since_accept += 1
         return None, (margin_i, margin_ii)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ def test_run_qcqp_prox_overflow_is_silent(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "trial budget"
     assert summary["successful_iters"] == 0
+
+
+def test_run_qcqp_mu_overflow_exits_2(tmp_path, capsys):
+    # eta = mu_max = inf: the first accepted step sends mu to inf, and g.prox
+    # cannot take the step mu/2 = inf.  That is a numerical failure of the run,
+    # not a usage error, so it exits 2 and names mu.
+    path, _ = _cfg(tmp_path, solver={"max_successful_iters": 5, "eta": math.inf,
+                                     "mu_max": math.inf})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: g.prox rejected its step mu/2 at mu=inf")
 
 
 def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys, caplog):
@@ -461,6 +473,13 @@ def _scale_q0(doc):
     return doc
 
 
+def _set_param(key, value):
+    def malform(doc):
+        doc["params"][key] = value
+        return doc
+    return malform
+
+
 def _set_ri(value):
     def malform(doc):
         doc["data"]["ri"]["values"] = [value] * len(doc["data"]["ri"]["values"])
@@ -491,6 +510,8 @@ def _set_ri(value):
         ("run", _set_ri(float("nan"))),
         ("run", _set_ri(0.5)),
         ("run", _scale_q0),
+        ("run", _set_param("alpha", -1.0)),
+        ("run", _set_param("r", 0.0)),
         ("argv", ["check", "--family", "qcqp", "--seed", "0", "--prox-instances", "0"]),
     ],
     ids=[
@@ -512,6 +533,8 @@ def _set_ri(value):
         "run-ri-nan",
         "run-ri-positive",
         "run-q0-not-identity",
+        "run-alpha-negative",
+        "run-r-zero",
         "check-prox-instances-zero",
     ],
 )

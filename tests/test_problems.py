@@ -328,7 +328,7 @@ def test_mimo_f_and_g_values_equal_the_plain_expressions_bit_for_bit(r_lo):
 
 
 def test_mimo_grad_map_and_h_equal_the_plain_expressions_bit_for_bit():
-    # grad f takes -1/r**2 where min(r) >= r_lo, the linearizer forms
+    # grad f builds phi from the cos and sin it holds, the linearizer forms
     # p_psk*theta/2 once for c and its pullback, and h sums with add.reduce;
     # each must give the bits of the plain expressions, on the box and off it
     from sdcam.problems.mimo import _gamma_prime
