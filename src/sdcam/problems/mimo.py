@@ -138,8 +138,8 @@ def mimo_problem(inst: MimoInstance) -> Problem:
     def f_grad(x: Vector) -> Vector:
         r, theta = x[:n], x[n:]
         ct, st = np.cos(theta), np.sin(theta)
-        e = A @ np.concatenate([r * ct, r * st]) - yhat  # phi(r, theta)
-        ate = A.T @ e
+        e = A.dot(np.concatenate([r * ct, r * st])) - yhat  # phi(r, theta)
+        ate = A.T.dot(e)
         u, v = ate[:n], ate[n:]
         grad_r = ct * u + st * v + lam1 * _gamma_prime(r, r_lo)
         grad_theta = -r * st * u + r * ct * v
