@@ -100,6 +100,20 @@ def test_qcqp_instance_rejects_a_q0_other_than_the_identity():
             dataclasses.replace(inst, Q0=Q0)
 
 
+def test_instances_reject_bad_parameters_of_g():
+    # g.prox would reject these mid-run, where the solver reports a numerical
+    # failure; the instance rejects them when it is built instead
+    qcqp = qcqp_generate(1, n=8, m=3)
+    for field, value in (("alpha", -1.0), ("alpha", math.nan), ("alpha", math.inf),
+                         ("p", 1.0), ("r", 0.0), ("r", math.nan), ("r", math.inf)):
+        with pytest.raises(ValueError):
+            dataclasses.replace(qcqp, **{field: value})
+    mlp = mlp_generate(0, layer_dims=(4, 3, 1), n_samples=10)
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="C_radius"):
+            dataclasses.replace(mlp, C_radius=value)
+
+
 def test_qcqp_initial_point_feasible():
     inst = qcqp_generate(1, n=8, m=3)
     prob = qcqp_problem(inst)
