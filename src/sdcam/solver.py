@@ -34,9 +34,12 @@ step comes from the same cache through the identity
 which equals the witness norm of ``diagnostics.stationarity_residual`` up to
 rounding; grad f(x^{t+1}) is the gradient the next iterate needs anyway.
 
-||c(x^t) - y^t|| is cached with the iterate too, so a rejected trial computes
-one ``g.prox``, ``g.value``, ``f.value``, one ``c.linearize`` and three norms;
-an accepted step reuses ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
+||c(x^t) - y^t|| is cached with the iterate too.  A failed (i) rejects the
+trial whatever (ii) says, so (ii) is formed only on trials that pass (i): a
+trial that (i) rejects computes one ``g.prox``, ``g.value``, one
+``c.linearize`` and two norms, and returns NaN for margin_ii; a trial that
+passes (i) adds ``f.value`` and ||c(x~) - y^t||.  An accepted step reuses
+||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 """
 
 from __future__ import annotations
@@ -230,13 +233,15 @@ def step(
 ) -> Tuple[Optional[TraceRow], Tuple[float, float]]:
     """One trial.  Returns (row, (margin_i, margin_ii)); row is None on rejection.
 
-    v is kept in ``st`` for the rejected trials at the same iterate and
-    beta_t.  The tolerance of the test guards floating-point ties at margin 0.
+    margin_ii is NaN when (ii) was not evaluated: a trial that fails (i) is
+    rejected without calling ``f.value``.  v is kept in ``st`` for the rejected
+    trials at the same iterate and beta_t.  The tolerance of the test guards
+    floating-point ties at margin 0.
     A non-finite v (beta_t too large for float64), a ValueError from ``g.prox``
     (say its step mu/2 is inf, or overflows a product with a weight of g), a
-    prox result outside its domain, or a non-finite margin (f or c returned NaN
-    or inf at x~, or mu is too small to invert) raises SolverError instead of
-    rejecting the trial.
+    prox result outside its domain, a NaN or -inf g(x~), or a non-finite margin
+    (c returned NaN or inf at x~, f did where (ii) is evaluated, or mu is too
+    small to invert) raises SolverError instead of rejecting the trial.
     So does a non-finite gap or residual; finite margins cover the other terms.
     """
     beta_t = beta_at(cfg.schedule, st.t)
@@ -259,22 +264,28 @@ def step(
     g_trial = float(p.g.value(x_trial))
     if g_trial == math.inf:
         raise SolverError("g.prox returned a point outside dom g")
-    fg_trial = float(p.f.value(x_trial)) + g_trial
     c_trial, pullback = p.c.linearize(x_trial)
     c_trial = np.asarray(c_trial, dtype=float)
     dx = x_trial - st.x
     step_norm = _norm(dx)
-    prev_gap = _norm(c_trial - st.y)
     margin_i = math.sqrt(1.0 / (mu * beta_t)) * step_norm - _norm(c_trial - st.c_x)
-    lhs = fg_trial + 0.5 * beta_t * prev_gap**2
-    rhs = st.fg_x + 0.5 * beta_t * st.gap_x**2
-    margin_ii = rhs - lhs - step_norm * step_norm / (2.0 * mu)
-    if not (math.isfinite(margin_i) and math.isfinite(margin_ii)):
-        raise SolverError(
-            f"acceptance margins ({margin_i!r}, {margin_ii!r}) are not finite at mu={mu!r}"
-        )
+    if not math.isfinite(margin_i):
+        raise SolverError(f"acceptance margins ({margin_i!r}, nan) are not finite at mu={mu!r}")
+    if not math.isfinite(g_trial):
+        raise SolverError(f"g(x~) = {g_trial!r} is not finite")
     tol = 1e-12 * (1.0 + abs(st.fg_x))
-    if not (margin_i >= -tol and margin_ii >= -tol):
+    margin_ii = math.nan  # (ii) is formed only where (i) holds
+    if margin_i >= -tol:
+        fg_trial = float(p.f.value(x_trial)) + g_trial
+        prev_gap = _norm(c_trial - st.y)
+        lhs = fg_trial + 0.5 * beta_t * prev_gap**2
+        rhs = st.fg_x + 0.5 * beta_t * st.gap_x**2
+        margin_ii = rhs - lhs - step_norm * step_norm / (2.0 * mu)
+        if not math.isfinite(margin_ii):
+            raise SolverError(
+                f"acceptance margins ({margin_i!r}, {margin_ii!r}) are not finite at mu={mu!r}"
+            )
+    if not margin_ii >= -tol:
         st.mu *= cfg.rho
         st.unsuccessful_since_accept += 1
         return None, (margin_i, margin_ii)

@@ -99,8 +99,8 @@ def test_trial_step_free_g_is_half_mu_gradient_step():
     y0 = np.array([0.5, 0.5])
     st = _state(p, x0, y0, mu=10.0)
     # v is kept per beta_t: a new beta_t at the same iterate recomputes it,
-    # and both margins match the ones formed from scratch
-    fg_x, gap_x = float(p.f.value(x0)), float(np.linalg.norm(x0 - y0))
+    # margin_i matches the one formed from scratch, and (ii) is not evaluated
+    fg_x = float(p.f.value(x0))
     for beta in (1.0, 3.0, 3.0, 1.0):
         mu = st.mu
         row, (margin_i, margin_ii) = step(p, st, _beta0_config(beta))
@@ -109,11 +109,9 @@ def test_trial_step_free_g_is_half_mu_gradient_step():
         np.testing.assert_allclose(points[-1], x0 - 0.5 * mu * v)
         x_t = points[-1]
         dx = float(np.linalg.norm(x_t - x0))
-        lhs = float(p.f.value(x_t)) + 0.5 * beta * float(np.linalg.norm(x_t - y0)) ** 2
-        rhs = fg_x + 0.5 * beta * gap_x**2
         assert st.v_beta == beta
         assert margin_i == pytest.approx(math.sqrt(1.0 / (mu * beta)) * dx - dx, rel=1e-14)
-        assert margin_ii == pytest.approx(rhs - lhs - dx * dx / (2.0 * mu), rel=1e-14)
+        assert math.isnan(margin_ii)
         assert margin_i < -1e-12 * (1.0 + abs(fg_x))
 
 
@@ -319,11 +317,21 @@ def test_solver_error_on_prox_leaving_domain():
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_oracle_calls_per_run(family):
-    # Each oracle value at an iterate is computed once: T trials, A accepted steps.
+def test_oracle_calls_per_run(family, monkeypatch):
+    # Each oracle value at an iterate is computed once: T trials, A accepted steps,
+    # P trials that pass condition (i), the only ones that evaluate f.
     # Every family has a one-pass linearizer: it sweeps its map once per trial,
     # applies the pullback once per accepted step, and never calls c.value or c.vjp.
     prob, x0, y0, rel_feas, cfg = _family_run(family, 0, max_successful_iters=30)
+    passed_i = collections.Counter()
+
+    def counted_step(p, st, cfg, rel_feas=None, _step=sdcam.solver.step):
+        tol = 1e-12 * (1.0 + abs(st.fg_x))
+        row, (margin_i, margin_ii) = _step(p, st, cfg, rel_feas)
+        passed_i[margin_i >= -tol] += 1
+        return row, (margin_i, margin_ii)
+
+    monkeypatch.setattr(sdcam.solver, "step", counted_step)
     assert prob.c.linearizer is not None
     counts = collections.Counter()
 
@@ -345,10 +353,11 @@ def test_oracle_calls_per_run(family):
 
     prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
     res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
-    T, A = res.total_trials, len(res.trace)
+    T, A, P = res.total_trials, len(res.trace), passed_i[True]
     assert A == 30 and T > A
+    assert A <= P <= T == P + passed_i[False]
     assert dict(counts) == {
-        "f.value": T + 1,
+        "f.value": P + 1,
         "f.grad": A + 1,
         "g.value": T + 1,
         "g.prox": T,
@@ -415,6 +424,61 @@ def test_qcqp_step_raises_on_nan_prox_input():
         step(p_nan, st, _config())
 
 
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_non_finite_g_at_a_trial_that_condition_i_rejects_raises(value):
+    # c is finite at x~ and (i) rejects the trial (mu*beta > 1), so no margin
+    # carries g(x~); a NaN or -inf g is a broken oracle, not a rejection.
+    p = _identity_problem()
+    x0, y0 = np.array([2.0, -1.0]), np.array([0.5, 0.5])
+    row, (margin_i, _) = step(p, _state(p, x0, y0, mu=10.0), _config())
+    assert row is None and margin_i < -1e-12 * (1.0 + abs(float(p.f.value(x0))))
+    p_bad = _replace_oracle(p, "g.value", lambda x: value)
+    with pytest.raises(SolverError, match="not finite"):
+        step(p_bad, _state(p, x0, y0, mu=10.0), _config())
+
+
+def test_f_is_not_evaluated_where_condition_i_rejects():
+    # An f that is NaN exactly at the trial points (i) rejects leaves the run
+    # unchanged: f is never called there.
+    prob, x0, y0, _, cfg = _family_run("mimo", 0, max_successful_iters=30)
+    trial_points = []
+    recording = _recording_prox(prob, trial_points)
+    st = initial_state(recording, x0, y0, cfg.mu_init)
+    rejected_by_i = set()
+    while st.t < 30:
+        tol = 1e-12 * (1.0 + abs(st.fg_x))
+        _, (margin_i, _) = step(recording, st, cfg)
+        if margin_i < -tol:
+            rejected_by_i.add(trial_points[-1].tobytes())
+    assert rejected_by_i
+    f_value, hits = prob.f.value, []
+
+    def nan_where_i_rejects(x):
+        if x.tobytes() in rejected_by_i:
+            hits.append(x)
+            return math.nan
+        return f_value(x)
+
+    res = solve(prob, cfg, x0, y0)
+    res_nan = solve(_replace_oracle(prob, "f.value", nan_where_i_rejects), cfg, x0, y0)
+    assert hits == []
+    assert res_nan.trace == res.trace and res_nan.total_trials == res.total_trials
+
+
+def test_trial_that_passes_i_and_fails_ii_returns_its_margin_ii():
+    # Stiff curvature at mu = 1: (i) holds with margin 0 (c is the identity,
+    # beta_0 = 1) and (ii) fails; margin_ii is the from-scratch one, bit for bit.
+    points = []
+    p = _recording_prox(_identity_problem(curvature=100.0), points)
+    x0, y0 = np.array([1.0, 1.0]), np.zeros(2)
+    st = _state(p, x0, y0, mu=1.0)
+    tol = 1e-12 * (1.0 + abs(st.fg_x))
+    row, (margin_i, margin_ii) = step(p, st, _config())
+    assert row is None and st.mu == 0.5
+    assert margin_i >= -tol and -math.inf < margin_ii < -tol
+    assert (margin_i, margin_ii) == _margins_from_scratch(p, x0, points[-1], y0, 1.0, 1.0)
+
+
 def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
     """The acceptance margins of step, every term recomputed from
     the oracles and np.linalg.norm."""
@@ -438,7 +502,8 @@ def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_step_margins_match_from_scratch_bit_for_bit(family):
     # The cached f+g, c(x^t) and ||c(x^t) - y^t|| must give the same margins,
-    # on rejected and on accepted trials, as recomputing them at x^t.
+    # on rejected and on accepted trials, as recomputing them at x^t; margin_ii
+    # is NaN where (i) rejects, since (ii) is then not evaluated.
     prob, x0, y0, _, cfg = _family_run(family, 0)
     trial_points = []
     prob = _recording_prox(prob, trial_points)
@@ -446,9 +511,17 @@ def test_step_margins_match_from_scratch_bit_for_bit(family):
     outcomes = collections.Counter()
     while outcomes[True] < 30:
         x_t, y_t, mu, beta_t = st.x, st.y, st.mu, beta_at(cfg.schedule, st.t)
-        row, margins = step(prob, st, cfg)
+        tol = 1e-12 * (1.0 + abs(st.fg_x))
+        row, (margin_i, margin_ii) = step(prob, st, cfg)
         outcomes[row is not None] += 1
-        assert margins == _margins_from_scratch(prob, x_t, trial_points[-1], y_t, beta_t, mu)
+        scratch_i, scratch_ii = _margins_from_scratch(
+            prob, x_t, trial_points[-1], y_t, beta_t, mu
+        )
+        assert margin_i == scratch_i
+        if margin_i >= -tol:
+            assert margin_ii == scratch_ii
+        else:
+            assert math.isnan(margin_ii) and row is None
     assert outcomes[False] > 0
 
 
