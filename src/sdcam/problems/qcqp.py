@@ -7,6 +7,11 @@ mapped to the composite form with f the quadratic, g the lp penalty plus box
 indicator, c the constraint functions, and h the indicator of the nonpositive
 orthant.
 
+Map constants, with Qs = [Q_1; ...; Q_m] the stacked blocks: L_c = ||Qs||_2,
+since J_c(x) - J_c(x') has rows (Q_i d)^T, d = x - x', so its norm is at most
+||Qs d|| <= L_c ||d||; M_c = r*sqrt(n)*L_c + ||bi||_F, since on the box
+||J_c(x)||_2 <= ||Qs x|| + ||bi||_2.
+
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
 orthogonal factor of Qi, and (2, i) for its diagonal.  Instances are
@@ -48,7 +53,7 @@ class QcqpInstance:
     m: int
     Q0: np.ndarray  # (n, n), the identity: f and inf_fg_lower_bound rely on it
     b0: np.ndarray  # (n,)
-    Q: np.ndarray  # (m, n, n), each PSD
+    Q: np.ndarray  # (m, n, n), each PSD and exactly symmetric: _linearize relies on it
     bi: np.ndarray  # (m, n), zeros by construction
     ri: np.ndarray  # (m,), all negative
     alpha: float
@@ -62,6 +67,8 @@ class QcqpInstance:
         _check_params(self.n, self.m)
         if not np.array_equal(self.Q0, np.eye(self.n)):
             raise ValueError("Q0 must be the n x n identity")
+        if not np.array_equal(self.Q, self.Q.transpose(0, 2, 1)):
+            raise ValueError("each Q block must be exactly symmetric")
         # g's parameters, checked once here rather than mid-run by g.prox
         LpProxParams(p=self.p, alpha=self.alpha, gamma=1.0)
         if not 0.0 < self.r < math.inf:
@@ -144,8 +151,10 @@ def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, Pullback]:
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
     """Composite-problem bundle with analytic constants attached.  Q0 = I, so
-    f(x) = (1/2)||x||^2 + b0^T x with gradient x + b0 and Lipschitz constant 1."""
-    b0, Q = inst.b0, inst.Q
+    f(x) = (1/2)||x||^2 + b0^T x with gradient x + b0 and Lipschitz constant 1.
+    L_c = ||[Q_1; ...; Q_m]||_2 bounds ||J_c(x) - J_c(x')||_2 / ||x - x'||, and
+    M_c = r*sqrt(n)*L_c + ||bi||_F bounds ||J_c(x)||_2 on the box."""
+    b0 = inst.b0
     alpha, p, r = inst.alpha, inst.p, inst.r
 
     def f_value(x: Vector) -> float:
@@ -174,9 +183,10 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
     def h_prox(z: Vector, gamma: float) -> Vector:
         return np.minimum(z, 0.0)
 
-    spec_norms = np.abs(np.linalg.eigvalsh(Q)).max(axis=1)  # each Qi is symmetric
-    L_c = float(np.sqrt(np.sum(spec_norms**2)))
-    M_c = float(inst.r * np.sqrt(inst.n) * L_c)
+    # ||Qs||_2 from one eigendecomposition of the n x n Gram matrix Qs^T Qs
+    Qs = inst.Q.reshape(-1, inst.n)
+    L_c = float(np.sqrt(np.linalg.eigvalsh(Qs.T @ Qs)[-1]))
+    M_c = float(inst.r * np.sqrt(inst.n) * L_c + np.linalg.norm(inst.bi))
 
     # Lower bound on inf {f+g}: the box-constrained quadratic is separable
     # (Q0 = I, which the instance enforces), and the lp penalty is

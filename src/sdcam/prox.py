@@ -149,8 +149,9 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     """Element-wise minimizer of (1/(2g))(z_i-u)^2 + alpha*|u|^p over [-r, r].
 
     Exact via candidate enumeration: {0, sign(z_i)*r, clamped interior prox}.
-    The clamped candidate min(u, r) reuses q(u) or q(r); where the tie test
-    picks 0 instead of u, q(u) >= q(0) - 1e-12, so it can never win there.
+    Where u > r the clamped candidate is r with q(r), which cannot beat the r
+    already tried, so only u <= r is tried with q(u); where the tie test picks
+    0 instead of u, q(u) >= q(0) - 1e-12, so it can never win there.
     An input of +-inf gives +-r, and NaN gives NaN.
     """
     if r <= 0.0:
@@ -160,14 +161,13 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     u, q_u, q_0 = _lp_stationary(a, params)
     with np.errstate(over="ignore", invalid="ignore"):
         q_r = _lp_objective(r, a, params.alpha * params.gamma, params.p)
-    clamped = np.minimum(u, r)
-    best_u, best_q = np.zeros(z.shape), q_0
-    for u_k, q_k in ((r, q_r), (clamped, np.where(u > r, q_r, q_u))):
-        better = q_k < best_q - _TIE_TOL
-        best_u, best_q = np.where(better, u_k, best_u), np.where(better, q_k, best_q)
+    take_r = q_r < q_0 - _TIE_TOL
+    take_u = q_u < np.where(take_r, q_r, q_0) - _TIE_TOL
+    take_u &= u <= r
+    best_u = np.where(take_u, u, np.where(take_r, r, 0.0))
     # at a = inf or NaN every objective value is inf or NaN, so no comparison
     # holds and 0 would stay; the clamped prox there is r or NaN
-    best_u = np.where(a < np.inf, best_u, clamped)
+    best_u = np.where(a < np.inf, best_u, np.minimum(u, r))
     return np.where(z < 0.0, -best_u, best_u)
 
 

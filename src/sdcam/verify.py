@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BOUND_REL_SLACK = 1e-9
 
 
 def scalar_prox_objective(u: float, z: float, params: LpProxParams) -> float:
@@ -112,9 +113,15 @@ def verify_problem_oracles(
     problem: Problem, points: List[np.ndarray], seed: int = 0
 ) -> List[str]:
     """Run the finite-difference gradient and adjoint-product checks at each
-    point; returns a list of failure messages (empty means all passed)."""
+    point, and test the map constants against Jacobians built from pullbacks:
+    ||J_c(x)||_2 <= jac_norm_bound where g(x) is finite, and
+    ||J_c(x) - J_c(x')||_2 <= jac_lipschitz_bound * ||x - x'|| for each pair of
+    consecutive points, each to 1e-9 relative; a constant that is None is
+    skipped.  Returns a list of failure messages (empty means all passed)."""
     failures: List[str] = []
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    M_c, L_c = problem.c.jac_norm_bound, problem.c.jac_lipschitz_bound
+    J_prev = None
     for k, x in enumerate(points):
         rep = check_gradient(problem.f, x, rng=rng)
         if not rep.passed:
@@ -122,6 +129,22 @@ def verify_problem_oracles(
         rep = check_vjp(problem.c, x, rng=rng)
         if not rep.passed:
             failures.append(f"adjoint-product check failed at point {k}: {rep.message}")
+        if M_c is None and L_c is None:
+            continue  # J_c(x) costs m pullbacks and an m x m identity
+        pullback = problem.c.linearize(x)[1]
+        J = np.array([pullback(e) for e in np.eye(problem.m)])  # row i is J_c(x)^T e_i
+        if M_c is not None and math.isfinite(problem.g.value(x)):
+            norm = float(np.linalg.norm(J, 2))
+            if not norm <= M_c * (1.0 + _BOUND_REL_SLACK):
+                failures.append(f"jac_norm_bound {M_c:.6g} < ||J_c(x)||_2 = {norm:.6g} "
+                                f"at point {k}")
+        if L_c is not None and J_prev is not None:
+            gap = float(np.linalg.norm(J - J_prev, 2))
+            dist = float(np.linalg.norm(x - points[k - 1]))
+            if not gap <= L_c * (1.0 + _BOUND_REL_SLACK) * dist:
+                failures.append(f"jac_lipschitz_bound {L_c:.6g} < ||J_c(x) - J_c(x')||_2 / "
+                                f"||x - x'|| = {gap / dist:.6g} between points {k - 1} and {k}")
+        J_prev = J
     return failures
 
 

@@ -60,7 +60,7 @@ _FIXED_RUNS = {
     "qcqp": (
         1, {"family": "qcqp", "n": 20, "m": 5}, {}, 0.3,
         "cae991af597cf0b7ba30b537610caf55f41f73efa6afb5ef65f952bb64f3a235",
-        "fc7a674db1265c0bfcd3b26b64ebbc7bfe45e36d8a58e16ce72baab9d452b5b5",
+        "f17dcd212fe959e6a9a07098f1ca9f40866e1d7ba4f1d7885b12cb356bacf1ed",
     ),
     "mimo": (
         0, {"family": "mimo", "n": 8, "m": 16}, {}, 1.0 / 3.0,
@@ -480,6 +480,11 @@ def _set_param(key, value):
     return malform
 
 
+def _skew_q(doc):
+    doc["data"]["Q"]["values"][0][0][1] += 1.0
+    return doc
+
+
 def _set_ri(value):
     def malform(doc):
         doc["data"]["ri"]["values"] = [value] * len(doc["data"]["ri"]["values"])
@@ -510,6 +515,7 @@ def _set_ri(value):
         ("run", _set_ri(float("nan"))),
         ("run", _set_ri(0.5)),
         ("run", _scale_q0),
+        ("run", _skew_q),
         ("run", _set_param("alpha", -1.0)),
         ("run", _set_param("r", 0.0)),
         ("argv", ["check", "--family", "qcqp", "--seed", "0", "--prox-instances", "0"]),
@@ -533,6 +539,7 @@ def _set_ri(value):
         "run-ri-nan",
         "run-ri-positive",
         "run-q0-not-identity",
+        "run-q-asymmetric",
         "run-alpha-negative",
         "run-r-zero",
         "check-prox-instances-zero",

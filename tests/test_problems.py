@@ -25,6 +25,7 @@ from sdcam.problems import (
     save_instance,
 )
 from sdcam.prox import project_box
+from sdcam.verify import verify_problem_oracles
 from sdcam.problems.mimo import phi, mimo_sup_abs_fg
 from sdcam.problems.mlp import _backward, _forward
 
@@ -100,6 +101,15 @@ def test_qcqp_instance_rejects_a_q0_other_than_the_identity():
             dataclasses.replace(inst, Q0=Q0)
 
 
+def test_qcqp_instance_rejects_asymmetric_q_blocks():
+    # _linearize's pullback w @ Qx is J_c(x)^T w only for symmetric blocks
+    inst = qcqp_generate(1, n=20, m=5)
+    Q = inst.Q.copy()
+    Q[2, 0, 1] += 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        dataclasses.replace(inst, Q=Q)
+
+
 def test_instances_reject_bad_parameters_of_g():
     # g.prox would reject these mid-run, where the solver reports a numerical
     # failure; the instance rejects them when it is built instead
@@ -131,6 +141,52 @@ def test_qcqp_lipschitz_constants_dominate_samples():
         # Jacobian rows are Qi x; Frobenius bound must dominate spectral norm
         J = np.einsum("ijk,k->ij", inst.Q, x)
         assert np.linalg.norm(J, 2) <= prob.c.jac_norm_bound + 1e-9
+
+
+def _qcqp_jacobian(inst, x):
+    # rows (Qi x + bi)^T, from the einsum formula rather than a pullback
+    return np.einsum("ijk,k->ij", inst.Q, x) + inst.bi
+
+
+@pytest.mark.parametrize("seed, n, m", [(0, 2, 1), (3, 9, 1), (5, 12, 4), (9, 30, 6)])
+def test_qcqp_jac_lipschitz_bound_matches_independent_references(seed, n, m):
+    inst = qcqp_generate(seed, n=n, m=m)
+    L_c = qcqp_problem(inst).c.jac_lipschitz_bound
+    assert L_c == pytest.approx(np.linalg.norm(inst.Q.reshape(-1, n), 2), rel=1e-12, abs=0.0)
+    # the earlier constant sqrt(sum ||Qi||_2^2) is valid but never tighter
+    assert L_c <= math.sqrt(sum(np.linalg.norm(Qi, 2) ** 2 for Qi in inst.Q)) * (1.0 + 1e-12)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        x, x2 = rng.uniform(-inst.r, inst.r, (2, n))
+        gap = np.linalg.norm(_qcqp_jacobian(inst, x) - _qcqp_jacobian(inst, x2), 2)
+        assert gap <= L_c * np.linalg.norm(x - x2) * (1.0 + 1e-12)
+
+
+def test_qcqp_jac_norm_bound_holds_with_nonzero_bi():
+    # generated instances have bi = 0; an instance file may not, and J_c(0) = bi
+    # ||bi||_2 is three times r*sqrt(n) times the earlier, larger L_c, so a
+    # bound that leaves bi out fails at x = 0
+    inst = qcqp_generate(2, n=6, m=3)
+    L_old = math.sqrt(sum(np.linalg.norm(Qi, 2) ** 2 for Qi in inst.Q))
+    rng = np.random.default_rng(7)
+    bi = np.outer(rng.standard_normal(3), rng.standard_normal(6))
+    inst = dataclasses.replace(
+        inst, bi=3.0 * inst.r * math.sqrt(inst.n) * L_old * bi / np.linalg.norm(bi, 2))
+    M_c = qcqp_problem(inst).c.jac_norm_bound
+    for x in [np.zeros(6)] + list(rng.uniform(-inst.r, inst.r, (20, 6))):
+        assert np.linalg.norm(_qcqp_jacobian(inst, x), 2) <= M_c
+
+
+@pytest.mark.parametrize("field", ["jac_lipschitz_bound", "jac_norm_bound"])
+def test_verify_problem_oracles_catches_a_map_constant_cut_to_a_tenth(field):
+    fam = FAMILIES["qcqp"]
+    problem, x0, _, _, _ = fam.setup(fam.generate(1, **fam.check_kwargs))
+    rng = np.random.default_rng(3)
+    points = [x0] + [x0 + 0.1 * rng.standard_normal(x0.size) for _ in range(4)]
+    assert verify_problem_oracles(problem, points) == []
+    c = dataclasses.replace(problem.c, **{field: 0.1 * getattr(problem.c, field)})
+    failures = verify_problem_oracles(dataclasses.replace(problem, c=c), points)
+    assert failures and all(msg.startswith(field) for msg in failures)
 
 
 def test_qcqp_linearize_matches_einsum_reference():
