@@ -351,7 +351,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     problem, x0, _, _, _ = fam.setup(inst)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed, spawn_key=(99,))))
-    points = [x0] + [x0 + 0.1 * rng.standard_normal(x0.size) for _ in range(9)]
+    # nine more points near x0, each mapped into dom g by a short prox step
+    points = [x0] + [np.asarray(problem.g.prox(x0 + 0.1 * rng.standard_normal(x0.size), 1e-6),
+                                dtype=float) for _ in range(9)]
     oracle_failures = verify_problem_oracles(problem, points, seed=args.seed)
     failures.extend(oracle_failures)
     print(f"oracle checks ({fam.name}, 10 points): "

@@ -8,7 +8,13 @@ A problem is a bundle of four oracles:
 - ``MapOracle`` for the inner map c (value + vector-Jacobian products, and
   ``linearize``, which gives both from one pass).
 
-Dense Jacobians are never formed: the solver only ever needs J_c(x)^T w.
+Dense Jacobians are never formed: the solver needs J_c(x)^T w, and J_c(x) d
+where a pullback offers it.  A ``Pullback`` is a callable w -> J_c(x)^T w; it
+may also offer ``jvp(d) = J_c(x) d`` at the same x.  The solver then rejects
+trials that the Taylor bound ||c(x') - c(x)|| >= ||J_c(x) d|| - (L_c/2)||d||^2
+proves to fail backtracking condition (i), without evaluating c(x'), so a jvp
+is sound only when ``MapOracle.jac_lipschitz_bound`` is a valid L_c on the
+convex closure of dom g; without that constant the jvp is not used.
 Extended-real values use IEEE ``inf`` (``g.value(x) == inf`` iff x is outside
 dom g), so +inf comparisons are exact.
 
@@ -86,8 +92,9 @@ class MapOracle:
     def linearize(self, x: Vector) -> Tuple[Vector, Pullback]:
         """``(c(x), pullback)`` with ``pullback(w) = J_c(x)^T w``, in the style
         of ``jax.vjp``.  The pullback does not change when the caller later
-        mutates x.  Without a ``linearizer`` it is built from ``value`` and
-        ``vjp`` at a copy of x.
+        mutates x, and may offer ``pullback.jvp(d) = J_c(x) d`` (see the
+        module docstring).  Without a ``linearizer`` it is built from
+        ``value`` and ``vjp`` at a copy of x, and offers no jvp.
         """
         if self.linearizer is not None:
             return self.linearizer(x)

@@ -10,7 +10,9 @@ orthant.
 Map constants, with Qs = [Q_1; ...; Q_m] the stacked blocks: L_c = ||Qs||_2,
 since J_c(x) - J_c(x') has rows (Q_i d)^T, d = x - x', so its norm is at most
 ||Qs d|| <= L_c ||d||; M_c = r*sqrt(n)*L_c + ||bi||_F, since on the box
-||J_c(x)||_2 <= ||Qs x|| + ||bi||_2.
+||J_c(x)||_2 <= ||Qs x|| + ||bi||_2.  The pullback of c at x also offers
+jvp(d) = J_c(x) d from the same product Qi x, which the solver's Taylor-bound
+rejection uses with L_c; the bi terms are skipped when bi is all zero.
 
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
@@ -23,11 +25,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..oracles import MapOracle, Problem, ProxOracle, Pullback, SmoothOracle, Vector
+from ..oracles import MapOracle, Problem, ProxOracle, SmoothOracle, Vector
 from ..prox import LpProxParams, prox_lp_box, prox_lp_power
 
 __all__ = [
@@ -136,17 +138,42 @@ def qcqp_generate(
     )
 
 
-def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, Pullback]:
-    """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and the
-    pullback w -> J_c(x)^T w, from one matrix product Qx[i] = Qi x.  Row i of
-    J_c(x) is (Qi x + bi)^T because each Qi is symmetric.  Records c(x)
-    under the bytes of x for ``relative_feasibility``."""
+class _Pullback:
+    """w -> J_c(x)^T w, and jvp(d) = J_c(x) d, from Qx[i] = Qi x.  Row i of
+    J_c(x) is (Qi x + bi)^T because each Qi is symmetric; ``bi`` is None when
+    it is all zero, and its products are then skipped."""
+
+    __slots__ = ("Qx", "bi")
+
+    def __init__(self, Qx: np.ndarray, bi: Optional[np.ndarray]) -> None:
+        self.Qx, self.bi = Qx, bi
+
+    def __call__(self, w: Vector) -> Vector:
+        if self.bi is None:
+            return w @ self.Qx
+        return w @ self.Qx + w @ self.bi
+
+    def jvp(self, d: Vector) -> Vector:
+        if self.bi is None:
+            return self.Qx @ d
+        return self.Qx @ d + self.bi @ d
+
+
+def _linearize(
+    inst: QcqpInstance, x: Vector, bi: Optional[np.ndarray]
+) -> Tuple[Vector, _Pullback]:
+    """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and their
+    pullback, from one matrix product Qx[i] = Qi x; ``bi`` is ``inst.bi``, or
+    None when that is all zero.  Records c(x) under the bytes of x for
+    ``relative_feasibility``."""
     x = np.asarray(x, dtype=float)
     Qx = (inst.Q.reshape(-1, inst.n) @ x).reshape(inst.m, inst.n)
-    bi = inst.bi
-    c_x = 0.5 * (Qx @ x) + bi @ x + inst.ri
+    c_x = 0.5 * (Qx @ x)
+    if bi is not None:
+        c_x += bi @ x
+    c_x += inst.ri
     inst._c_at = (x.tobytes(), c_x.copy())  # one assignment: a racing reader sees a whole pair
-    return c_x, lambda w: w @ Qx + w @ bi
+    return c_x, _Pullback(Qx, bi)
 
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
@@ -156,6 +183,9 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
     M_c = r*sqrt(n)*L_c + ||bi||_F bounds ||J_c(x)||_2 on the box."""
     b0 = inst.b0
     alpha, p, r = inst.alpha, inst.p, inst.r
+    # bi is zero by construction; dropping +0.0 terms leaves every c(x) bit alone,
+    # since each ri is nonzero
+    linearize = functools.partial(_linearize, inst, bi=inst.bi if inst.bi.any() else None)
 
     def f_value(x: Vector) -> float:
         return float(0.5 * x @ x + b0 @ x)
@@ -172,10 +202,10 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         return prox_lp_box(z, LpProxParams(p=p, alpha=alpha, gamma=gamma), r)
 
     def c_value(x: Vector) -> Vector:
-        return _linearize(inst, x)[0]
+        return linearize(x)[0]
 
     def c_vjp(x: Vector, w: Vector) -> Vector:
-        return _linearize(inst, x)[1](w)
+        return linearize(x)[1](w)
 
     def h_value(y: Vector) -> float:
         return 0.0 if np.all(y <= 0.0) else float("inf")
@@ -203,7 +233,7 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
             c_vjp,
             jac_lipschitz_bound=L_c,
             jac_norm_bound=M_c,
-            linearizer=functools.partial(_linearize, inst),
+            linearizer=linearize,
         ),
         n=inst.n,
         m=inst.m,
@@ -225,5 +255,5 @@ def relative_feasibility(inst: QcqpInstance, x: Vector) -> float:
     x = np.asarray(x, dtype=float)
     key, cx = inst._c_at
     if key != x.tobytes():
-        cx = _linearize(inst, x)[0]
+        cx = _linearize(inst, x, inst.bi)[0]
     return float(np.linalg.norm(np.maximum(cx, 0.0) / np.maximum(np.abs(inst.ri), 1.0)))

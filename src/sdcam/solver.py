@@ -40,6 +40,22 @@ trial that (i) rejects computes one ``g.prox``, ``g.value``, one
 ``c.linearize`` and two norms, and returns NaN for margin_ii; a trial that
 passes (i) adds ``f.value`` and ||c(x~) - y^t||.  An accepted step reuses
 ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
+
+When the iterate's pullback offers ``jvp(d) = J_c(x^t) d`` and c has a
+Jacobian Lipschitz constant L_c, a trial first tries to reject without
+evaluating c(x~).  With d = x~ - x^t, L_c gives
+
+    ||c(x~) - c(x^t)||  >=  lb  =  ||J_c(x^t) d|| - (L_c/2)||d||^2,
+
+so sqrt(1/(mu*beta_t))*||d|| - lb is an upper bound on margin_i.  When that
+bound is finite and below -tol, (i) fails and the trial is rejected as a
+failed (i) is, returning the bound as margin_i and NaN for margin_ii.  Such a
+certified trial computes ``g.prox``, ``g.value``, one jvp and two norms.  It
+fails (i) in exact arithmetic, so the backtracking argument is unchanged.  In
+floating point the exact test decides on the computed ||c(x~) - c(x^t)||, and
+the two tests can disagree only when lb is within the rounding error of c of
+the threshold plus tol; for QCQP that error is about 1e-10 against a tol of
+about 2e-9.
 """
 
 from __future__ import annotations
@@ -99,8 +115,9 @@ class SolverConfig:
 
 @dataclasses.dataclass
 class SolverState:
-    """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y) and
-    ||c(x) - y|| at the current iterate, and the linearized gradient v for the
+    """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y),
+    ||c(x) - y|| and the pullback's jvp (None when the solver cannot use it)
+    at the current iterate, and the linearized gradient v for the
     beta_t of its last trial (``v_beta`` is NaN until then and after every
     accepted step)."""
 
@@ -111,6 +128,7 @@ class SolverState:
     c_x: Vector
     grad_fx: Vector
     jtd: Vector  # J_c(x)^T (c(x) - y)
+    jvp: Optional[Callable[[Vector], Vector]]  # d -> J_c(x) d; see _certifying_jvp
     fg_x: float  # f(x) + g(x)
     gap_x: float  # ||c(x) - y||
     h_y: float  # h(y)
@@ -196,6 +214,14 @@ def _linearize(
     return grad_fx, jtd
 
 
+def _certifying_jvp(p: Problem, pullback: Pullback) -> Optional[Callable[[Vector], Vector]]:
+    """``pullback.jvp`` when it exists and c has an L_c, the two inputs of the
+    Taylor-bound rejection; otherwise None."""
+    if p.c.jac_lipschitz_bound is None:
+        return None
+    return getattr(pullback, "jvp", None)
+
+
 def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
     """The run state at (x0, y0) with step parameter mu.
 
@@ -220,8 +246,8 @@ def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
         raise SolverError("f(x0) + g(x0) or c(x0) is not finite")
     grad_fx, jtd = _linearize(p, x0, c_x, pullback, y0)
     return SolverState(
-        t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd, fg_x=fg_x,
-        gap_x=_norm(c_x - y0), h_y=h0,
+        t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd,
+        jvp=_certifying_jvp(p, pullback), fg_x=fg_x, gap_x=_norm(c_x - y0), h_y=h0,
     )
 
 
@@ -234,7 +260,9 @@ def step(
     """One trial.  Returns (row, (margin_i, margin_ii)); row is None on rejection.
 
     margin_ii is NaN when (ii) was not evaluated: a trial that fails (i) is
-    rejected without calling ``f.value``.  v is kept in ``st`` for the rejected
+    rejected without calling ``f.value``.  A trial that the jvp bound rejects
+    (see the module docstring) does not call ``c.linearize`` either, and its
+    margin_i is an upper bound on the exact one.  v is kept in ``st`` for the rejected
     trials at the same iterate and beta_t.  The tolerance of the test guards
     floating-point ties at margin 0.
     A non-finite v (beta_t too large for float64), a ValueError from ``g.prox``
@@ -264,16 +292,27 @@ def step(
     g_trial = float(p.g.value(x_trial))
     if g_trial == math.inf:
         raise SolverError("g.prox returned a point outside dom g")
-    c_trial, pullback = p.c.linearize(x_trial)
-    c_trial = np.asarray(c_trial, dtype=float)
     dx = x_trial - st.x
     step_norm = _norm(dx)
-    margin_i = math.sqrt(1.0 / (mu * beta_t)) * step_norm - _norm(c_trial - st.c_x)
+    thr = math.sqrt(1.0 / (mu * beta_t)) * step_norm  # the right side of (i)
+    tol = 1e-12 * (1.0 + abs(st.fg_x))
+    # a NaN or -inf g(x~) takes the exact path below, which raises
+    if st.jvp is not None and math.isfinite(g_trial):
+        # ||c(x~) - c(x^t)|| >= ||J_c(x^t) d|| - (L_c/2)||d||^2, so thr - lb >= margin_i
+        L_c = p.c.jac_lipschitz_bound
+        lb = _norm(st.jvp(dx)) - 0.5 * L_c * step_norm * step_norm
+        margin_i = thr - lb
+        if margin_i < -tol and math.isfinite(margin_i):
+            st.mu *= cfg.rho
+            st.unsuccessful_since_accept += 1
+            return None, (margin_i, math.nan)
+    c_trial, pullback = p.c.linearize(x_trial)
+    c_trial = np.asarray(c_trial, dtype=float)
+    margin_i = thr - _norm(c_trial - st.c_x)
     if not math.isfinite(margin_i):
         raise SolverError(f"acceptance margins ({margin_i!r}, nan) are not finite at mu={mu!r}")
     if not math.isfinite(g_trial):
         raise SolverError(f"g(x~) = {g_trial!r} is not finite")
-    tol = 1e-12 * (1.0 + abs(st.fg_x))
     margin_ii = math.nan  # (ii) is formed only where (i) holds
     if margin_i >= -tol:
         fg_trial = float(p.f.value(x_trial)) + g_trial
@@ -329,6 +368,7 @@ def step(
     st.c_x = c_trial
     st.grad_fx = grad_new
     st.jtd = jtd_new
+    st.jvp = _certifying_jvp(p, pullback)
     st.v_beta = math.nan
     st.fg_x = fg_trial
     st.gap_x = gap

@@ -117,7 +117,10 @@ def verify_problem_oracles(
     ||J_c(x)||_2 <= jac_norm_bound where g(x) is finite, and
     ||J_c(x) - J_c(x')||_2 <= jac_lipschitz_bound * ||x - x'|| for each pair of
     consecutive points, each to 1e-9 relative; a constant that is None is
-    skipped.  Returns a list of failure messages (empty means all passed)."""
+    skipped.  Where the pullback offers ``jvp``, <w, jvp(d)> must equal
+    <pullback(w), d> for a random (w, d), to 1e-9 relative to the sums of the
+    absolute products.  Returns a list of failure messages (empty means all
+    passed)."""
     failures: List[str] = []
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     M_c, L_c = problem.c.jac_norm_bound, problem.c.jac_lipschitz_bound
@@ -129,9 +132,18 @@ def verify_problem_oracles(
         rep = check_vjp(problem.c, x, rng=rng)
         if not rep.passed:
             failures.append(f"adjoint-product check failed at point {k}: {rep.message}")
+        pullback = problem.c.linearize(x)[1]
+        jvp = getattr(pullback, "jvp", None)
+        if jvp is not None:
+            w, d = rng.standard_normal(problem.m), rng.standard_normal(x.size)
+            jd, jtw = np.asarray(jvp(d), dtype=float), np.asarray(pullback(w), dtype=float)
+            scale = float(np.abs(w) @ np.abs(jd) + np.abs(jtw) @ np.abs(d))
+            if not abs(float(w @ jd) - float(jtw @ d)) <= _BOUND_REL_SLACK * scale:
+                failures.append(f"jvp is not the adjoint of the pullback at point {k}: "
+                                f"<w, jvp(d)> = {float(w @ jd):.6g}, "
+                                f"<pullback(w), d> = {float(jtw @ d):.6g}")
         if M_c is None and L_c is None:
             continue  # J_c(x) costs m pullbacks and an m x m identity
-        pullback = problem.c.linearize(x)[1]
         J = np.array([pullback(e) for e in np.eye(problem.m)])  # row i is J_c(x)^T e_i
         if M_c is not None and math.isfinite(problem.g.value(x)):
             norm = float(np.linalg.norm(J, 2))

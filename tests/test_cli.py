@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sdcam.cli
 from sdcam.cli import CSV_HEADER, _write_summary, main
 from sdcam.problems import FAMILIES, family_of, load_instance, save_instance
 from sdcam.solver import SolveResult, TraceRow
@@ -367,6 +368,24 @@ def test_instance_file_gets_the_generators_parameter_checks(tmp_path, capsys, na
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == f"usage error: {expected.value}\n"
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_check_points_lie_in_dom_g(monkeypatch, name):
+    # The M_c check runs only where g is finite, so all ten points must be there.
+    seen = []
+
+    def verify(problem, points, seed=0):
+        seen.append((problem, points))
+        return []
+
+    monkeypatch.setattr(sdcam.cli, "verify_problem_oracles", verify)
+    for seed in range(3):
+        assert main(["check", "--family", name, "--seed", str(seed), "--prox-instances", "1"]) == 0
+    assert len(seen) == 3
+    for problem, points in seen:
+        assert len(points) == 10
+        assert all(math.isfinite(problem.g.value(x)) for x in points)
 
 
 def test_check_requires_target():

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcam.oracles import check_gradient, check_vjp
 from sdcam.problems import (
@@ -189,6 +191,29 @@ def test_verify_problem_oracles_catches_a_map_constant_cut_to_a_tenth(field):
     assert failures and all(msg.startswith(field) for msg in failures)
 
 
+def test_verify_problem_oracles_catches_a_jvp_scaled_by_two():
+    fam = FAMILIES["qcqp"]
+    problem, x0, _, _, _ = fam.setup(fam.generate(1, **fam.check_kwargs))
+    rng = np.random.default_rng(3)
+    points = [x0] + [x0 + 0.1 * rng.standard_normal(x0.size) for _ in range(4)]
+    assert verify_problem_oracles(problem, points) == []
+    linearizer = problem.c.linearizer
+
+    def linearize(x):
+        c_x, pullback = linearizer(x)
+
+        def doubled(w):
+            return pullback(w)
+
+        doubled.jvp = lambda d: 2.0 * pullback.jvp(d)
+        return c_x, doubled
+
+    c = dataclasses.replace(problem.c, linearizer=linearize)
+    failures = verify_problem_oracles(dataclasses.replace(problem, c=c), points)
+    assert len(failures) == len(points)
+    assert all(msg.startswith("jvp is not the adjoint") for msg in failures)
+
+
 def test_qcqp_linearize_matches_einsum_reference():
     # The einsum formulas of c and J_c^T w are the independent reference; bi is
     # made nonzero so that its terms are checked too.
@@ -210,6 +235,44 @@ def test_qcqp_linearize_matches_einsum_reference():
         np.testing.assert_array_equal(prob.c.vjp(x, w), pullback(w))
         rel_ref = np.linalg.norm(np.maximum(c_ref, 0.0) / np.maximum(np.abs(inst.ri), 1.0))
         assert relative_feasibility(inst, x) == pytest.approx(rel_ref, rel=1e-12, abs=1e-14 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    m=st.integers(1, 4),
+    nonzero_bi=st.booleans(),
+    data=st.data(),
+)
+def test_qcqp_jvp_is_the_adjoint_and_gives_a_taylor_lower_bound(seed, n, m, nonzero_bi, data):
+    # For x, x' in the box and d = x' - x:
+    #   ||c(x') - c(x)|| >= ||J_c(x) d|| - (L_c/2)||d||^2,
+    # the bound the solver's certificate rests on, and <w, J_c(x) d> equals
+    # <J_c(x)^T w, d>; J_c(x) d also matches the einsum Jacobian.
+    inst = qcqp_generate(seed, n=n, m=m)
+    rng = np.random.default_rng(seed)
+    if nonzero_bi:
+        inst = dataclasses.replace(inst, bi=rng.standard_normal((m, n)))
+    prob = qcqp_problem(inst)
+    unit = st.floats(-1.0, 1.0)
+    x, x2 = (inst.r * np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+             for _ in range(2))
+    d, w = x2 - x, rng.standard_normal(m)
+    c_x, pullback = prob.c.linearize(x)
+    c_x2 = prob.c.value(x2)
+    jd = pullback.jvp(d)
+    L_c = prob.c.jac_lipschitz_bound
+    scale = 1.0 + np.linalg.norm(c_x) + np.linalg.norm(c_x2) + np.linalg.norm(jd) + L_c * d @ d
+    lb = np.linalg.norm(jd) - 0.5 * L_c * (d @ d)
+    assert np.linalg.norm(c_x2 - c_x) >= lb - 1e-12 * scale
+    # rounding scale of the two dot products; the floor covers subnormal steps
+    adjoint_scale = np.abs(w) @ np.abs(jd) + np.abs(pullback(w)) @ np.abs(d)
+    assert abs(w @ jd - pullback(w) @ d) <= 1e-12 * max(adjoint_scale, 1e-300)
+    jd_ref = _qcqp_jacobian(inst, x) @ d
+    # rounding scale of the sums: (|Q| |x| + |bi|) |d|
+    ref_scale = (np.abs(inst.Q).sum() * inst.r + np.abs(inst.bi).sum()) * np.abs(d).max() + 1.0
+    np.testing.assert_allclose(jd, jd_ref, rtol=0.0, atol=1e-14 * ref_scale)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -319,21 +319,25 @@ def test_solver_error_on_prox_leaving_domain():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_oracle_calls_per_run(family, monkeypatch):
     # Each oracle value at an iterate is computed once: T trials, A accepted steps,
-    # P trials that pass condition (i), the only ones that evaluate f.
-    # Every family has a one-pass linearizer: it sweeps its map once per trial,
-    # applies the pullback once per accepted step, and never calls c.value or c.vjp.
+    # P trials that pass condition (i), the only ones that evaluate f, and K trials
+    # that the jvp certificate rejects, the only ones that do not sweep the map.
+    # Every family has a one-pass linearizer: it sweeps its map once per other
+    # trial, applies the pullback once per accepted step, and never calls c.value
+    # or c.vjp.  QCQP's pullback also offers a jvp, applied once per trial.
     prob, x0, y0, rel_feas, cfg = _family_run(family, 0, max_successful_iters=30)
     passed_i = collections.Counter()
+    counts = collections.Counter()
 
     def counted_step(p, st, cfg, rel_feas=None, _step=sdcam.solver.step):
         tol = 1e-12 * (1.0 + abs(st.fg_x))
+        linearized = counts["c.linearize"]
         row, (margin_i, margin_ii) = _step(p, st, cfg, rel_feas)
         passed_i[margin_i >= -tol] += 1
+        passed_i["certified"] += counts["c.linearize"] == linearized
         return row, (margin_i, margin_ii)
 
     monkeypatch.setattr(sdcam.solver, "step", counted_step)
     assert prob.c.linearizer is not None
-    counts = collections.Counter()
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -349,23 +353,30 @@ def test_oracle_calls_per_run(family, monkeypatch):
 
     def linearize(x):
         c_x, pullback = linearizer(x)
-        return c_x, counted("c.pullback", pullback)
+        counted_pullback = counted("c.pullback", pullback)
+        if hasattr(pullback, "jvp"):
+            counted_pullback.jvp = counted("c.jvp", pullback.jvp)
+        return c_x, counted_pullback
 
     prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
     res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
-    T, A, P = res.total_trials, len(res.trace), passed_i[True]
+    T, A, P, K = res.total_trials, len(res.trace), passed_i[True], passed_i["certified"]
     assert A == 30 and T > A
     assert A <= P <= T == P + passed_i[False]
-    assert dict(counts) == {
+    assert (K > 0) == (family == "qcqp")
+    expected = {
         "f.value": P + 1,
         "f.grad": A + 1,
         "g.value": T + 1,
         "g.prox": T,
         "h.value": A + 1,
         "h.prox": A,
-        "c.linearize": T + 1,
+        "c.linearize": T + 1 - K,
         "c.pullback": A + 1,
     }
+    if family == "qcqp":
+        expected["c.jvp"] = T
+    assert dict(counts) == expected
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -499,30 +510,91 @@ def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
     return margin_i, rhs - lhs - dx * dx / (2.0 * mu)
 
 
+def _counting_linearizer(p, counts):
+    """p with each ``c.linearize`` call counted in counts["c.linearize"]; the
+    pullbacks pass through unchanged, jvp included."""
+    linearizer = p.c.linearizer
+
+    def linearize(x):
+        counts["c.linearize"] += 1
+        return linearizer(x)
+
+    return _replace_oracle(p, "c.linearizer", linearize)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_step_margins_match_from_scratch_bit_for_bit(family):
     # The cached f+g, c(x^t) and ||c(x^t) - y^t|| must give the same margins,
     # on rejected and on accepted trials, as recomputing them at x^t; margin_ii
-    # is NaN where (i) rejects, since (ii) is then not evaluated.
+    # is NaN where (i) rejects, since (ii) is then not evaluated.  A trial that
+    # the jvp certificate rejects never evaluates c(x~): its margin_i is an
+    # upper bound on the exact one, which must also fail (i).
     prob, x0, y0, _, cfg = _family_run(family, 0)
     trial_points = []
-    prob = _recording_prox(prob, trial_points)
+    calls = collections.Counter()
+    prob = _counting_linearizer(_recording_prox(prob, trial_points), calls)
     st = initial_state(prob, x0, y0, cfg.mu_init)
     outcomes = collections.Counter()
     while outcomes[True] < 30:
         x_t, y_t, mu, beta_t = st.x, st.y, st.mu, beta_at(cfg.schedule, st.t)
         tol = 1e-12 * (1.0 + abs(st.fg_x))
+        linearized = calls["c.linearize"]
         row, (margin_i, margin_ii) = step(prob, st, cfg)
+        certified = calls["c.linearize"] == linearized
         outcomes[row is not None] += 1
+        outcomes["certified"] += certified
         scratch_i, scratch_ii = _margins_from_scratch(
             prob, x_t, trial_points[-1], y_t, beta_t, mu
         )
+        if certified:
+            assert row is None and math.isnan(margin_ii)
+            assert scratch_i <= margin_i < -tol
+            continue
         assert margin_i == scratch_i
         if margin_i >= -tol:
             assert margin_ii == scratch_ii
         else:
             assert math.isnan(margin_ii) and row is None
     assert outcomes[False] > 0
+    assert (outcomes["certified"] > 0) == (family == "qcqp")
+
+
+def _without_jvp(p):
+    """p whose pullbacks offer no jvp, so that step evaluates c at every trial."""
+    linearizer = p.c.linearizer
+
+    def linearize(x):
+        c_x, pullback = linearizer(x)
+        return c_x, lambda w: pullback(w)
+
+    return _replace_oracle(p, "c.linearizer", linearize)
+
+
+@pytest.mark.parametrize(
+    "seed, size, steps",
+    [(seed, FAMILIES["qcqp"].check_kwargs, 50) for seed in range(4)]
+    + [(1, {"n": 20, "m": 5}, 200)],  # the pinned QCQP run of test_cli
+)
+def test_qcqp_jvp_certificate_leaves_every_output_bit(seed, size, steps):
+    # The certificate only skips c(x~) on trials that (i) rejects anyway: rows,
+    # trial counts and the accepted margins are those of the exact test alone.
+    fam = FAMILIES["qcqp"]
+    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(seed, **size))
+    cfg = _config(**{
+        **fam.solver_defaults,
+        "schedule": ScheduleSpec(family="power", beta0=1.0, delta=0.3),
+        "max_successful_iters": steps,
+        "max_total_trials": max(1000, 50 * steps),
+    })
+    outputs, linearized = [], []
+    for p in (prob, _without_jvp(prob)):
+        calls = collections.Counter()
+        res = solve(_counting_linearizer(p, calls), cfg, x0, y0, rel_feas=rel_feas)
+        rows = repr([dataclasses.astuple(row) for row in res.trace])
+        outputs.append((rows, res.total_trials, repr(res.condition_margins), res.x.tobytes()))
+        linearized.append(calls["c.linearize"])
+    assert outputs[0] == outputs[1]
+    assert linearized[0] < linearized[1] == res.total_trials + 1
 
 
 @settings(max_examples=300, deadline=None)
