@@ -10,11 +10,14 @@ A problem is a bundle of four oracles:
 
 Dense Jacobians are never formed: the solver needs J_c(x)^T w, and J_c(x) d
 where a pullback offers it.  A ``Pullback`` is a callable w -> J_c(x)^T w; it
-may also offer ``jvp(d) = J_c(x) d`` at the same x.  The solver then rejects
-trials that the Taylor bound ||c(x') - c(x)|| >= ||J_c(x) d|| - (L_c/2)||d||^2
+may also offer ``jvp(d) = J_c(x) d`` at the same x, together with
+``jvp_slack``, a float bounding how far rounding can lift the computed
+||J_c(x) d|| - (L_c/2)||d||^2 above the computed ||c(x') - c(x)|| for x' in
+dom g and d = x' - x.  The solver then rejects trials that this Taylor bound
 proves to fail backtracking condition (i), without evaluating c(x'), so a jvp
 is sound only when ``MapOracle.jac_lipschitz_bound`` is a valid L_c on the
-convex closure of dom g; without that constant the jvp is not used.
+convex closure of dom g; without that constant, or without ``jvp_slack``, the
+jvp is not used.
 Extended-real values use IEEE ``inf`` (``g.value(x) == inf`` iff x is outside
 dom g), so +inf comparisons are exact.
 

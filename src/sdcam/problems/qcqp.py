@@ -11,8 +11,9 @@ Map constants, with Qs = [Q_1; ...; Q_m] the stacked blocks: L_c = ||Qs||_2,
 since J_c(x) - J_c(x') has rows (Q_i d)^T, d = x - x', so its norm is at most
 ||Qs d|| <= L_c ||d||; M_c = r*sqrt(n)*L_c + ||bi||_F, since on the box
 ||J_c(x)||_2 <= ||Qs x|| + ||bi||_2.  The pullback of c at x also offers
-jvp(d) = J_c(x) d from the same product Qi x, which the solver's Taylor-bound
-rejection uses with L_c; the bi terms are skipped when bi is all zero.
+jvp(d) = J_c(x) d from the same product Qi x, and ``jvp_slack``, a bound on
+the rounding error of the solver's Taylor-bound rejection, which uses both
+with L_c.
 
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
@@ -25,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -82,6 +83,11 @@ class QcqpInstance:
         # ``Q`` product.  An attribute, not a field: equality, ``repr``,
         # ``dataclasses.replace`` and instance files do not see it.
         self._c_at: Tuple[bytes, Vector] = (b"", np.empty(0))
+        # ||Q||_F, ||bi||_F, ||ri|| and sqrt(n)*r, the scales of ``_jvp_slack``
+        self._scales = (
+            float(np.linalg.norm(self.Q)), float(np.linalg.norm(self.bi)),
+            float(np.linalg.norm(self.ri)), math.sqrt(self.n) * self.r,
+        )
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -139,41 +145,53 @@ def qcqp_generate(
 
 
 class _Pullback:
-    """w -> J_c(x)^T w, and jvp(d) = J_c(x) d, from Qx[i] = Qi x.  Row i of
-    J_c(x) is (Qi x + bi)^T because each Qi is symmetric; ``bi`` is None when
-    it is all zero, and its products are then skipped."""
+    """w -> J_c(x)^T w and jvp(d) = J_c(x) d from Qx[i] = Qi x; row i of J_c(x)
+    is (Qi x + bi)^T because each Qi is symmetric.  ``jvp_slack`` is
+    ``_jvp_slack`` at x."""
 
-    __slots__ = ("Qx", "bi")
+    __slots__ = ("Qx", "bi", "jvp_slack")
 
-    def __init__(self, Qx: np.ndarray, bi: Optional[np.ndarray]) -> None:
-        self.Qx, self.bi = Qx, bi
+    def __init__(self, Qx: np.ndarray, bi: np.ndarray, jvp_slack: float) -> None:
+        self.Qx, self.bi, self.jvp_slack = Qx, bi, jvp_slack
 
     def __call__(self, w: Vector) -> Vector:
-        if self.bi is None:
-            return w @ self.Qx
         return w @ self.Qx + w @ self.bi
 
     def jvp(self, d: Vector) -> Vector:
-        if self.bi is None:
-            return self.Qx @ d
         return self.Qx @ d + self.bi @ d
 
 
-def _linearize(
-    inst: QcqpInstance, x: Vector, bi: Optional[np.ndarray]
-) -> Tuple[Vector, _Pullback]:
+def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
+    """A bound on how far rounding can lift the solver's computed Taylor bound
+    ||J_c(x) d|| - (L_c/2)||d||^2 above its computed ||c(x') - c(x)||, for
+    every x' in the box and d = x' - x.
+
+    With F = ||Q||_F, B = ||bi||_F and R = ||ri||, the computed c(z) is within
+    g*(F||z||^2 + B||z|| + R) of c(z): each dot product errs by at most n*u
+    times its sum of absolute products, in any order of summation, and
+    |z|^T |Qi| |z| <= ||Qi||_F ||z||^2.  Likewise the computed J_c(x) d is
+    within g*(F||x|| + B)||d|| of J_c(x) d.  The difference, the norms and the
+    L_c term (L_c <= F) add errors of the same scales.  On the box,
+    ||x'|| <= sqrt(n)*r and ||d|| <= ||x|| + sqrt(n)*r; g = 2*(2n + m + 8)*u,
+    with u = 2^-53, covers every rounding step with room to spare."""
+    F, B, R, box = inst._scales
+    xn = math.sqrt(x @ x)
+    dn = xn + box
+    e_x, e_box = F * xn * xn + B * xn + R, F * box * box + B * box + R
+    g = 2.0 * (2 * inst.n + inst.m + 8) * 2.0**-53
+    return g * (2.0 * (e_x + e_box) + 2.0 * (F * xn + B) * dn + F * dn * dn)
+
+
+def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:
     """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and their
-    pullback, from one matrix product Qx[i] = Qi x; ``bi`` is ``inst.bi``, or
-    None when that is all zero.  Records c(x) under the bytes of x for
-    ``relative_feasibility``."""
+    pullback, from one matrix product Qx[i] = Qi x.  Records c(x) under the
+    bytes of x for ``relative_feasibility``."""
     x = np.asarray(x, dtype=float)
     Qx = (inst.Q.reshape(-1, inst.n) @ x).reshape(inst.m, inst.n)
-    c_x = 0.5 * (Qx @ x)
-    if bi is not None:
-        c_x += bi @ x
-    c_x += inst.ri
+    bi = inst.bi
+    c_x = 0.5 * (Qx @ x) + bi @ x + inst.ri
     inst._c_at = (x.tobytes(), c_x.copy())  # one assignment: a racing reader sees a whole pair
-    return c_x, _Pullback(Qx, bi)
+    return c_x, _Pullback(Qx, bi, _jvp_slack(inst, x))
 
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
@@ -183,9 +201,6 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
     M_c = r*sqrt(n)*L_c + ||bi||_F bounds ||J_c(x)||_2 on the box."""
     b0 = inst.b0
     alpha, p, r = inst.alpha, inst.p, inst.r
-    # bi is zero by construction; dropping +0.0 terms leaves every c(x) bit alone,
-    # since each ri is nonzero
-    linearize = functools.partial(_linearize, inst, bi=inst.bi if inst.bi.any() else None)
 
     def f_value(x: Vector) -> float:
         return float(0.5 * x @ x + b0 @ x)
@@ -202,10 +217,10 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         return prox_lp_box(z, LpProxParams(p=p, alpha=alpha, gamma=gamma), r)
 
     def c_value(x: Vector) -> Vector:
-        return linearize(x)[0]
+        return _linearize(inst, x)[0]
 
     def c_vjp(x: Vector, w: Vector) -> Vector:
-        return linearize(x)[1](w)
+        return _linearize(inst, x)[1](w)
 
     def h_value(y: Vector) -> float:
         return 0.0 if np.all(y <= 0.0) else float("inf")
@@ -233,7 +248,7 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
             c_vjp,
             jac_lipschitz_bound=L_c,
             jac_norm_bound=M_c,
-            linearizer=linearize,
+            linearizer=functools.partial(_linearize, inst),
         ),
         n=inst.n,
         m=inst.m,
@@ -255,5 +270,5 @@ def relative_feasibility(inst: QcqpInstance, x: Vector) -> float:
     x = np.asarray(x, dtype=float)
     key, cx = inst._c_at
     if key != x.tobytes():
-        cx = _linearize(inst, x, inst.bi)[0]
+        cx = _linearize(inst, x)[0]
     return float(np.linalg.norm(np.maximum(cx, 0.0) / np.maximum(np.abs(inst.ri), 1.0)))

@@ -41,21 +41,21 @@ trial that (i) rejects computes one ``g.prox``, ``g.value``, one
 passes (i) adds ``f.value`` and ||c(x~) - y^t||.  An accepted step reuses
 ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 
-When the iterate's pullback offers ``jvp(d) = J_c(x^t) d`` and c has a
-Jacobian Lipschitz constant L_c, a trial first tries to reject without
-evaluating c(x~).  With d = x~ - x^t, L_c gives
+When the iterate's pullback offers ``jvp(d) = J_c(x^t) d`` and
+``jvp_slack``, and c has a Jacobian Lipschitz constant L_c, a trial first
+tries to reject without evaluating c(x~).  With d = x~ - x^t, L_c gives
 
-    ||c(x~) - c(x^t)||  >=  lb  =  ||J_c(x^t) d|| - (L_c/2)||d||^2,
+    ||c(x~) - c(x^t)||  >=  ||J_c(x^t) d|| - (L_c/2)||d||^2,
 
-so sqrt(1/(mu*beta_t))*||d|| - lb is an upper bound on margin_i.  When that
-bound is finite and below -tol, (i) fails and the trial is rejected as a
-failed (i) is, returning the bound as margin_i and NaN for margin_ii.  Such a
-certified trial computes ``g.prox``, ``g.value``, one jvp and two norms.  It
-fails (i) in exact arithmetic, so the backtracking argument is unchanged.  In
-floating point the exact test decides on the computed ||c(x~) - c(x^t)||, and
-the two tests can disagree only when lb is within the rounding error of c of
-the threshold plus tol; for QCQP that error is about 1e-10 against a tol of
-about 2e-9.
+and ``jvp_slack`` bounds how far rounding can lift the computed right side
+above the computed left side.  So, with lb the computed right side less
+``jvp_slack``, sqrt(1/(mu*beta_t))*||d|| - lb is an upper bound on the
+margin_i that evaluating c(x~) would give, in exact arithmetic and as
+computed.  When that bound is finite and below -tol, the trial is rejected as
+a failed (i) is, returning the bound as margin_i and NaN for margin_ii.  Such
+a certified trial computes ``g.prox``, ``g.value``, one jvp and two norms.
+The exact test would reject it too, so the backtracking argument and every
+output bit are unchanged; only its reported margin_i differs.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class SolverConfig:
 @dataclasses.dataclass
 class SolverState:
     """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y),
-    ||c(x) - y|| and the pullback's jvp (None when the solver cannot use it)
+    ||c(x) - y|| and the pullback (None when the solver cannot use its jvp)
     at the current iterate, and the linearized gradient v for the
     beta_t of its last trial (``v_beta`` is NaN until then and after every
     accepted step)."""
@@ -128,7 +128,7 @@ class SolverState:
     c_x: Vector
     grad_fx: Vector
     jtd: Vector  # J_c(x)^T (c(x) - y)
-    jvp: Optional[Callable[[Vector], Vector]]  # d -> J_c(x) d; see _certifying_jvp
+    taylor: Optional[Pullback]  # offers jvp(d) = J_c(x) d; see _taylor_pullback
     fg_x: float  # f(x) + g(x)
     gap_x: float  # ||c(x) - y||
     h_y: float  # h(y)
@@ -214,12 +214,12 @@ def _linearize(
     return grad_fx, jtd
 
 
-def _certifying_jvp(p: Problem, pullback: Pullback) -> Optional[Callable[[Vector], Vector]]:
-    """``pullback.jvp`` when it exists and c has an L_c, the two inputs of the
-    Taylor-bound rejection; otherwise None."""
+def _taylor_pullback(p: Problem, pullback: Pullback) -> Optional[Pullback]:
+    """``pullback`` when it offers ``jvp`` and ``jvp_slack`` and c has an L_c,
+    the inputs of the Taylor-bound rejection; otherwise None."""
     if p.c.jac_lipschitz_bound is None:
         return None
-    return getattr(pullback, "jvp", None)
+    return pullback if hasattr(pullback, "jvp") and hasattr(pullback, "jvp_slack") else None
 
 
 def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
@@ -247,7 +247,7 @@ def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
     grad_fx, jtd = _linearize(p, x0, c_x, pullback, y0)
     return SolverState(
         t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd,
-        jvp=_certifying_jvp(p, pullback), fg_x=fg_x, gap_x=_norm(c_x - y0), h_y=h0,
+        taylor=_taylor_pullback(p, pullback), fg_x=fg_x, gap_x=_norm(c_x - y0), h_y=h0,
     )
 
 
@@ -262,9 +262,9 @@ def step(
     margin_ii is NaN when (ii) was not evaluated: a trial that fails (i) is
     rejected without calling ``f.value``.  A trial that the jvp bound rejects
     (see the module docstring) does not call ``c.linearize`` either, and its
-    margin_i is an upper bound on the exact one.  v is kept in ``st`` for the rejected
-    trials at the same iterate and beta_t.  The tolerance of the test guards
-    floating-point ties at margin 0.
+    margin_i is an upper bound on the one that call would give.  v is kept in
+    ``st`` for the rejected trials at the same iterate and beta_t.  The
+    tolerance of the test guards floating-point ties at margin 0.
     A non-finite v (beta_t too large for float64), a ValueError from ``g.prox``
     (say its step mu/2 is inf, or overflows a product with a weight of g), a
     prox result outside its domain, a NaN or -inf g(x~), or a non-finite margin
@@ -297,10 +297,11 @@ def step(
     thr = math.sqrt(1.0 / (mu * beta_t)) * step_norm  # the right side of (i)
     tol = 1e-12 * (1.0 + abs(st.fg_x))
     # a NaN or -inf g(x~) takes the exact path below, which raises
-    if st.jvp is not None and math.isfinite(g_trial):
-        # ||c(x~) - c(x^t)|| >= ||J_c(x^t) d|| - (L_c/2)||d||^2, so thr - lb >= margin_i
+    if st.taylor is not None and math.isfinite(g_trial):
+        # ||c(x~) - c(x^t)|| >= ||J_c(x^t) d|| - (L_c/2)||d||^2, and jvp_slack
+        # covers the rounding of both sides, so thr - lb >= margin_i as computed
         L_c = p.c.jac_lipschitz_bound
-        lb = _norm(st.jvp(dx)) - 0.5 * L_c * step_norm * step_norm
+        lb = _norm(st.taylor.jvp(dx)) - 0.5 * L_c * step_norm * step_norm - st.taylor.jvp_slack
         margin_i = thr - lb
         if margin_i < -tol and math.isfinite(margin_i):
             st.mu *= cfg.rho
@@ -368,7 +369,7 @@ def step(
     st.c_x = c_trial
     st.grad_fx = grad_new
     st.jtd = jtd_new
-    st.jvp = _certifying_jvp(p, pullback)
+    st.taylor = _taylor_pullback(p, pullback)
     st.v_beta = math.nan
     st.fg_x = fg_trial
     st.gap_x = gap

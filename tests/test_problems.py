@@ -275,6 +275,46 @@ def test_qcqp_jvp_is_the_adjoint_and_gives_a_taylor_lower_bound(seed, n, m, nonz
     np.testing.assert_allclose(jd, jd_ref, rtol=0.0, atol=1e-14 * ref_scale)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    m=st.integers(1, 4),
+    q_scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    bi_scale=st.sampled_from([0.0, 1.0, 1e4]),
+    ri_scale=st.sampled_from([1.0, 1e8]),
+    step_exp=st.integers(-17, 0),
+    data=st.data(),
+)
+def test_qcqp_jvp_slack_covers_the_rounding_of_the_taylor_test(
+    seed, n, m, q_scale, bi_scale, ri_scale, step_exp, data
+):
+    # The solver rejects a trial without evaluating c(x') when
+    #   thr - (||jvp(d)|| - (L_c/2)||d||^2 - jvp_slack) < -tol,
+    # and would reject it from c(x') when thr - ||c(x') - c(x)|| < -tol, all
+    # in floating point.  The first implies the second because the computed
+    # ||c(x') - c(x)|| is at least the computed bound.  Steps down to a few
+    # ulps of x make rounding, not curvature, decide the comparison.
+    inst = qcqp_generate(seed, n=n, m=m)
+    rng = np.random.default_rng(seed)
+    inst = dataclasses.replace(
+        inst, Q=q_scale * inst.Q, bi=bi_scale * rng.standard_normal((m, n)), ri=ri_scale * inst.ri
+    )
+    prob = qcqp_problem(inst)
+    unit = st.floats(-1.0, 1.0)
+    x, u = (np.array(data.draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(2))
+    x = inst.r * x
+    x2 = np.clip(x + inst.r * 10.0**step_exp * u, -inst.r, inst.r)
+    c_x, pullback = prob.c.linearize(x)
+    c_x2 = prob.c.linearize(x2)[0]
+    d = x2 - x
+    step_norm = math.sqrt(d @ d)
+    jd = pullback.jvp(d)
+    lb = math.sqrt(jd @ jd) - 0.5 * prob.c.jac_lipschitz_bound * step_norm * step_norm
+    gap = c_x2 - c_x
+    assert math.sqrt(gap @ gap) >= lb - pullback.jvp_slack
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_linearize_pullback_survives_mutating_x(family):
     # The pullback is applied only after x has been overwritten in place; it

@@ -356,6 +356,7 @@ def test_oracle_calls_per_run(family, monkeypatch):
         counted_pullback = counted("c.pullback", pullback)
         if hasattr(pullback, "jvp"):
             counted_pullback.jvp = counted("c.jvp", pullback.jvp)
+            counted_pullback.jvp_slack = pullback.jvp_slack
         return c_x, counted_pullback
 
     prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
@@ -571,15 +572,21 @@ def _without_jvp(p):
 
 
 @pytest.mark.parametrize(
-    "seed, size, steps",
-    [(seed, FAMILIES["qcqp"].check_kwargs, 50) for seed in range(4)]
-    + [(1, {"n": 20, "m": 5}, 200)],  # the pinned QCQP run of test_cli
+    "seed, size, steps, bi_scale",
+    [(seed, FAMILIES["qcqp"].check_kwargs, 50, 0.0) for seed in range(4)]
+    + [(1, {"n": 20, "m": 5}, 200, 0.0)]  # the pinned QCQP run of test_cli
+    + [(seed, FAMILIES["qcqp"].check_kwargs, 50, 10.0) for seed in range(2)],
 )
-def test_qcqp_jvp_certificate_leaves_every_output_bit(seed, size, steps):
+def test_qcqp_jvp_certificate_leaves_every_output_bit(seed, size, steps, bi_scale):
     # The certificate only skips c(x~) on trials that (i) rejects anyway: rows,
-    # trial counts and the accepted margins are those of the exact test alone.
+    # trial counts and the accepted margins are those of the exact test alone,
+    # also for an instance with a nonzero bi, as an instance file may hold.
     fam = FAMILIES["qcqp"]
-    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(seed, **size))
+    inst = fam.generate(seed, **size)
+    if bi_scale:
+        rng = np.random.default_rng(seed)
+        inst = dataclasses.replace(inst, bi=bi_scale * rng.standard_normal(inst.bi.shape))
+    prob, x0, y0, rel_feas, _ = fam.setup(inst)
     cfg = _config(**{
         **fam.solver_defaults,
         "schedule": ScheduleSpec(family="power", beta0=1.0, delta=0.3),
