@@ -308,7 +308,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not args.sweep:
         return run_config_file(paths[0])
     codes: List[int] = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # A fork-started pool forks all of its workers at once, so it gets no
+    # more workers than there are configs.
+    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(paths))) as pool:
         for path, code in zip(paths, pool.map(run_config_file, paths)):
             codes.append(code)
             if code != EXIT_OK:

@@ -18,7 +18,9 @@ with L_c.
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
 orthogonal factor of Qi, and (2, i) for its diagonal.  Instances are
-bit-reproducible given (seed, params) and portable across platforms.
+bit-reproducible given (seed, params) and portable across platforms.  A helper
+thread draws block i+1 while the calling thread factors block i; every LAPACK
+and BLAS call stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import threading
 from typing import Tuple
 
 import numpy as np
@@ -94,6 +97,49 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
+class _PrefetchedDraws:
+    """Block i's Gaussian matrix (stream (1, i)) and diagonal (stream (2, i))
+    for i = 0..m-1 in order, drawn on one helper thread a block ahead of the
+    caller: once the caller takes block i, the helper draws block i+1.  The
+    draws release the GIL and call no BLAS, so they overlap the caller's QR
+    and products, and at most two blocks are alive at a time.  An exception
+    on the helper is raised by ``take``; ``close`` stops and joins the
+    helper, and must be called on every path out."""
+
+    def __init__(self, seed: int, n: int, m: int) -> None:
+        self._slot: object = None
+        self._drawn = threading.Semaphore(0)
+        self._taken = threading.Semaphore(0)
+        self._stop = False
+        self._thread = threading.Thread(target=self._run, args=(seed, n, m), name="qcqp-draws")
+        self._thread.start()
+
+    def _run(self, seed: int, n: int, m: int) -> None:
+        for i in range(m):
+            try:
+                G = _stream(seed, 1, i).standard_normal((n, n))
+                self._slot = G, _stream(seed, 2, i).uniform(0.0, 5.0, n)
+            except BaseException as exc:  # re-raised on the calling thread by take()
+                self._slot = exc
+            self._drawn.release()
+            self._taken.acquire()
+            if self._stop:
+                return
+
+    def take(self) -> Tuple[np.ndarray, np.ndarray]:
+        self._drawn.acquire()
+        got = self._slot
+        if isinstance(got, BaseException):
+            raise got
+        self._taken.release()
+        return got
+
+    def close(self) -> None:
+        self._stop = True
+        self._taken.release()
+        self._thread.join()
+
+
 def qcqp_generate(
     seed: int,
     n: int,
@@ -119,12 +165,15 @@ def qcqp_generate(
         raise RuntimeError("xbar degenerate (all zero) after 10 attempts; r would be 0")
 
     Q = np.empty((m, n, n))
-    for i in range(m):
-        G = _stream(seed, 1, i).standard_normal((n, n))
-        U, _ = np.linalg.qr(G)
-        D = _stream(seed, 2, i).uniform(0.0, 5.0, n)
-        Qi = (U * D) @ U.T
-        Q[i] = 0.5 * (Qi + Qi.T)
+    draws = _PrefetchedDraws(seed, n, m)
+    try:
+        for i in range(m):
+            G, D = draws.take()
+            U, _ = np.linalg.qr(G)
+            Qi = (U * D) @ U.T
+            Q[i] = 0.5 * (Qi + Qi.T)
+    finally:
+        draws.close()
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
     return QcqpInstance(

@@ -161,10 +161,17 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     u, q_u, q_0 = _lp_stationary(a, params)
     with np.errstate(over="ignore", invalid="ignore"):
         q_r = _lp_objective(r, a, params.alpha * params.gamma, params.p)
+        # a >= 0, so the sum is finite only if every entry is; a sum of finite
+        # entries that overflows just takes the general path below
+        all_finite = math.isfinite(a.sum())
     take_r = q_r < q_0 - _TIE_TOL
     take_u = q_u < np.where(take_r, q_r, q_0) - _TIE_TOL
     take_u &= u <= r
     best_u = np.where(take_u, u, np.where(take_r, r, 0.0))
+    if all_finite:
+        # best_u >= +0.0 here, and z + 0.0 turns -0.0 into +0.0, so this is
+        # -best_u where z < 0 and best_u elsewhere, to the bit
+        return np.copysign(best_u, z + 0.0, out=best_u)
     # at a = inf or NaN every objective value is inf or NaN, so no comparison
     # holds and 0 would stay; the clamped prox there is r or NaN
     best_u = np.where(a < np.inf, best_u, np.minimum(u, r))

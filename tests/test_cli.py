@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -449,6 +451,46 @@ def test_sweep_runs_all_configs(tmp_path):
     assert (tmp_path / "trace.csv").exists()
     assert (tmp_path / "trace_b.csv").exists()
     assert (tmp_path / "trace_b.csv.summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [(["--workers", "64"], 2), (["--workers", "1"], 1), ([], min(os.cpu_count() or 1, 2))],
+)
+def test_sweep_pool_has_no_more_workers_than_configs(tmp_path, monkeypatch, flags, expected):
+    # a fork-started pool forks all of its workers at once; an in-process
+    # stand-in records the pool size, so this test starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    paths = []
+    for k in range(2):
+        cfg = {
+            "schema_version": 1,
+            "seed": k,
+            "problem": {"family": "qcqp", "n": 8, "m": 2},
+            "solver": {"max_successful_iters": 5},
+            "schedule": {"beta0": 1.0, "delta": 0.3},
+            "output": {"trace": str(tmp_path / f"trace_{k}.csv")},
+        }
+        paths.append(tmp_path / f"cfg_{k}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    assert main(["run", "--config", *map(str, paths), "--sweep", *flags]) == 0
+    assert sizes == [expected]
+    assert (tmp_path / "trace_0.csv").exists() and (tmp_path / "trace_1.csv").exists()
 
 
 def test_multiple_configs_without_sweep_is_usage_error(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from sdcam.problems import (
     relative_feasibility,
     save_instance,
 )
-from sdcam.prox import project_box
+from sdcam.problems import qcqp
+from sdcam.prox import LpProxParams, project_box, prox_lp_power
 from sdcam.verify import verify_problem_oracles
 from sdcam.problems.mimo import phi, mimo_sup_abs_fg
 from sdcam.problems.mlp import _backward, _forward
@@ -67,6 +70,105 @@ def test_qcqp_validation():
         qcqp_generate(1, n=1, m=1)
     with pytest.raises(ValueError, match="m >= 1"):
         qcqp_generate(1, n=4, m=0)
+
+
+def _qcqp_generate_serial(seed, n, m, alpha=0.05, p=0.8, scale0=5.0):
+    """``qcqp_generate`` as it was before the block draws moved to a helper
+    thread: every stream drawn on the calling thread, in block order."""
+    params = LpProxParams(p=p, alpha=alpha, gamma=1.0)
+    for attempt in range(10):
+        b0 = scale0 * qcqp._stream(seed, 0, attempt).standard_normal(n)
+        xbar = prox_lp_power(-b0, params)
+        if np.any(xbar != 0.0):
+            break
+    Q = np.empty((m, n, n))
+    for i in range(m):
+        G = qcqp._stream(seed, 1, i).standard_normal((n, n))
+        U, _ = np.linalg.qr(G)
+        D = qcqp._stream(seed, 2, i).uniform(0.0, 5.0, n)
+        Qi = (U * D) @ U.T
+        Q[i] = 0.5 * (Qi + Qi.T)
+    ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
+    return qcqp.QcqpInstance(
+        n=n, m=m, Q0=np.eye(n), b0=b0, Q=Q, bi=np.zeros((m, n)), ri=ri, alpha=alpha, p=p,
+        r=float(np.max(np.abs(xbar))), scale0=scale0, seed=seed, xbar=xbar,
+    )
+
+
+@pytest.mark.parametrize("seed, n, m", [(0, 2, 1), (1, 20, 5), (3, 17, 2), (2, 50, 7)])
+def test_qcqp_generate_equals_the_serial_loop_bit_for_bit(seed, n, m):
+    inst, ref = qcqp_generate(seed, n, m), _qcqp_generate_serial(seed, n, m)
+    for field in dataclasses.fields(qcqp.QcqpInstance):
+        got, want = getattr(inst, field.name), getattr(ref, field.name)
+        assert type(got) is type(want), field.name
+        assert np.array_equal(got, want), field.name
+
+
+def test_qcqp_generate_200x20_bits_are_pinned():
+    # sha256 of the little-endian float64 arrays, recorded with the serial loop
+    inst = qcqp_generate(1, 200, 20)
+    digests = {
+        name: hashlib.sha256(np.asarray(getattr(inst, name), dtype="<f8").tobytes()).hexdigest()
+        for name in ("Q", "b0", "ri")
+    }
+    assert digests == {
+        "Q": "5ad0e82c240abbed84107e95e4f4677b1094762f2c0354a53de869cc775e89d4",
+        "b0": "822f91b114c9962f06f8411b9b4eeea4d227d07fb831f9e07b7add28489af22b",
+        "ri": "567c4af3b49892035e1347fcdb561e4ff4e32166d97661003f1a874ee75a9bcc",
+    }
+
+
+def test_qcqp_generate_leaves_no_thread_behind():
+    before = threading.active_count()
+    qcqp_generate(4, 30, 6)
+    assert threading.active_count() == before
+
+
+def test_qcqp_generate_from_concurrent_threads_gives_the_same_bits():
+    ref = qcqp_generate(1, 20, 5)
+    out = [None] * 3
+
+    def gen(k):
+        out[k] = qcqp_generate(1, 20, 5)
+
+    threads = [threading.Thread(target=gen, args=(k,)) for k in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for inst in out:
+        assert np.array_equal(inst.Q, ref.Q) and np.array_equal(inst.ri, ref.ri)
+
+
+def test_qcqp_generate_raises_a_helper_error_and_joins_the_helper(monkeypatch):
+    stream = qcqp._stream
+
+    def failing_stream(seed, *key):
+        if key == (1, 3):
+            raise RuntimeError("draw failed")
+        return stream(seed, *key)
+
+    monkeypatch.setattr(qcqp, "_stream", failing_stream)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        qcqp_generate(4, 12, 6)
+    assert threading.active_count() == before
+
+
+def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
+    qr, calls = np.linalg.qr, []
+
+    def failing_qr(G):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("qr failed")
+        return qr(G)
+
+    monkeypatch.setattr(np.linalg, "qr", failing_qr)
+    before = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="qr failed"):
+        qcqp_generate(4, 12, 6)
+    assert threading.active_count() == before
 
 
 def test_qcqp_oracles_pass_fd_checks():
