@@ -6,7 +6,8 @@ A problem is a bundle of four oracles:
 - ``ProxOracle`` for the prox-friendly terms g and h (extended-real value +
   proximal mapping),
 - ``MapOracle`` for the inner map c (value + vector-Jacobian products, and
-  ``linearize``, which gives both from one pass).
+  ``linearize``, which gives both from one pass; a map given as a one-pass
+  linearizer gets its value and vjp from it).
 
 Dense Jacobians are never formed: the solver needs J_c(x)^T w, and J_c(x) d
 where a pullback offers it.  A ``Pullback`` is a callable w -> J_c(x)^T w; it
@@ -80,17 +81,29 @@ class ProxOracle:
 class MapOracle:
     """Nonlinear map c: R^n -> R^m with adjoint products.
 
-    ``vjp(x, w)`` returns J_c(x)^T w (length n).  ``jac_lipschitz_bound`` and
+    ``linearizer(x) -> (c(x), pullback)`` gives the value and the adjoint in
+    one pass; a map given by it alone gets ``value(x) = linearizer(x)[0]`` and
+    ``vjp(x, w) = linearizer(x)[1](w)``.  Without a linearizer, ``value`` and
+    ``vjp(x, w) = J_c(x)^T w`` are both required.  ``jac_lipschitz_bound`` and
     ``jac_norm_bound`` are optional user-supplied constants L_c and M_c.
-    ``linearizer(x) -> (c(x), pullback)`` is an optional one-pass form of
-    ``linearize`` for maps whose value and adjoint share work.
     """
 
-    value: Callable[[Vector], Vector]
-    vjp: Callable[[Vector, Vector], Vector]
+    value: Optional[Callable[[Vector], Vector]] = None
+    vjp: Optional[Callable[[Vector, Vector], Vector]] = None
     jac_lipschitz_bound: Optional[float] = None
     jac_norm_bound: Optional[float] = None
     linearizer: Optional[Callable[[Vector], Tuple[Vector, Pullback]]] = None
+
+    def __post_init__(self) -> None:
+        lin = self.linearizer
+        if lin is None:
+            if self.value is None or self.vjp is None:
+                raise ValueError("a MapOracle without a linearizer needs both value and vjp")
+            return
+        if self.value is None:
+            object.__setattr__(self, "value", lambda x: lin(x)[0])
+        if self.vjp is None:
+            object.__setattr__(self, "vjp", lambda x, w: lin(x)[1](w))
 
     def linearize(self, x: Vector) -> Tuple[Vector, Pullback]:
         """``(c(x), pullback)`` with ``pullback(w) = J_c(x)^T w``, in the style

@@ -12,13 +12,12 @@ data fit plus the gamma barrier, g the box indicator, c = sin(p_psk*theta/2)
 Where min(r) >= r_lo, which holds at every point the solver evaluates f at
 (g.prox lands in the box), f sums 1/r, which is gamma(r) to the bit.  The C^1
 extension is evaluated only off the box, where check_gradient's central
-differences may land.  f.value and f.grad write phi into one array that the
-problem owns, so one problem must not evaluate f from two threads at once.
+differences may land.  The problem holds no mutable state, so several threads
+may evaluate one problem at once.
 
-The map has a one-pass linearizer: it forms p_psk*theta/2 once per point and
-returns sin of it with a pullback that closes over it, so a trial makes one
-map pass and the accepted step's pullback adds one cos; c.value and c.vjp go
-through it.
+The map is given as a one-pass linearizer: it forms p_psk*theta/2 once per
+point and returns sin of it with a pullback that closes over it, so a trial
+makes one map pass and the accepted step's pullback adds one cos.
 
 Randomness: Philox streams (0,) for A, (1,) for the PSK ground truth,
 (2,) for the observation noise.
@@ -128,16 +127,10 @@ def mimo_problem(inst: MimoInstance) -> Problem:
     # the ufunc reductions behind .min(), .max() and .sum(), minus their wrappers;
     # likewise ndarray.dot makes the BLAS call of @ with less overhead
     vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
-    # f writes phi(r, theta) into this array in place of phi's concatenate (the
-    # same products, so the same bits); no value f returns refers to it
-    ph = np.empty(2 * n)
-    ph_cos, ph_sin = ph[:n], ph[n:]
 
     def f_value(x: Vector) -> float:
         r, theta = x[:n], x[n:]
-        np.multiply(r, np.cos(theta, out=ph_cos), out=ph_cos)
-        np.multiply(r, np.sin(theta, out=ph_sin), out=ph_sin)
-        e = A.dot(ph) - yhat
+        e = A.dot(phi(r, theta)) - yhat
         # in the box _gamma(r) is 1/r to the bit; NaN fails the test and takes _gamma
         barrier = 1.0 / r if vmin(r) >= r_lo else _gamma(r, r_lo)
         return float(0.5 * e.dot(e) + lam1 * vsum(barrier))
@@ -145,9 +138,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
     def f_grad(x: Vector) -> Vector:
         r, theta = x[:n], x[n:]
         ct, st = np.cos(theta), np.sin(theta)
-        np.multiply(r, ct, out=ph_cos)
-        np.multiply(r, st, out=ph_sin)
-        e = A.dot(ph) - yhat
+        e = A.dot(np.concatenate([r * ct, r * st])) - yhat
         ate = A.T.dot(e)
         u, v = ate[:n], ate[n:]
         grad_r = ct * u + st * v + lam1 * _gamma_prime(r, r_lo)
@@ -173,12 +164,6 @@ def mimo_problem(inst: MimoInstance) -> Problem:
 
         return np.sin(arg), pullback
 
-    def c_value(x: Vector) -> Vector:
-        return c_linearize(x)[0]
-
-    def c_vjp(x: Vector, w: Vector) -> Vector:
-        return c_linearize(x)[1](w)
-
     def h_value(y: Vector) -> float:
         return float(lam2 * vsum(np.abs(y)))
 
@@ -198,8 +183,6 @@ def mimo_problem(inst: MimoInstance) -> Problem:
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
         c=MapOracle(
-            c_value,
-            c_vjp,
             jac_lipschitz_bound=ppsk**2 / 4.0,
             jac_norm_bound=ppsk / 2.0,
             linearizer=c_linearize,

@@ -236,12 +236,6 @@ def mlp_problem(inst: MlpInstance) -> Problem:
         out, pullback = _linearize(v, dims, kind, X)
         return out - y, pullback
 
-    def c_value(v: Vector) -> Vector:
-        return c_linearize(v)[0]
-
-    def c_vjp(v: Vector, w: Vector) -> Vector:
-        return c_linearize(v)[1](w)
-
     def h_value(u: Vector) -> float:
         return float(h_weight * np.sum(np.abs(u) ** p))
 
@@ -257,7 +251,7 @@ def mlp_problem(inst: MlpInstance) -> Problem:
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=0.0),
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
-        c=MapOracle(c_value, c_vjp, linearizer=c_linearize),
+        c=MapOracle(linearizer=c_linearize),
         n=nv,
         m=m,
         inf_fg_lower_bound=0.0,

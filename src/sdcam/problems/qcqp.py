@@ -18,9 +18,9 @@ with L_c.
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
 orthogonal factor of Qi, and (2, i) for its diagonal.  Instances are
-bit-reproducible given (seed, params) and portable across platforms.  A helper
-thread draws block i+1 while the calling thread factors block i; every LAPACK
-and BLAS call stays on the calling thread.
+bit-reproducible given (seed, params) and portable across platforms.  A
+one-worker thread pool draws block i+1 while the calling thread factors block
+i; every LAPACK and BLAS call stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import threading
 from typing import Tuple
 
 import numpy as np
@@ -97,47 +96,9 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-class _PrefetchedDraws:
-    """Block i's Gaussian matrix (stream (1, i)) and diagonal (stream (2, i))
-    for i = 0..m-1 in order, drawn on one helper thread a block ahead of the
-    caller: once the caller takes block i, the helper draws block i+1.  The
-    draws release the GIL and call no BLAS, so they overlap the caller's QR
-    and products, and at most two blocks are alive at a time.  An exception
-    on the helper is raised by ``take``; ``close`` stops and joins the
-    helper, and must be called on every path out."""
-
-    def __init__(self, seed: int, n: int, m: int) -> None:
-        self._slot: object = None
-        self._drawn = threading.Semaphore(0)
-        self._taken = threading.Semaphore(0)
-        self._stop = False
-        self._thread = threading.Thread(target=self._run, args=(seed, n, m), name="qcqp-draws")
-        self._thread.start()
-
-    def _run(self, seed: int, n: int, m: int) -> None:
-        for i in range(m):
-            try:
-                G = _stream(seed, 1, i).standard_normal((n, n))
-                self._slot = G, _stream(seed, 2, i).uniform(0.0, 5.0, n)
-            except BaseException as exc:  # re-raised on the calling thread by take()
-                self._slot = exc
-            self._drawn.release()
-            self._taken.acquire()
-            if self._stop:
-                return
-
-    def take(self) -> Tuple[np.ndarray, np.ndarray]:
-        self._drawn.acquire()
-        got = self._slot
-        if isinstance(got, BaseException):
-            raise got
-        self._taken.release()
-        return got
-
-    def close(self) -> None:
-        self._stop = True
-        self._taken.release()
-        self._thread.join()
+def _draw(seed: int, n: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Block i's Gaussian matrix (stream (1, i)) and diagonal (stream (2, i))."""
+    return _stream(seed, 1, i).standard_normal((n, n)), _stream(seed, 2, i).uniform(0.0, 5.0, n)
 
 
 def qcqp_generate(
@@ -164,16 +125,21 @@ def qcqp_generate(
     else:
         raise RuntimeError("xbar degenerate (all zero) after 10 attempts; r would be 0")
 
+    # imported here, so that only QCQP generation loads the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     Q = np.empty((m, n, n))
-    draws = _PrefetchedDraws(seed, n, m)
-    try:
+    # the draws release the GIL and call no BLAS, so one helper draws block
+    # i+1 while this thread factors block i; ``with`` joins it on every path
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        drawn = pool.submit(_draw, seed, n, 0)
         for i in range(m):
-            G, D = draws.take()
+            G, D = drawn.result()
+            if i + 1 < m:
+                drawn = pool.submit(_draw, seed, n, i + 1)
             U, _ = np.linalg.qr(G)
             Qi = (U * D) @ U.T
             Q[i] = 0.5 * (Qi + Qi.T)
-    finally:
-        draws.close()
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
     return QcqpInstance(
@@ -265,12 +231,6 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
     def g_prox(z: Vector, gamma: float) -> Vector:
         return prox_lp_box(z, LpProxParams(p=p, alpha=alpha, gamma=gamma), r)
 
-    def c_value(x: Vector) -> Vector:
-        return _linearize(inst, x)[0]
-
-    def c_vjp(x: Vector, w: Vector) -> Vector:
-        return _linearize(inst, x)[1](w)
-
     def h_value(y: Vector) -> float:
         return 0.0 if np.all(y <= 0.0) else float("inf")
 
@@ -293,8 +253,6 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
         c=MapOracle(
-            c_value,
-            c_vjp,
             jac_lipschitz_bound=L_c,
             jac_norm_bound=M_c,
             linearizer=functools.partial(_linearize, inst),

@@ -151,7 +151,8 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
     Exact via candidate enumeration: {0, sign(z_i)*r, clamped interior prox}.
     Where u > r the clamped candidate is r with q(r), which cannot beat the r
     already tried, so only u <= r is tried with q(u); where the tie test picks
-    0 instead of u, q(u) >= q(0) - 1e-12, so it can never win there.
+    0 instead of u, q(u) >= q(0) - 1e-12, so it can never win there.  Where
+    q(r) and q(0) round equal, 0 and r are compared by their exact gap.
     An input of +-inf gives +-r, and NaN gives NaN.
     """
     if r <= 0.0:
@@ -165,6 +166,13 @@ def prox_lp_box(z: Vector, params: LpProxParams, r: float) -> Vector:
         # entries that overflows just takes the general path below
         all_finite = math.isfinite(a.sum())
     take_r = q_r < q_0 - _TIE_TOL
+    tie = q_r == q_0
+    if np.any(tie):
+        # q(r) and q(0) round equal, or both overflow, where |z| is large next
+        # to r; the exact gap q(r) - q(0) = r*(r/2 - |z|) + w*r^p settles it
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = r * (0.5 * r - a) + params.alpha * params.gamma * r**params.p
+        take_r = np.where(tie, gap < -_TIE_TOL, take_r)
     take_u = q_u < np.where(take_r, q_r, q_0) - _TIE_TOL
     take_u &= u <= r
     best_u = np.where(take_u, u, np.where(take_r, r, 0.0))

@@ -113,6 +113,17 @@ def test_default_linearize_is_value_and_vjp():
     np.testing.assert_array_equal(pullback(w), J.T @ w)
 
 
+def test_map_given_by_a_linearizer_derives_value_and_vjp():
+    J = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    c = MapOracle(linearizer=lambda x: (J @ x, lambda w: J.T @ w))
+    x, w = np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0])
+    np.testing.assert_array_equal(c.value(x), J @ x)
+    np.testing.assert_array_equal(c.vjp(x, w), J.T @ w)
+    for kwargs in ({}, {"value": lambda x: J @ x}, {"vjp": lambda x, w: J.T @ w}):
+        with pytest.raises(ValueError, match="needs both value and vjp"):
+            MapOracle(**kwargs)
+
+
 def test_default_fd_step_scales_with_point():
     assert default_fd_step(np.zeros(3)) == pytest.approx(1e-6)
     assert default_fd_step(np.array([9.0])) == pytest.approx(1e-5)

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdcam
 from sdcam.oracles import check_gradient, check_vjp
 from sdcam.problems import (
     FAMILIES,
@@ -169,6 +173,31 @@ def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="qr failed"):
         qcqp_generate(4, 12, 6)
     assert threading.active_count() == before
+
+
+def test_mlp_and_mimo_solves_load_no_pool_and_start_no_thread():
+    # only QCQP generation imports concurrent.futures and starts a thread
+    code = """
+import sys, threading
+import sdcam
+from sdcam.problems import FAMILIES
+for name in ("mlp", "mimo"):
+    fam = FAMILIES[name]
+    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(0, **fam.check_kwargs))
+    cfg = sdcam.SolverConfig(
+        **fam.solver_defaults, schedule=sdcam.ScheduleSpec(family="power", beta0=1.0, delta=0.3),
+        max_successful_iters=20, max_total_trials=2000,
+    )
+    assert len(sdcam.solve(prob, cfg, x0, y0, rel_feas).trace) == 20
+print("concurrent.futures" in sys.modules, threading.active_count())
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdcam.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "1"]
 
 
 def test_qcqp_oracles_pass_fd_checks():
@@ -435,6 +464,52 @@ def test_linearize_pullback_survives_mutating_x(family):
     np.testing.assert_array_equal(c_x, prob.c.value(x_saved))
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_map_value_and_vjp_are_the_linearizer_outputs_bit_for_bit(family):
+    fam = FAMILIES[family]
+    prob, x0, *_ = fam.setup(fam.generate(5, **fam.check_kwargs))
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        x = x0 + 0.1 * rng.standard_normal(x0.size)
+        w = rng.standard_normal(prob.m)
+        c_x, pullback = prob.c.linearize(x)
+        assert prob.c.value(x).tobytes() == c_x.tobytes()
+        assert prob.c.vjp(x, w).tobytes() == pullback(w).tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_map_keeps_its_linearizer_under_replace_and_needs_one_or_both(family):
+    fam = FAMILIES[family]
+    prob, x0, *_ = fam.setup(fam.generate(5, **fam.check_kwargs))
+    c = prob.c
+    # a map without a linearizer must give both value and vjp
+    for missing in ("value", "vjp"):
+        with pytest.raises(ValueError, match="needs both value and vjp"):
+            dataclasses.replace(c, linearizer=None, **{missing: None})
+    # wrapping value and vjp, as the benchmark's call recorder does, keeps the
+    # linearizer and the constants, and the wrappers see every call
+    calls = []
+
+    def value(x):
+        calls.append("value")
+        return c.value(x)
+
+    def vjp(x, w):
+        calls.append("vjp")
+        return c.vjp(x, w)
+
+    wrapped = dataclasses.replace(c, value=value, vjp=vjp)
+    assert wrapped.linearizer is c.linearizer
+    assert wrapped.jac_lipschitz_bound == c.jac_lipschitz_bound
+    assert wrapped.jac_norm_bound == c.jac_norm_bound
+    w = np.random.default_rng(5).standard_normal(prob.m)
+    c_x, pullback = c.linearize(x0)
+    assert wrapped.value(x0).tobytes() == c_x.tobytes()
+    assert wrapped.vjp(x0, w).tobytes() == pullback(w).tobytes()
+    assert wrapped.linearize(x0)[0].tobytes() == c_x.tobytes()
+    assert calls == ["value", "vjp"]
+
+
 def test_relative_feasibility_examples():
     inst = qcqp_generate(7, n=4, m=2)
     # direct formula checks with synthetic constraint values
@@ -669,6 +744,40 @@ def test_mimo_g_prox_is_project_box_bit_for_bit():
         for gamma in (1e-8, 0.5, 3.0):
             out, ref = prox(z, gamma), project_box(z, lo, hi)
             assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+def test_mimo_f_from_two_threads_equals_serial_evaluation_bit_for_bit():
+    # the problem holds no buffer of its own, so two threads may share it;
+    # a tiny switch interval makes the threads interleave inside f
+    prob = mimo_problem(mimo_generate(2, n=8, m=16))
+    rng = np.random.default_rng(9)
+    points = [
+        [np.concatenate([rng.uniform(0.5, 1.0, 8), rng.uniform(-4.0, 4.0, 8)]) for _ in range(4)]
+        for _ in range(2)
+    ]
+
+    def evaluate(x):
+        return prob.f.value(x).hex(), prob.f.grad(x).tobytes()
+
+    want = [[evaluate(x) for x in pts] for pts in points]
+    got = [[], []]
+
+    def run(k):
+        for it in range(600):
+            got[k].append(evaluate(points[k][it % 4]))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(2):
+        assert got[k] == [want[k][it % 4] for it in range(600)]
 
 
 def test_mimo_validation():

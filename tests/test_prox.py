@@ -239,14 +239,16 @@ def test_lp_prox_output_bits_are_pinned():
     # sha256 of the little-endian float64 outputs over the battery, recorded
     # when the lp prox became Newton only; the box digest was re-recorded when
     # the box prox of +-inf became +-r and of NaN became NaN (its finite
-    # entries kept their bits).  A change here changes trace bits: update the
-    # digests only with a numerics change that CHANGES.md explains.
+    # entries kept their bits), and again when the box prox of +-1e300 became
+    # +-r instead of 0 (every other entry kept its bits).  A change here
+    # changes trace bits: update the digests only with a numerics change that
+    # CHANGES.md explains.
     power, box = hashlib.sha256(), hashlib.sha256()
     for params, r, z in _lp_prox_battery():
         power.update(np.asarray(prox_lp_power(z, params), dtype="<f8").tobytes())
         box.update(np.asarray(prox_lp_box(z, params, r), dtype="<f8").tobytes())
     assert power.hexdigest() == "a4fddda1b3a4d1eb38336ea51f19df78f5a85fd1bd67c4b69e0fbc6d3893f3a4"
-    assert box.hexdigest() == "faeeefb5d1222bc21437d2bbf7ab505a133d1a9b43cd4b82617daf462f17369f"
+    assert box.hexdigest() == "b34f7777788f2652d634351fa6848ade1011ba1c1fa63d648fdc6a1245495961"
 
 
 @pytest.mark.parametrize(
@@ -307,6 +309,19 @@ def test_prox_lp_box_of_non_finite_input(params, r):
     mixed = prox_lp_box(z, params, r)
     each = [prox_lp_box(np.array([zi]), params, r)[0] for zi in z]
     np.testing.assert_array_equal(_bits(mixed), _bits(each))
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0, 1e3, 1e12, 1e16, 1e100, 1e180, 1e250])
+def test_prox_lp_box_of_huge_finite_input_is_the_clamped_prox(r):
+    # q(r) and q(0) round equal from |z| = 3e16 (r = 2) and overflow from
+    # about 1.9e154, so only the exact gap q(r) - q(0) tells 0 from r there;
+    # for |z| this far above the threshold the minimizer over [-r, r] is
+    # sign(z)*min(u, r), with u the unconstrained prox
+    params = LpProxParams(p=0.5, alpha=1.0, gamma=1.0)
+    z = np.array([1e15, 1e16, 3e16, 1e17, 1e150, 1e200])
+    z = np.concatenate([z, -z])
+    want = np.copysign(np.minimum(np.abs(prox_lp_power(z, params)), r), z)
+    np.testing.assert_array_equal(_bits(prox_lp_box(z, params, r)), _bits(want))
 
 
 def test_prox_lp_box_signs_of_zero():
