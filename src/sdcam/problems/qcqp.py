@@ -178,17 +178,26 @@ class _Pullback:
 
 def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
     """A bound on how far rounding can lift the solver's computed Taylor bound
-    ||J_c(x) d|| - (L_c/2)||d||^2 above its computed ||c(x') - c(x)||, for
-    every x' in the box and d = x' - x.
+    ||r + J_c(x) d|| - (L_c/2)||d||^2 above its computed ||c(x') - c(z)||, less
+    the (m + 4)*u*||r|| the solver adds, for every x', z in the box, d = x' - x
+    and r the computed c(x) - c(z); r = 0 when z = x.
 
-    With F = ||Q||_F, B = ||bi||_F and R = ||ri||, the computed c(z) is within
-    g*(F||z||^2 + B||z|| + R) of c(z): each dot product errs by at most n*u
+    With F = ||Q||_F, B = ||bi||_F and R = ||ri||, the computed c(w) is within
+    g*(F||w||^2 + B||w|| + R) of c(w): each dot product errs by at most n*u
     times its sum of absolute products, in any order of summation, and
-    |z|^T |Qi| |z| <= ||Qi||_F ||z||^2.  Likewise the computed J_c(x) d is
+    |w|^T |Qi| |w| <= ||Qi||_F ||w||^2.  Likewise the computed J_c(x) d is
     within g*(F||x|| + B)||d|| of J_c(x) d.  The difference, the norms and the
     L_c term (L_c <= F) add errors of the same scales.  On the box,
     ||x'|| <= sqrt(n)*r and ||d|| <= ||x|| + sqrt(n)*r; g = 2*(2n + m + 8)*u,
-    with u = 2^-53, covers every rounding step with room to spare."""
+    with u = 2^-53, covers every rounding step with room to spare.
+
+    For z other than x, the computed c(x') - c(z) is r plus the computed
+    c(x') - c(x), less the rounding of r: the error of the computed c(z)
+    cancels, and the errors of c(x) and c(x') are those above.  The sum
+    r + J_c(x) d and its norm add (m/2 + 2)*u*(||r|| + ||J_c(x) d||) to first
+    order; the solver's (m + 4)*u*||r|| takes the ||r|| share and the rounding
+    of r, and the ||J_c(x) d|| share is inside g*(F||x|| + B)||d||, since
+    g >= 2*(m + 4)*u."""
     F, B, R, box = inst._scales
     xn = math.sqrt(x @ x)
     dn = xn + box

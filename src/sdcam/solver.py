@@ -41,28 +41,45 @@ trial that (i) rejects computes one ``g.prox``, ``g.value``, one
 passes (i) adds ``f.value`` and ||c(x~) - y^t||.  An accepted step reuses
 ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 
-When the iterate's pullback offers ``jvp(d) = J_c(x^t) d`` and
-``jvp_slack``, and c has a Jacobian Lipschitz constant L_c, a trial first
-tries to reject without evaluating c(x~).  With d = x~ - x^t, L_c gives
+When the pullback at x^t offers ``jvp(d) = J_c(x^t) d`` and ``jvp_slack``,
+and c has a Jacobian Lipschitz constant L_c, a trial first tries to reject
+without evaluating c(x~).  It tests one Taylor bound, taken at an anchor a in
+dom g where c has been evaluated: with r_a = c(a) - c(x^t) and e = x~ - a,
+L_c gives
 
-    ||c(x~) - c(x^t)||  >=  ||J_c(x^t) d|| - (L_c/2)||d||^2,
+    ||c(x~) - c(x^t)||  >=  ||r_a + J_c(a) e|| - (L_c/2)||e||^2,
 
-and ``jvp_slack`` bounds how far rounding can lift the computed right side
-above the computed left side.  So, with lb the computed right side less
-``jvp_slack``, sqrt(1/(mu*beta_t))*||d|| - lb is an upper bound on the
-margin_i that evaluating c(x~) would give, in exact arithmetic and as
-computed.  When that bound is finite and below -tol, the trial is rejected as
-a failed (i) is, returning the bound as margin_i and NaN for margin_ii.  Such
-a certified trial computes ``g.prox``, ``g.value``, one jvp and two norms.
-The exact test would reject it too, so the backtracking argument and every
-output bit are unchanged; only its reported margin_i differs.
+since c(x~) - c(x^t) = r_a + J_c(a) e plus a remainder of norm at most
+(L_c/2)||e||^2.  The anchor's slack, the jvp_slack of the pullback at a plus
+(m + 4)*u*||r_a|| (u = 2^-53, see ``step``), bounds how far rounding can lift
+the computed right side above the computed left side.  So, with lb the
+computed right side less the slack, sqrt(1/(mu*beta_t))*||x~ - x^t|| - lb is
+an upper bound on the margin_i that evaluating c(x~) would give, in exact
+arithmetic and as computed.  When that bound is finite and below -tol, the
+trial is rejected as a failed (i) is, returning the bound as margin_i and NaN
+for margin_ii.  Such a certified trial computes ``g.prox``, ``g.value``, one
+jvp and three norms.  The exact test would reject it too, so the backtracking
+argument and every output bit are unchanged; only its reported margin_i
+differs.
+
+The anchor moves.  ``initial_state`` and every accepted step put it at x^t,
+with r_a = 0 and the slack jvp_slack: the bound at x^t.  A rejected trial
+that did evaluate c(x~) moves it to x~, with the pullback that trial
+already has and r_a formed from its c(x~) as its test of (i) formed
+c(x~) - c(x^t), bit for bit; a certified trial leaves it.  While mu
+walks down, successive trial points lie close together, so the curvature
+term (L_c/2)||e||^2 taken at the last swept trial is small, where the one at
+x^t may be larger than ||c(x~) - c(x^t)|| itself.  Every trial still
+applies one jvp, at the anchor.  An anchor left from an earlier iterate
+would measure r_a against an old c(x^t), so an accepted step always resets
+it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -113,13 +130,26 @@ class SolverConfig:
             raise ValueError(f"unknown assert_level {self.assert_level!r}")
 
 
+class TaylorAnchor(NamedTuple):
+    """The point a of the Taylor-bound rejection, r = c(a) - c(x^t) as
+    computed, the pullback at a (it offers ``jvp``) and the slack of the
+    bound, the pullback's ``jvp_slack`` plus (m + 4)*u*||r||."""
+
+    a: Vector
+    r: Vector
+    pullback: Pullback
+    slack: float
+
+
 @dataclasses.dataclass
 class SolverState:
-    """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y),
-    ||c(x) - y|| and the pullback (None when the solver cannot use its jvp)
-    at the current iterate, and the linearized gradient v for the
+    """Mutable run state; caches c(x), grad f(x), J_c(x)^T (c(x) - y) and
+    ||c(x) - y|| at the current iterate, the linearized gradient v for the
     beta_t of its last trial (``v_beta`` is NaN until then and after every
-    accepted step)."""
+    accepted step), and the anchor of the Taylor-bound rejection: x itself
+    after ``initial_state`` and every accepted step, then the last rejected
+    trial point where c was evaluated.  It is None when the solver cannot use
+    a jvp (see the module docstring)."""
 
     t: int
     x: Vector
@@ -128,7 +158,7 @@ class SolverState:
     c_x: Vector
     grad_fx: Vector
     jtd: Vector  # J_c(x)^T (c(x) - y)
-    taylor: Optional[Pullback]  # offers jvp(d) = J_c(x) d; see _taylor_pullback
+    anchor: Optional[TaylorAnchor]  # of the Taylor-bound rejection; see _anchor
     fg_x: float  # f(x) + g(x)
     gap_x: float  # ||c(x) - y||
     h_y: float  # h(y)
@@ -214,12 +244,28 @@ def _linearize(
     return grad_fx, jtd
 
 
-def _taylor_pullback(p: Problem, pullback: Pullback) -> Optional[Pullback]:
-    """``pullback`` when it offers ``jvp`` and ``jvp_slack`` and c has an L_c,
-    the inputs of the Taylor-bound rejection; otherwise None."""
+def _anchor(
+    p: Problem, a: Vector, pullback: Pullback, r: Optional[Vector] = None, r_norm: float = 0.0
+) -> Optional[TaylorAnchor]:
+    """The anchor at a, where c(a) - c(x^t) computed to r of norm r_norm (r
+    None: a is x^t and r is 0), when ``pullback`` (at a) offers ``jvp`` and
+    ``jvp_slack`` and c has an L_c, the inputs of the Taylor-bound rejection;
+    otherwise None."""
     if p.c.jac_lipschitz_bound is None:
         return None
-    return pullback if hasattr(pullback, "jvp") and hasattr(pullback, "jvp_slack") else None
+    if not (hasattr(pullback, "jvp") and hasattr(pullback, "jvp_slack")):
+        return None
+    if r is None:
+        r = np.zeros(p.m)
+    return TaylorAnchor(a, r, pullback, pullback.jvp_slack + (p.m + 4) * 2.0**-53 * r_norm)
+
+
+def _taylor_bound(anchor: TaylorAnchor, x_trial: Vector, L_c: float) -> float:
+    """||r + J_c(a) e|| - (L_c/2)||e||^2 - slack with e = x_trial - a: a lower
+    bound on the computed ||c(x_trial) - c(x^t)||; see ``step``."""
+    e = x_trial - anchor.a
+    e_norm = _norm(e)
+    return _norm(anchor.r + anchor.pullback.jvp(e)) - 0.5 * L_c * e_norm * e_norm - anchor.slack
 
 
 def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
@@ -247,7 +293,8 @@ def initial_state(p: Problem, x0: Vector, y0: Vector, mu: float) -> SolverState:
     grad_fx, jtd = _linearize(p, x0, c_x, pullback, y0)
     return SolverState(
         t=0, x=x0, y=y0, mu=mu, c_x=c_x, grad_fx=grad_fx, jtd=jtd,
-        taylor=_taylor_pullback(p, pullback), fg_x=fg_x, gap_x=_norm(c_x - y0), h_y=h0,
+        anchor=_anchor(p, x0, pullback),
+        fg_x=fg_x, gap_x=_norm(c_x - y0), h_y=h0,
     )
 
 
@@ -271,6 +318,22 @@ def step(
     (c returned NaN or inf at x~, f did where (ii) is evaluated, or mu is too
     small to invert) raises SolverError instead of rejecting the trial.
     So does a non-finite gap or residual; finite margins cover the other terms.
+
+    The anchor's slack is the pullback's ``jvp_slack`` plus (m + 4)*u*||r_a||
+    with u = 2^-53, the solver's own rounding as far as it scales with r_a.
+    Write c~ for the computed values of c.  The computed r_a is
+    c~(a) - c~(x^t) + delta with ||delta|| <= u||r_a||/(1 - u), so
+
+        c~(x~) - c~(x^t)  =  r_a - delta + (c~(x~) - c~(a)):
+
+    the error of c~(x^t) cancels, since the same float vector is on both
+    sides, and c~(x~) - c~(a) is the difference that ``jvp_slack`` covers at
+    a.  With j the computed J_c(a) e, forming r_a + j errs by at most
+    u(||r_a|| + ||j||), and its norm by (m/2 + 1)u(||r_a|| + ||j||) to first
+    order.  The ||j|| shares are the pullback's, as ``sdcam.oracles`` states;
+    the ||r_a|| shares and delta stay below (m/2 + 3)(1 + 2u)u||r_a||, which
+    (m + 4)*u*||r_a||, computed, exceeds.  At an anchor at x^t, r_a = 0, so the
+    bound is the plain one at x^t, bit for bit.
     """
     beta_t = beta_at(cfg.schedule, st.t)
     mu = st.mu
@@ -297,12 +360,10 @@ def step(
     thr = math.sqrt(1.0 / (mu * beta_t)) * step_norm  # the right side of (i)
     tol = 1e-12 * (1.0 + abs(st.fg_x))
     # a NaN or -inf g(x~) takes the exact path below, which raises
-    if st.taylor is not None and math.isfinite(g_trial):
-        # ||c(x~) - c(x^t)|| >= ||J_c(x^t) d|| - (L_c/2)||d||^2, and jvp_slack
-        # covers the rounding of both sides, so thr - lb >= margin_i as computed
-        L_c = p.c.jac_lipschitz_bound
-        lb = _norm(st.taylor.jvp(dx)) - 0.5 * L_c * step_norm * step_norm - st.taylor.jvp_slack
-        margin_i = thr - lb
+    anchor = st.anchor
+    if anchor is not None and math.isfinite(g_trial):
+        # thr - lb >= margin_i as computed; see the module docstring
+        margin_i = thr - _taylor_bound(anchor, x_trial, p.c.jac_lipschitz_bound)
         if margin_i < -tol and math.isfinite(margin_i):
             st.mu *= cfg.rho
             st.unsuccessful_since_accept += 1
@@ -328,6 +389,9 @@ def step(
     if not margin_ii >= -tol:
         st.mu *= cfg.rho
         st.unsuccessful_since_accept += 1
+        if anchor is not None:  # the next trial's bound is taken at x~
+            dc = c_trial - st.c_x
+            st.anchor = _anchor(p, x_trial, pullback, dc, _norm(dc))
         return None, (margin_i, margin_ii)
 
     beta_prev = beta_at(cfg.schedule, st.t - 1) if st.t >= 1 else cfg.schedule.beta0
@@ -369,7 +433,7 @@ def step(
     st.c_x = c_trial
     st.grad_fx = grad_new
     st.jtd = jtd_new
-    st.taylor = _taylor_pullback(p, pullback)
+    st.anchor = _anchor(p, x_trial, pullback)
     st.v_beta = math.nan
     st.fg_x = fg_trial
     st.gap_x = gap

@@ -119,12 +119,17 @@ def verify_problem_oracles(
     consecutive points, each to 1e-9 relative; a constant that is None is
     skipped.  Where the pullback offers ``jvp``, <w, jvp(d)> must equal
     <pullback(w), d> for a random (w, d), to 1e-9 relative to the sums of the
-    absolute products.  Returns a list of failure messages (empty means all
-    passed)."""
+    absolute products; where it also offers ``jvp_slack``, that must be finite
+    and >= 0, and, with jac_lipschitz_bound set and d = x' - x toward the
+    previous point x' with both points in dom g, the computed ||c(x') - c(x)||
+    must be at least the computed ||jvp(d)|| - (L_c/2)||d||^2 - jvp_slack, the
+    Taylor bound the solver rejects trials with (skipped where L_c fails
+    between the two points).  Each point reports at most one jvp failure.
+    Returns a list of failure messages (empty means all passed)."""
     failures: List[str] = []
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     M_c, L_c = problem.c.jac_norm_bound, problem.c.jac_lipschitz_bound
-    J_prev = None
+    J_prev = c_prev = None
     for k, x in enumerate(points):
         rep = check_gradient(problem.f, x, rng=rng)
         if not rep.passed:
@@ -132,32 +137,60 @@ def verify_problem_oracles(
         rep = check_vjp(problem.c, x, rng=rng)
         if not rep.passed:
             failures.append(f"adjoint-product check failed at point {k}: {rep.message}")
-        pullback = problem.c.linearize(x)[1]
-        jvp = getattr(pullback, "jvp", None)
-        if jvp is not None:
-            w, d = rng.standard_normal(problem.m), rng.standard_normal(x.size)
-            jd, jtw = np.asarray(jvp(d), dtype=float), np.asarray(pullback(w), dtype=float)
-            scale = float(np.abs(w) @ np.abs(jd) + np.abs(jtw) @ np.abs(d))
-            if not abs(float(w @ jd) - float(jtw @ d)) <= _BOUND_REL_SLACK * scale:
-                failures.append(f"jvp is not the adjoint of the pullback at point {k}: "
-                                f"<w, jvp(d)> = {float(w @ jd):.6g}, "
-                                f"<pullback(w), d> = {float(jtw @ d):.6g}")
-        if M_c is None and L_c is None:
-            continue  # J_c(x) costs m pullbacks and an m x m identity
-        J = np.array([pullback(e) for e in np.eye(problem.m)])  # row i is J_c(x)^T e_i
-        if M_c is not None and math.isfinite(problem.g.value(x)):
-            norm = float(np.linalg.norm(J, 2))
-            if not norm <= M_c * (1.0 + _BOUND_REL_SLACK):
-                failures.append(f"jac_norm_bound {M_c:.6g} < ||J_c(x)||_2 = {norm:.6g} "
-                                f"at point {k}")
-        if L_c is not None and J_prev is not None:
-            gap = float(np.linalg.norm(J - J_prev, 2))
-            dist = float(np.linalg.norm(x - points[k - 1]))
-            if not gap <= L_c * (1.0 + _BOUND_REL_SLACK) * dist:
-                failures.append(f"jac_lipschitz_bound {L_c:.6g} < ||J_c(x) - J_c(x')||_2 / "
-                                f"||x - x'|| = {gap / dist:.6g} between points {k - 1} and {k}")
-        J_prev = J
+        c_x, pullback = problem.c.linearize(x)
+        c_x = np.asarray(c_x, dtype=float)
+        lipschitz_ok = True  # L_c holds between x and the previous point
+        if M_c is not None or L_c is not None:  # J_c(x) costs m pullbacks
+            J = np.array([pullback(e) for e in np.eye(problem.m)])  # row i is J_c(x)^T e_i
+            if M_c is not None and math.isfinite(problem.g.value(x)):
+                norm = float(np.linalg.norm(J, 2))
+                if not norm <= M_c * (1.0 + _BOUND_REL_SLACK):
+                    failures.append(f"jac_norm_bound {M_c:.6g} < ||J_c(x)||_2 = {norm:.6g} "
+                                    f"at point {k}")
+            if L_c is not None and J_prev is not None:
+                gap = float(np.linalg.norm(J - J_prev, 2))
+                dist = float(np.linalg.norm(x - points[k - 1]))
+                lipschitz_ok = gap <= L_c * (1.0 + _BOUND_REL_SLACK) * dist
+                if not lipschitz_ok:
+                    failures.append(f"jac_lipschitz_bound {L_c:.6g} < ||J_c(x) - J_c(x')||_2 / "
+                                    f"||x - x'|| = {gap / dist:.6g} between points {k - 1} and {k}")
+            J_prev = J
+        if hasattr(pullback, "jvp"):
+            # a Taylor bound that fails where L_c does is L_c's failure
+            x_prev = points[k - 1] if k and lipschitz_ok else None
+            failure = _jvp_failure(problem, pullback, x, c_x, x_prev, c_prev, rng)
+            if failure:
+                failures.append(f"{failure} at point {k}")
+        c_prev = c_x
     return failures
+
+
+def _jvp_failure(problem: Problem, pullback, x: np.ndarray, c_x: np.ndarray,
+                 x_prev: Optional[np.ndarray], c_prev: Optional[np.ndarray],
+                 rng: np.random.Generator) -> str:
+    """The first failed jvp check of ``verify_problem_oracles`` at x, or ""."""
+    w, d = rng.standard_normal(problem.m), rng.standard_normal(x.size)
+    jd, jtw = np.asarray(pullback.jvp(d), dtype=float), np.asarray(pullback(w), dtype=float)
+    scale = float(np.abs(w) @ np.abs(jd) + np.abs(jtw) @ np.abs(d))
+    if not abs(float(w @ jd) - float(jtw @ d)) <= _BOUND_REL_SLACK * scale:
+        return (f"jvp is not the adjoint of the pullback: <w, jvp(d)> = {float(w @ jd):.6g}, "
+                f"<pullback(w), d> = {float(jtw @ d):.6g}")
+    if not hasattr(pullback, "jvp_slack"):
+        return ""
+    slack = pullback.jvp_slack
+    if not (math.isfinite(slack) and slack >= 0.0):
+        return f"jvp_slack {slack!r} is not a finite number >= 0"
+    L_c = problem.c.jac_lipschitz_bound
+    if L_c is None or x_prev is None or math.inf in (problem.g.value(x), problem.g.value(x_prev)):
+        return ""
+    d = x_prev - x
+    d_norm = float(np.linalg.norm(d))
+    bound = float(np.linalg.norm(pullback.jvp(d))) - 0.5 * L_c * d_norm * d_norm - slack
+    gap = float(np.linalg.norm(c_prev - c_x))
+    if not gap >= bound:
+        return (f"jvp_slack {slack:.6g} does not cover the Taylor bound: ||c(x') - c(x)|| = "
+                f"{gap:.6g} < ||jvp(d)|| - (L_c/2)||d||^2 - jvp_slack = {bound:.6g}")
+    return ""
 
 
 def verify_schedule_sandwich(spec: ScheduleSpec, t_max: int = 100_000) -> bool:

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdcam
-from sdcam.oracles import check_gradient, check_vjp
+import sdcam.solver
+from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle, check_gradient, check_vjp
 from sdcam.problems import (
     FAMILIES,
     IdxData,
@@ -345,6 +346,58 @@ def test_verify_problem_oracles_catches_a_jvp_scaled_by_two():
     assert all(msg.startswith("jvp is not the adjoint") for msg in failures)
 
 
+def _check_points_in_dom_g(problem, x0):
+    """x0 and four nearby points mapped into dom g, as ``sdcam check`` maps its own."""
+    rng = np.random.default_rng(3)
+    return [x0] + [problem.g.prox(x0 + 0.1 * rng.standard_normal(x0.size), 1e-6)
+                   for _ in range(4)]
+
+
+@pytest.mark.parametrize("slack", [-1.0, math.nan])
+def test_verify_problem_oracles_catches_a_negative_or_nan_jvp_slack(slack):
+    # a negative or NaN slack would certify trials that pass condition (i)
+    fam = FAMILIES["qcqp"]
+    problem, x0, _, _, _ = fam.setup(fam.generate(1, **fam.check_kwargs))
+    points = _check_points_in_dom_g(problem, x0)
+    assert verify_problem_oracles(problem, points) == []
+    linearizer = problem.c.linearizer
+
+    def linearize(x):
+        c_x, pullback = linearizer(x)
+        return c_x, qcqp._Pullback(pullback.Qx, pullback.bi, slack)
+
+    c = dataclasses.replace(problem.c, linearizer=linearize)
+    failures = verify_problem_oracles(dataclasses.replace(problem, c=c), points)
+    assert failures == [f"jvp_slack {slack!r} is not a finite number >= 0 at point {k}"
+                        for k in range(len(points))]
+
+
+def test_verify_problem_oracles_catches_a_taylor_bound_that_c_breaks():
+    # c = 0, while the pullback and its jvp are those of the identity: the two
+    # are adjoint and J_c is constant, so only the finite differences and the
+    # Taylor bound ||jvp(d)|| - (L_c/2)||d||^2 - jvp_slack > 0 = ||c(x') - c(x)||
+    # see it.
+    def linearize(x):
+        def pullback(w):
+            return np.array(w, dtype=float)
+
+        pullback.jvp = lambda d: np.array(d, dtype=float)
+        pullback.jvp_slack = 0.0
+        return np.zeros(3), pullback
+
+    free = ProxOracle(value=lambda x: 0.0, prox=lambda z, gamma: np.asarray(z, dtype=float))
+    problem = Problem(
+        f=SmoothOracle(value=lambda x: float(0.5 * x @ x), grad=lambda x: x),
+        g=free, h=free, c=MapOracle(linearizer=linearize, jac_lipschitz_bound=1.0), n=3, m=3,
+    )
+    points = _check_points_in_dom_g(problem, np.zeros(3))
+    failures = verify_problem_oracles(problem, points)
+    taylor = [msg for msg in failures if msg.startswith("jvp_slack 0 does not cover")]
+    assert [msg.rsplit(" ", 1)[1] for msg in taylor] == ["1", "2", "3", "4"]
+    others = [msg for msg in failures if msg not in taylor]
+    assert others and all(msg.startswith("adjoint-product check failed") for msg in others)
+
+
 def test_qcqp_linearize_matches_einsum_reference():
     # The einsum formulas of c and J_c^T w are the independent reference; bi is
     # made nonzero so that its terms are checked too.
@@ -444,6 +497,48 @@ def test_qcqp_jvp_slack_covers_the_rounding_of_the_taylor_test(
     lb = math.sqrt(jd @ jd) - 0.5 * prob.c.jac_lipschitz_bound * step_norm * step_norm
     gap = c_x2 - c_x
     assert math.sqrt(gap @ gap) >= lb - pullback.jvp_slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 8),
+    m=st.integers(1, 4),
+    q_scale=st.sampled_from([1e-3, 1.0, 1e4]),
+    bi_scale=st.sampled_from([0.0, 1.0, 1e4]),
+    ri_scale=st.sampled_from([1.0, 1e8]),
+    anchor_exp=st.integers(-17, 0),
+    step_exp=st.integers(-17, 0),
+    data=st.data(),
+)
+def test_qcqp_anchored_taylor_bound_covers_the_rounding_of_r_a(
+    seed, n, m, q_scale, bi_scale, ri_scale, anchor_exp, step_exp, data
+):
+    # After a swept rejection the solver takes the Taylor bound at that trial
+    # point a, with r_a the computed c(a) - c(x^t):
+    #   ||c(x') - c(x^t)|| >= ||r_a + J_c(a)(x' - a)|| - (L_c/2)||x' - a||^2 - slack_a,
+    # slack_a being the jvp_slack at a plus the solver's own term.  The
+    # computed left side must be at least the bound as the solver computes
+    # it.  a lies near x^t and x' near a, down to a few ulps, as while mu
+    # walks down, so that rounding, not curvature, decides.
+    inst = qcqp_generate(seed, n=n, m=m)
+    rng = np.random.default_rng(seed)
+    inst = dataclasses.replace(
+        inst, Q=q_scale * inst.Q, bi=bi_scale * rng.standard_normal((m, n)), ri=ri_scale * inst.ri
+    )
+    prob = qcqp_problem(inst)
+    unit = st.floats(-1.0, 1.0)
+    x_t, u_a, u = (np.array(data.draw(st.lists(unit, min_size=n, max_size=n))) for _ in range(3))
+    x_t = inst.r * x_t
+    a = np.clip(x_t + inst.r * 10.0**anchor_exp * u_a, -inst.r, inst.r)
+    x2 = np.clip(a + inst.r * 10.0**step_exp * u, -inst.r, inst.r)
+    c_t = prob.c.linearize(x_t)[0]
+    c_a, pullback = prob.c.linearize(a)
+    r_a = c_a - c_t
+    anchor = sdcam.solver._anchor(prob, a, pullback, r_a, math.sqrt(r_a @ r_a))
+    gap = prob.c.linearize(x2)[0] - c_t
+    bound = sdcam.solver._taylor_bound(anchor, x2, prob.c.jac_lipschitz_bound)
+    assert math.sqrt(gap @ gap) >= bound
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

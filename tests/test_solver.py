@@ -529,13 +529,16 @@ def test_step_margins_match_from_scratch_bit_for_bit(family):
     # on rejected and on accepted trials, as recomputing them at x^t; margin_ii
     # is NaN where (i) rejects, since (ii) is then not evaluated.  A trial that
     # the jvp certificate rejects never evaluates c(x~): its margin_i is an
-    # upper bound on the exact one, which must also fail (i).
+    # upper bound on the exact one, which must also fail (i).  On qcqp some
+    # certified trial follows a swept rejection at the same iterate, so that
+    # its bound is taken at that trial point, not at x^t.
     prob, x0, y0, _, cfg = _family_run(family, 0)
     trial_points = []
     calls = collections.Counter()
     prob = _counting_linearizer(_recording_prox(prob, trial_points), calls)
     st = initial_state(prob, x0, y0, cfg.mu_init)
     outcomes = collections.Counter()
+    swept_rejection = False  # at the current iterate
     while outcomes[True] < 30:
         x_t, y_t, mu, beta_t = st.x, st.y, st.mu, beta_at(cfg.schedule, st.t)
         tol = 1e-12 * (1.0 + abs(st.fg_x))
@@ -544,6 +547,8 @@ def test_step_margins_match_from_scratch_bit_for_bit(family):
         certified = calls["c.linearize"] == linearized
         outcomes[row is not None] += 1
         outcomes["certified"] += certified
+        outcomes["certified after a swept rejection"] += certified and swept_rejection
+        swept_rejection = row is None and (swept_rejection or not certified)
         scratch_i, scratch_ii = _margins_from_scratch(
             prob, x_t, trial_points[-1], y_t, beta_t, mu
         )
@@ -558,6 +563,50 @@ def test_step_margins_match_from_scratch_bit_for_bit(family):
             assert math.isnan(margin_ii) and row is None
     assert outcomes[False] > 0
     assert (outcomes["certified"] > 0) == (family == "qcqp")
+    assert (outcomes["certified after a swept rejection"] > 0) == (family == "qcqp")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_taylor_anchor_resets_on_acceptance_and_moves_to_swept_trials(family):
+    # After initial_state and every accepted step the anchor is x^t with
+    # r = 0 and the pullback's own jvp_slack; a rejection that evaluated c(x~)
+    # moves it to x~ with r = c(x~) - c(x^t) as computed; a certified
+    # rejection leaves it.  Only QCQP's pullbacks offer a jvp.
+    prob, x0, y0, _, cfg = _family_run(family, 0)
+    trial_points = []
+    calls = collections.Counter()
+    prob = _counting_linearizer(_recording_prox(prob, trial_points), calls)
+    st = initial_state(prob, x0, y0, cfg.mu_init)
+    if family != "qcqp":
+        while st.t < 30:
+            step(prob, st, cfg)
+            assert st.anchor is None
+        return
+
+    def assert_anchor_at_iterate():
+        np.testing.assert_array_equal(st.anchor.a, st.x)
+        assert st.anchor.r.shape == (prob.m,) and not st.anchor.r.any()
+        assert st.anchor.slack == st.anchor.pullback.jvp_slack
+
+    assert_anchor_at_iterate()
+    outcomes = collections.Counter()
+    while st.t < 30:
+        anchor, c_x, linearized = st.anchor, st.c_x, calls["c.linearize"]
+        row, _ = step(prob, st, cfg)
+        if row is not None:
+            outcomes["accepted"] += 1
+            assert_anchor_at_iterate()
+        elif calls["c.linearize"] > linearized:
+            outcomes["swept"] += 1
+            x_trial = trial_points[-1]
+            np.testing.assert_array_equal(st.anchor.a, x_trial)
+            r = np.asarray(prob.c.value(x_trial)) - c_x
+            np.testing.assert_array_equal(st.anchor.r, r)
+            assert st.anchor.slack >= st.anchor.pullback.jvp_slack
+        else:
+            outcomes["certified"] += 1
+            assert st.anchor is anchor
+    assert min(outcomes.values()) > 0 and len(outcomes) == 3
 
 
 def _without_jvp(p):
