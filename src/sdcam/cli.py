@@ -113,6 +113,8 @@ def _build_instance(problem_cfg: Dict[str, Any], seed: int):
     # A problem that is not an object fails in _require_keys.
     if not isinstance(problem_cfg, dict) or "instance" in problem_cfg:
         _require_keys(problem_cfg, {"instance": True}, "problem")
+        if not isinstance(problem_cfg["instance"], str):  # open() reads an int as a descriptor
+            raise UsageError("problem.instance must be a path string")
         inst = load_instance(problem_cfg["instance"])
         return family_of(inst), inst
     family = problem_cfg.get("family")
@@ -159,7 +161,7 @@ def _load_run_config(path: str) -> Dict[str, Any]:
         raise UsageError(
             f"schema_version {cfg['schema_version']!r} unsupported (expected {SCHEMA_VERSION})"
         )
-    if not isinstance(cfg["seed"], int):
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
         raise UsageError("seed must be an integer")
     return cfg
 
@@ -266,6 +268,8 @@ def run_config_file(path: str) -> int:
 
     output_cfg = cfg["output"]
     _require_keys(output_cfg, {"trace": True, "summary": False}, "output")
+    if not all(isinstance(value, str) for value in output_cfg.values()):
+        raise UsageError("output.trace and output.summary must be path strings")
     trace_path = output_cfg["trace"]
     summary_path = output_cfg.get("summary", trace_path + ".summary.json")
 

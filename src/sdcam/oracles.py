@@ -13,18 +13,17 @@ Dense Jacobians are never formed: the solver needs J_c(x)^T w, and J_c(a) e
 where a pullback offers it.  A ``Pullback`` is a callable w -> J_c(a)^T w; it
 may also offer ``jvp(e) = J_c(a) e`` at the same point a, together with
 ``jvp_slack``, a finite float >= 0.  For every x, x' in dom g, with
-e = x' - a and r the computed c(a) - c(x) (a float vector, exactly 0 when
-x = a), ``jvp_slack`` plus (m + 4)*u*||r||, u = 2^-53, must bound how far
-rounding can lift the computed ||r + J_c(a) e|| - (L_c/2)||e||^2 above the
-computed ||c(x') - c(x)||.  The solver adds the (m + 4)*u*||r|| term itself
-(see ``sdcam.solver.step``), so ``jvp_slack`` covers the rounding of c(a),
-c(x'), the jvp and L_c, and of the sums and norms as far as they scale with
-||J_c(a) e||; when x = a this is a bound on the rounding of the plain Taylor
-bound at a.  The solver then rejects trials that this Taylor bound proves to
-fail backtracking condition (i), without evaluating c(x'), so a jvp is sound
-only when ``MapOracle.jac_lipschitz_bound`` is a valid L_c on the convex
-closure of dom g; without that constant, or without ``jvp_slack``, the jvp is
-not used.  ``sdcam.verify.verify_problem_oracles`` tests both at check points.
+e = x' - a and r the computed c(a) - c(x) (exactly 0 when x = a),
+``jvp_slack`` plus (m + 4)*u*||r||, u = 2^-53, must bound how far rounding
+can lift the computed ||r + J_c(a) e|| - (L_c/2)||e||^2 above the computed
+||c(x') - c(x)||.  ``sdcam.solver.step`` adds the ||r|| term and derives it,
+so ``jvp_slack`` covers the rounding of c(a), c(x'), the jvp and L_c, and of
+the sums and norms as far as they scale with ||J_c(a) e||.  ``step`` uses
+this bound to reject trials that fail backtracking condition (i) without
+evaluating c(x'), so a jvp is sound only when
+``MapOracle.jac_lipschitz_bound`` is a valid L_c on the convex closure of
+dom g; without that constant, or without ``jvp_slack``, the jvp is not used.
+``sdcam.verify.verify_problem_oracles`` tests both at check points.
 Extended-real values use IEEE ``inf`` (``g.value(x) == inf`` iff x is outside
 dom g), so +inf comparisons are exact.
 

@@ -191,13 +191,10 @@ def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
     ||x'|| <= sqrt(n)*r and ||d|| <= ||x|| + sqrt(n)*r; g = 2*(2n + m + 8)*u,
     with u = 2^-53, covers every rounding step with room to spare.
 
-    For z other than x, the computed c(x') - c(z) is r plus the computed
-    c(x') - c(x), less the rounding of r: the error of the computed c(z)
-    cancels, and the errors of c(x) and c(x') are those above.  The sum
-    r + J_c(x) d and its norm add (m/2 + 2)*u*(||r|| + ||J_c(x) d||) to first
-    order; the solver's (m + 4)*u*||r|| takes the ||r|| share and the rounding
-    of r, and the ||J_c(x) d|| share is inside g*(F||x|| + B)||d||, since
-    g >= 2*(m + 4)*u."""
+    For z other than x, the solver's (m + 4)*u*||r|| covers the rest as far as
+    it scales with ||r|| (see ``sdcam.solver.step``); the sum r + J_c(x) d and
+    its norm add (m/2 + 2)*u*||J_c(x) d|| more to first order, which is inside
+    g*(F||x|| + B)||d||, since g >= 2*(m + 4)*u."""
     F, B, R, box = inst._scales
     xn = math.sqrt(x @ x)
     dn = xn + box

@@ -41,38 +41,12 @@ trial that (i) rejects computes one ``g.prox``, ``g.value``, one
 passes (i) adds ``f.value`` and ||c(x~) - y^t||.  An accepted step reuses
 ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 
-When the pullback at x^t offers ``jvp(d) = J_c(x^t) d`` and ``jvp_slack``,
-and c has a Jacobian Lipschitz constant L_c, a trial first tries to reject
-without evaluating c(x~).  It tests one Taylor bound, taken at an anchor a in
-dom g where c has been evaluated: with r_a = c(a) - c(x^t) and e = x~ - a,
-L_c gives
-
-    ||c(x~) - c(x^t)||  >=  ||r_a + J_c(a) e|| - (L_c/2)||e||^2,
-
-since c(x~) - c(x^t) = r_a + J_c(a) e plus a remainder of norm at most
-(L_c/2)||e||^2.  The anchor's slack, the jvp_slack of the pullback at a plus
-(m + 4)*u*||r_a|| (u = 2^-53, see ``step``), bounds how far rounding can lift
-the computed right side above the computed left side.  So, with lb the
-computed right side less the slack, sqrt(1/(mu*beta_t))*||x~ - x^t|| - lb is
-an upper bound on the margin_i that evaluating c(x~) would give, in exact
-arithmetic and as computed.  When that bound is finite and below -tol, the
-trial is rejected as a failed (i) is, returning the bound as margin_i and NaN
-for margin_ii.  Such a certified trial computes ``g.prox``, ``g.value``, one
-jvp and three norms.  The exact test would reject it too, so the backtracking
-argument and every output bit are unchanged; only its reported margin_i
-differs.
-
-The anchor moves.  ``initial_state`` and every accepted step put it at x^t,
-with r_a = 0 and the slack jvp_slack: the bound at x^t.  A rejected trial
-that did evaluate c(x~) moves it to x~, with the pullback that trial
-already has and r_a formed from its c(x~) as its test of (i) formed
-c(x~) - c(x^t), bit for bit; a certified trial leaves it.  While mu
-walks down, successive trial points lie close together, so the curvature
-term (L_c/2)||e||^2 taken at the last swept trial is small, where the one at
-x^t may be larger than ||c(x~) - c(x^t)|| itself.  Every trial still
-applies one jvp, at the anchor.  An anchor left from an earlier iterate
-would measure r_a against an old c(x^t), so an accepted step always resets
-it.
+When c has a Jacobian Lipschitz constant L_c and the pullback at x^t offers
+``jvp`` and ``jvp_slack``, a trial first tests a Taylor lower bound on
+||c(x~) - c(x^t)|| less a rounding slack.  Where it proves that (i) fails, the
+trial is rejected without ``c.linearize`` (one jvp and three norms in its
+place), and every output bit is that of the exact test.  ``step`` states the
+bound, its anchor and its slack, and why they are sound.
 """
 
 from __future__ import annotations
@@ -149,7 +123,7 @@ class SolverState:
     accepted step), and the anchor of the Taylor-bound rejection: x itself
     after ``initial_state`` and every accepted step, then the last rejected
     trial point where c was evaluated.  It is None when the solver cannot use
-    a jvp (see the module docstring)."""
+    a jvp (see ``step``)."""
 
     t: int
     x: Vector
@@ -307,17 +281,42 @@ def step(
     """One trial.  Returns (row, (margin_i, margin_ii)); row is None on rejection.
 
     margin_ii is NaN when (ii) was not evaluated: a trial that fails (i) is
-    rejected without calling ``f.value``.  A trial that the jvp bound rejects
-    (see the module docstring) does not call ``c.linearize`` either, and its
-    margin_i is an upper bound on the one that call would give.  v is kept in
-    ``st`` for the rejected trials at the same iterate and beta_t.  The
-    tolerance of the test guards floating-point ties at margin 0.
+    rejected without calling ``f.value``.  A trial that the Taylor bound below
+    rejects does not call ``c.linearize`` either, and its margin_i is an upper
+    bound on the one that call would give.  v is kept in ``st`` for the
+    rejected trials at the same iterate and beta_t.  The tolerance of the test
+    guards floating-point ties at margin 0.
     A non-finite v (beta_t too large for float64), a ValueError from ``g.prox``
     (say its step mu/2 is inf, or overflows a product with a weight of g), a
     prox result outside its domain, a NaN or -inf g(x~), or a non-finite margin
     (c returned NaN or inf at x~, f did where (ii) is evaluated, or mu is too
     small to invert) raises SolverError instead of rejecting the trial.
     So does a non-finite gap or residual; finite margins cover the other terms.
+
+    The Taylor bound is taken at an anchor a in dom g where c has been
+    evaluated.  With r_a = c(a) - c(x^t) and e = x~ - a, L_c gives
+
+        ||c(x~) - c(x^t)||  >=  ||r_a + J_c(a) e|| - (L_c/2)||e||^2,
+
+    since c(x~) - c(x^t) = r_a + J_c(a) e plus a remainder of norm at most
+    (L_c/2)||e||^2.  With lb the computed right side less the anchor's slack,
+    which bounds how far rounding can lift it above the computed left side,
+    sqrt(1/(mu*beta_t))*||x~ - x^t|| - lb is an upper bound on the margin_i
+    that evaluating c(x~) would give, in exact arithmetic and as computed.
+    When that bound is finite and below -tol, the trial is rejected as a
+    failed (i) is, returning the bound as margin_i.  The exact test would
+    reject it too, so the backtracking argument and every output bit are
+    unchanged; only its reported margin_i differs.
+
+    The anchor moves.  ``initial_state`` and every accepted step put it at
+    x^t, with r_a = 0 and the slack jvp_slack.  A rejected trial that did
+    evaluate c(x~) moves it to x~, with that trial's pullback and r_a formed
+    from its c(x~) as its test of (i) formed c(x~) - c(x^t), bit for bit; a
+    certified trial leaves it.  While mu walks down, successive trial points
+    lie close together, so the curvature term (L_c/2)||e||^2 at the last swept
+    trial is small, where the one at x^t may exceed ||c(x~) - c(x^t)||.  Every
+    trial applies one jvp, at the anchor.  An anchor from an earlier iterate
+    would measure r_a against an old c(x^t), so an accepted step resets it.
 
     The anchor's slack is the pullback's ``jvp_slack`` plus (m + 4)*u*||r_a||
     with u = 2^-53, the solver's own rounding as far as it scales with r_a.
@@ -362,7 +361,7 @@ def step(
     # a NaN or -inf g(x~) takes the exact path below, which raises
     anchor = st.anchor
     if anchor is not None and math.isfinite(g_trial):
-        # thr - lb >= margin_i as computed; see the module docstring
+        # thr - lb >= margin_i as computed; see the docstring
         margin_i = thr - _taylor_bound(anchor, x_trial, p.c.jac_lipschitz_bound)
         if margin_i < -tol and math.isfinite(margin_i):
             st.mu *= cfg.rho

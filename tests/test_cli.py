@@ -565,6 +565,11 @@ def _set_ri(value):
         ("config", {"problem": {"family": "qcqp", "n": "5", "m": 2}}),
         ("config", {"schedule": 7}),
         ("config", {"solver": {"max_successful_iters": "5"}}),
+        ("config", {"output": {"trace": 1}}),
+        ("config", {"output": {"trace": ["x"]}}),
+        ("config", {"output": {"trace": "t.csv", "summary": 7}}),
+        ("config", {"problem": {"instance": ["inst.json"]}}),
+        ("config", {"seed": True}),
         ("check", _drop_data_shape),
         ("check", lambda doc: {**doc, "params": 5}),
         ("check", lambda doc: {**doc, "data": 5}),
@@ -591,6 +596,11 @@ def _set_ri(value):
         "config-problem-key-type",
         "config-schedule-not-object",
         "config-solver-key-type",
+        "config-trace-int",
+        "config-trace-list",
+        "config-summary-int",
+        "config-instance-list",
+        "config-seed-bool",
         "check-data-no-shape",
         "check-params-not-object",
         "check-data-not-object",

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from sdcam.solver import (
     RunAnchors, SolverConfig, SolverError, TraceRow, initial_state, solve, step,
 )
 from sdcam.problems import FAMILIES, qcqp_generate, qcqp_problem, qcqp_initial_point
+from reference_solver import ReferenceState, reference_trial
 
 ORACLES = ("f.value", "f.grad", "g.value", "g.prox", "h.value", "h.prox", "c.value", "c.vjp")
 
@@ -51,11 +53,16 @@ def _state(p, x0, y0, mu):
     return initial_state(p, x0, y0, mu)
 
 
-def _family_run(family, seed, **kw):
-    """(problem, x0, y0, rel_feas, config) for the family's ``check`` instance,
-    with its solver defaults and a power schedule with delta = 0.3."""
+def _family_run(family, seed, size=None, bi_scale=0.0, **kw):
+    """(problem, x0, y0, rel_feas, config) for the family's ``check`` instance or
+    one of the given size, with QCQP's bi drawn as bi_scale*N(0, I) if nonzero, the
+    family's solver defaults and a power schedule with delta = 0.3."""
     fam = FAMILIES[family]
-    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(seed, **fam.check_kwargs))
+    inst = fam.generate(seed, **(size or fam.check_kwargs))
+    if bi_scale:
+        rng = np.random.default_rng(seed)
+        inst = dataclasses.replace(inst, bi=bi_scale * rng.standard_normal(inst.bi.shape))
+    prob, x0, y0, rel_feas, _ = fam.setup(inst)
     schedule = ScheduleSpec(family="power", beta0=1.0, delta=0.3)
     return prob, x0, y0, rel_feas, _config(**{**fam.solver_defaults, "schedule": schedule, **kw})
 
@@ -380,27 +387,6 @@ def test_oracle_calls_per_run(family, monkeypatch):
     assert dict(counts) == expected
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_step_residual_matches_from_scratch_reference(family):
-    # The three distances TraceRow.certifies tests, each recomputed from the
-    # oracles at the witnesses (x^{t+1}, y^t, z = x^t).
-    prob, x0, y0, _, cfg = _family_run(family, 0)
-    st = initial_state(prob, x0, y0, cfg.mu_init)
-    accepted = 0
-    while accepted < 30:
-        x_t, y_t, t = st.x, st.y, st.t
-        row, _ = sdcam.solver.step(prob, st, cfg)
-        if row is None:
-            continue
-        accepted += 1
-        beta_prev = beta_at(cfg.schedule, t - 1) if t >= 1 else cfg.schedule.beta0
-        ref = stationarity_residual(prob, x_t, st.x, y_t, row.mu_t, row.beta_t, beta_prev)
-        assert row.residual == pytest.approx(ref, rel=1e-10)
-        c_next = np.asarray(prob.c.value(st.x), dtype=float)
-        assert row.prev_gap == pytest.approx(float(np.linalg.norm(c_next - y_t)), rel=1e-10)
-        assert row.step_norm == pytest.approx(float(np.linalg.norm(st.x - x_t)), rel=1e-10)
-
-
 @pytest.mark.parametrize("rho", [0.8, 0.5])
 @pytest.mark.parametrize("oracle", ["f.value", "f.grad", "c.value", "c.vjp"])
 def test_non_finite_oracle_at_start_raises(oracle, rho):
@@ -479,36 +465,15 @@ def test_f_is_not_evaluated_where_condition_i_rejects():
 
 def test_trial_that_passes_i_and_fails_ii_returns_its_margin_ii():
     # Stiff curvature at mu = 1: (i) holds with margin 0 (c is the identity,
-    # beta_0 = 1) and (ii) fails; margin_ii is the from-scratch one, bit for bit.
-    points = []
-    p = _recording_prox(_identity_problem(curvature=100.0), points)
+    # beta_0 = 1) and (ii) fails; both margins are the reference's, bit for bit.
+    p = _identity_problem(curvature=100.0)
     x0, y0 = np.array([1.0, 1.0]), np.zeros(2)
     st = _state(p, x0, y0, mu=1.0)
     tol = 1e-12 * (1.0 + abs(st.fg_x))
     row, (margin_i, margin_ii) = step(p, st, _config())
     assert row is None and st.mu == 0.5
     assert margin_i >= -tol and -math.inf < margin_ii < -tol
-    assert (margin_i, margin_ii) == _margins_from_scratch(p, x0, points[-1], y0, 1.0, 1.0)
-
-
-def _margins_from_scratch(p, x_t, x_trial, y_t, beta_t, mu):
-    """The acceptance margins of step, every term recomputed from
-    the oracles and np.linalg.norm."""
-
-    def c(x):
-        return np.asarray(p.c.value(x), dtype=float)
-
-    def fg(x):
-        return float(p.f.value(x)) + float(p.g.value(x))
-
-    def norm(d):
-        return float(np.linalg.norm(d))
-
-    dx = norm(x_trial - x_t)
-    margin_i = math.sqrt(1.0 / (mu * beta_t)) * dx - norm(c(x_trial) - c(x_t))
-    lhs = fg(x_trial) + 0.5 * beta_t * norm(c(x_trial) - y_t) ** 2
-    rhs = fg(x_t) + 0.5 * beta_t * norm(c(x_t) - y_t) ** 2
-    return margin_i, rhs - lhs - dx * dx / (2.0 * mu)
+    assert (margin_i, margin_ii) == reference_trial(p, ReferenceState(x0, y0, 1.0), _config())[1]
 
 
 def _counting_linearizer(p, counts):
@@ -521,49 +486,6 @@ def _counting_linearizer(p, counts):
         return linearizer(x)
 
     return _replace_oracle(p, "c.linearizer", linearize)
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_step_margins_match_from_scratch_bit_for_bit(family):
-    # The cached f+g, c(x^t) and ||c(x^t) - y^t|| must give the same margins,
-    # on rejected and on accepted trials, as recomputing them at x^t; margin_ii
-    # is NaN where (i) rejects, since (ii) is then not evaluated.  A trial that
-    # the jvp certificate rejects never evaluates c(x~): its margin_i is an
-    # upper bound on the exact one, which must also fail (i).  On qcqp some
-    # certified trial follows a swept rejection at the same iterate, so that
-    # its bound is taken at that trial point, not at x^t.
-    prob, x0, y0, _, cfg = _family_run(family, 0)
-    trial_points = []
-    calls = collections.Counter()
-    prob = _counting_linearizer(_recording_prox(prob, trial_points), calls)
-    st = initial_state(prob, x0, y0, cfg.mu_init)
-    outcomes = collections.Counter()
-    swept_rejection = False  # at the current iterate
-    while outcomes[True] < 30:
-        x_t, y_t, mu, beta_t = st.x, st.y, st.mu, beta_at(cfg.schedule, st.t)
-        tol = 1e-12 * (1.0 + abs(st.fg_x))
-        linearized = calls["c.linearize"]
-        row, (margin_i, margin_ii) = step(prob, st, cfg)
-        certified = calls["c.linearize"] == linearized
-        outcomes[row is not None] += 1
-        outcomes["certified"] += certified
-        outcomes["certified after a swept rejection"] += certified and swept_rejection
-        swept_rejection = row is None and (swept_rejection or not certified)
-        scratch_i, scratch_ii = _margins_from_scratch(
-            prob, x_t, trial_points[-1], y_t, beta_t, mu
-        )
-        if certified:
-            assert row is None and math.isnan(margin_ii)
-            assert scratch_i <= margin_i < -tol
-            continue
-        assert margin_i == scratch_i
-        if margin_i >= -tol:
-            assert margin_ii == scratch_ii
-        else:
-            assert math.isnan(margin_ii) and row is None
-    assert outcomes[False] > 0
-    assert (outcomes["certified"] > 0) == (family == "qcqp")
-    assert (outcomes["certified after a swept rejection"] > 0) == (family == "qcqp")
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -602,22 +524,92 @@ def test_taylor_anchor_resets_on_acceptance_and_moves_to_swept_trials(family):
             np.testing.assert_array_equal(st.anchor.a, x_trial)
             r = np.asarray(prob.c.value(x_trial)) - c_x
             np.testing.assert_array_equal(st.anchor.r, r)
-            assert st.anchor.slack >= st.anchor.pullback.jvp_slack
+            slack = st.anchor.pullback.jvp_slack + (prob.m + 4) * 2.0**-53 * np.linalg.norm(r)
+            assert st.anchor.slack == slack
         else:
             outcomes["certified"] += 1
             assert st.anchor is anchor
     assert min(outcomes.values()) > 0 and len(outcomes) == 3
 
 
-def _without_jvp(p):
-    """p whose pullbacks offer no jvp, so that step evaluates c at every trial."""
-    linearizer = p.c.linearizer
+Trial = collections.namedtuple(
+    "Trial", "row margins ref_row ref_margins tol certified after_swept_rejection"
+)
 
-    def linearize(x):
-        c_x, pullback = linearizer(x)
-        return c_x, lambda w: pullback(w)
 
-    return _replace_oracle(p, "c.linearizer", linearize)
+@functools.lru_cache(maxsize=None)
+def _beside_reference(family, seed, size, steps, bi_scale):
+    """Run step and the literal reference trial side by side until step has
+    taken ``steps`` accepted steps, asserting the same accept/reject decision
+    at every trial.  Returns (trials, state, reference state); a trial is
+    certified where step rejected it without evaluating c there."""
+    prob, x0, y0, rel_feas, cfg = _family_run(family, seed, dict(size), bi_scale)
+    calls = collections.Counter()
+    counted = _counting_linearizer(prob, calls)
+    st, ref = initial_state(counted, x0, y0, cfg.mu_init), ReferenceState(x0, y0, cfg.mu_init)
+    trials, swept_rejection = [], False  # at the current iterate
+    while st.t < steps:
+        tol, linearized = 1e-12 * (1.0 + abs(st.fg_x)), calls["c.linearize"]
+        row, margins = step(counted, st, cfg, rel_feas)
+        ref_row, ref_margins = reference_trial(prob, ref, cfg, rel_feas)
+        assert (row is None) == (ref_row is None)
+        certified = calls["c.linearize"] == linearized
+        trials.append(Trial(row, margins, ref_row, ref_margins, tol, certified, swept_rejection))
+        swept_rejection = row is None and (swept_rejection or not certified)
+    return trials, st, ref
+
+
+def _assert_matches_reference(family, seed, size=None, steps=50, bi_scale=0.0):
+    """step beside the reference on the family's check instance (or one of the
+    given size): every TraceRow field bit for bit but the residual, which agrees
+    to rounding; the margins bit for bit where step swept c (margin_ii is NaN
+    where (i) rejects, as (ii) is then not evaluated); where step certified a
+    rejection, a bound above the reference's margin_i that fails (i); the trial
+    count and the final iterate bit for bit.  Returns the trials."""
+    size = tuple((size or FAMILIES[family].check_kwargs).items())
+    trials, st, ref = _beside_reference(family, seed, size, steps, bi_scale)
+    for tr in trials:
+        (margin_i, margin_ii), (ref_i, ref_ii) = tr.margins, tr.ref_margins
+        if tr.certified:
+            assert tr.row is None and math.isnan(margin_ii) and ref_i <= margin_i < -tr.tol
+        elif margin_i >= -tr.tol:
+            assert (margin_i, margin_ii) == (ref_i, ref_ii)
+        else:
+            assert margin_i == ref_i and math.isnan(margin_ii) and tr.row is None
+        if tr.row is not None:
+            assert tr.row.residual == pytest.approx(tr.ref_row.residual, rel=1e-10)
+            assert repr(dataclasses.replace(tr.row, residual=0.0)) == repr(
+                dataclasses.replace(tr.ref_row, residual=0.0))
+    assert st.trial_count == ref.trials == len(trials) > st.t  # some trials were rejected
+    assert (st.x.tobytes(), st.y.tobytes()) == (ref.x.tobytes(), ref.y.tobytes())
+    return trials
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_matches_the_literal_reference_trial_by_trial(family, seed):
+    # step's caches and QCQP's Taylor-bound rejection leave every decision,
+    # row and final bit of the literal trial.
+    _assert_matches_reference(family, seed)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_residual_matches_from_scratch_reference(family):
+    # The residual identity agrees with diagnostics.stationarity_residual at the
+    # witnesses (x^{t+1}, y^t, z = x^t); the distances it reuses are bit for bit.
+    _assert_matches_reference(family, 0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_step_margins_match_from_scratch_bit_for_bit(family):
+    # Some trial is a swept rejection.  Only on qcqp is some trial certified, and
+    # some certified trial follows a swept rejection at the same iterate, so that
+    # its bound is taken at that trial point, not at x^t.
+    trials = _assert_matches_reference(family, 0)
+    assert any(tr.row is None and not tr.certified for tr in trials)
+    certified = [tr for tr in trials if tr.certified]
+    after_swept = any(tr.after_swept_rejection for tr in certified)
+    assert bool(certified) == after_swept == (family == "qcqp")
 
 
 @pytest.mark.parametrize(
@@ -627,30 +619,11 @@ def _without_jvp(p):
     + [(seed, FAMILIES["qcqp"].check_kwargs, 50, 10.0) for seed in range(2)],
 )
 def test_qcqp_jvp_certificate_leaves_every_output_bit(seed, size, steps, bi_scale):
-    # The certificate only skips c(x~) on trials that (i) rejects anyway: rows,
-    # trial counts and the accepted margins are those of the exact test alone,
+    # The certificate only skips c(x~) on trials that (i) rejects anyway: the
+    # outputs are those of the reference, which evaluates c at every trial,
     # also for an instance with a nonzero bi, as an instance file may hold.
-    fam = FAMILIES["qcqp"]
-    inst = fam.generate(seed, **size)
-    if bi_scale:
-        rng = np.random.default_rng(seed)
-        inst = dataclasses.replace(inst, bi=bi_scale * rng.standard_normal(inst.bi.shape))
-    prob, x0, y0, rel_feas, _ = fam.setup(inst)
-    cfg = _config(**{
-        **fam.solver_defaults,
-        "schedule": ScheduleSpec(family="power", beta0=1.0, delta=0.3),
-        "max_successful_iters": steps,
-        "max_total_trials": max(1000, 50 * steps),
-    })
-    outputs, linearized = [], []
-    for p in (prob, _without_jvp(prob)):
-        calls = collections.Counter()
-        res = solve(_counting_linearizer(p, calls), cfg, x0, y0, rel_feas=rel_feas)
-        rows = repr([dataclasses.astuple(row) for row in res.trace])
-        outputs.append((rows, res.total_trials, repr(res.condition_margins), res.x.tobytes()))
-        linearized.append(calls["c.linearize"])
-    assert outputs[0] == outputs[1]
-    assert linearized[0] < linearized[1] == res.total_trials + 1
+    trials = _assert_matches_reference("qcqp", seed, size, steps, bi_scale)
+    assert any(tr.certified for tr in trials)
 
 
 @settings(max_examples=300, deadline=None)
