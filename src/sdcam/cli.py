@@ -161,8 +161,8 @@ def _load_run_config(path: str) -> Dict[str, Any]:
         raise UsageError(
             f"schema_version {cfg['schema_version']!r} unsupported (expected {SCHEMA_VERSION})"
         )
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise UsageError("seed must be an integer")
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool) or cfg["seed"] < 0:
+        raise UsageError("seed must be a non-negative integer")
     return cfg
 
 
@@ -431,6 +431,12 @@ def _int_list(text: str) -> List[int]:
     return [int(s) for s in text.split(",")]
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # The ``gen`` flags that set ``problem`` config keys: (flag, key, argparse kwargs).
 _GEN_PROBLEM_FLAGS = (
     ("--n", "n", {"type": int}),
@@ -463,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate and serialize a problem instance")
     p_gen.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", type=_seed, required=True)
     p_gen.add_argument("--out", required=True)
     for flag, key, kwargs in _GEN_PROBLEM_FLAGS:
         p_gen.add_argument(flag, dest=key, **kwargs)
@@ -479,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verification suite for a problem family")
     p_check.add_argument("--family", choices=tuple(FAMILIES))
     p_check.add_argument("--instance")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.add_argument("--prox-instances", dest="prox_instances", type=int, default=200)
     p_check.set_defaults(func=cmd_check)
 

@@ -570,6 +570,8 @@ def _set_ri(value):
         ("config", {"output": {"trace": "t.csv", "summary": 7}}),
         ("config", {"problem": {"instance": ["inst.json"]}}),
         ("config", {"seed": True}),
+        ("config", {"seed": -1}),
+        ("argv", ["check", "--family", "mimo", "--seed", "-1"]),
         ("check", _drop_data_shape),
         ("check", lambda doc: {**doc, "params": 5}),
         ("check", lambda doc: {**doc, "data": 5}),
@@ -601,6 +603,8 @@ def _set_ri(value):
         "config-summary-int",
         "config-instance-list",
         "config-seed-bool",
+        "config-seed-negative",
+        "check-seed-negative",
         "check-data-no-shape",
         "check-params-not-object",
         "check-data-not-object",
@@ -616,7 +620,7 @@ def _set_ri(value):
         "check-prox-instances-zero",
     ],
 )
-def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malform):
+def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, command, malform):
     if command == "argv":
         argv = malform
     elif command == "config":
@@ -639,3 +643,5 @@ def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, command, malfo
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
+    if "seed" in request.node.callspec.id:
+        assert "seed" in err

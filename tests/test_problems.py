@@ -78,8 +78,9 @@ def test_qcqp_validation():
 
 
 def _qcqp_generate_serial(seed, n, m, alpha=0.05, p=0.8, scale0=5.0):
-    """``qcqp_generate`` as it was before the block draws moved to a helper
-    thread: every stream drawn on the calling thread, in block order."""
+    """``qcqp_generate`` as it was before its blocks were split between two
+    threads: every stream drawn and every block factored on the calling
+    thread, in block order."""
     params = LpProxParams(p=p, alpha=alpha, gamma=1.0)
     for attempt in range(10):
         b0 = scale0 * qcqp._stream(seed, 0, attempt).standard_normal(n)
@@ -100,13 +101,17 @@ def _qcqp_generate_serial(seed, n, m, alpha=0.05, p=0.8, scale0=5.0):
     )
 
 
-@pytest.mark.parametrize("seed, n, m", [(0, 2, 1), (1, 20, 5), (3, 17, 2), (2, 50, 7)])
-def test_qcqp_generate_equals_the_serial_loop_bit_for_bit(seed, n, m):
+def _assert_equals_the_serial_loop(seed, n, m):
     inst, ref = qcqp_generate(seed, n, m), _qcqp_generate_serial(seed, n, m)
     for field in dataclasses.fields(qcqp.QcqpInstance):
         got, want = getattr(inst, field.name), getattr(ref, field.name)
         assert type(got) is type(want), field.name
         assert np.array_equal(got, want), field.name
+
+
+@pytest.mark.parametrize("seed, n, m", [(0, 2, 1), (1, 20, 5), (3, 17, 2), (2, 50, 7)])
+def test_qcqp_generate_equals_the_serial_loop_bit_for_bit(seed, n, m):
+    _assert_equals_the_serial_loop(seed, n, m)
 
 
 def test_qcqp_generate_200x20_bits_are_pinned():
@@ -123,13 +128,24 @@ def test_qcqp_generate_200x20_bits_are_pinned():
     }
 
 
+def _blas_threads():
+    """OpenBLAS's thread count, or None where NumPy has no OpenBLAS."""
+    fns = qcqp._openblas()
+    return None if fns is None else fns[0]()
+
+
+needs_openblas = pytest.mark.skipif(_blas_threads() is None, reason="NumPy has no OpenBLAS")
+
+
 def test_qcqp_generate_leaves_no_thread_behind():
-    before = threading.active_count()
+    before, blas = threading.active_count(), _blas_threads()
     qcqp_generate(4, 30, 6)
     assert threading.active_count() == before
+    assert _blas_threads() == blas
 
 
 def test_qcqp_generate_from_concurrent_threads_gives_the_same_bits():
+    blas = _blas_threads()
     ref = qcqp_generate(1, 20, 5)
     out = [None] * 3
 
@@ -143,41 +159,88 @@ def test_qcqp_generate_from_concurrent_threads_gives_the_same_bits():
         t.join()
     for inst in out:
         assert np.array_equal(inst.Q, ref.Q) and np.array_equal(inst.ri, ref.ri)
+    assert _blas_threads() == blas
+
+
+def _record_qrs(monkeypatch, events, fail_on_call=None):
+    """Patch ``np.linalg.qr`` to append "qr" to ``events`` on each call, and
+    to raise on call number ``fail_on_call``, after appending "fail"."""
+    qr, lock = np.linalg.qr, threading.Lock()
+
+    def recording_qr(G):
+        with lock:
+            events.append("qr")
+            calls = events.count("qr")
+            if calls == fail_on_call:
+                events.append("fail")
+        if calls == fail_on_call:
+            raise np.linalg.LinAlgError("qr failed")
+        return qr(G)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
 
 
 def test_qcqp_generate_raises_a_helper_error_and_joins_the_helper(monkeypatch):
-    stream = qcqp._stream
+    # block 3's draw fails on whichever thread takes it
+    stream, events = qcqp._stream, []
 
     def failing_stream(seed, *key):
         if key == (1, 3):
+            events.append("fail")
             raise RuntimeError("draw failed")
         return stream(seed, *key)
 
     monkeypatch.setattr(qcqp, "_stream", failing_stream)
-    before = threading.active_count()
+    _record_qrs(monkeypatch, events)
+    before, blas = threading.active_count(), _blas_threads()
     with pytest.raises(RuntimeError, match="draw failed"):
         qcqp_generate(4, 12, 6)
     assert threading.active_count() == before
+    assert _blas_threads() == blas
+    # the other thread stops after the block it is on
+    assert events[events.index("fail"):].count("qr") <= 1
 
 
 def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
-    qr, calls = np.linalg.qr, []
-
-    def failing_qr(G):
-        calls.append(1)
-        if len(calls) == 2:
-            raise np.linalg.LinAlgError("qr failed")
-        return qr(G)
-
-    monkeypatch.setattr(np.linalg, "qr", failing_qr)
-    before = threading.active_count()
+    events = []
+    _record_qrs(monkeypatch, events, fail_on_call=2)
+    before, blas = threading.active_count(), _blas_threads()
     with pytest.raises(np.linalg.LinAlgError, match="qr failed"):
         qcqp_generate(4, 12, 6)
     assert threading.active_count() == before
+    assert _blas_threads() == blas
+    assert events[events.index("fail"):].count("qr") <= 1
+
+
+@needs_openblas
+def test_qcqp_generate_holds_openblas_to_one_thread_inside_the_loop(monkeypatch):
+    get, set_ = qcqp._openblas()
+    draw, seen = qcqp._draw, []
+
+    def probe(seed, n, i):
+        seen.append(get())
+        return draw(seed, n, i)
+
+    monkeypatch.setattr(qcqp, "_draw", probe)
+    saved = get()
+    set_(2)
+    try:
+        assert get() == 2
+        qcqp_generate(4, 12, 6)
+        assert get() == 2
+    finally:
+        set_(saved)
+    assert seen == [1] * 6
+
+
+@needs_openblas
+def test_qcqp_generate_without_openblas_equals_the_serial_loop(monkeypatch):
+    monkeypatch.setattr(qcqp, "_openblas", lambda: None)
+    _assert_equals_the_serial_loop(2, 50, 7)
 
 
 def test_mlp_and_mimo_solves_load_no_pool_and_start_no_thread():
-    # only QCQP generation imports concurrent.futures and starts a thread
+    # only QCQP generation imports concurrent.futures and glob and starts a thread
     code = """
 import sys, threading
 import sdcam
@@ -190,7 +253,7 @@ for name in ("mlp", "mimo"):
         max_successful_iters=20, max_total_trials=2000,
     )
     assert len(sdcam.solve(prob, cfg, x0, y0, rel_feas).trace) == 20
-print("concurrent.futures" in sys.modules, threading.active_count())
+print("concurrent.futures" in sys.modules or "glob" in sys.modules, threading.active_count())
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdcam.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
