@@ -25,6 +25,21 @@ and operations of a serial loop.  For the loop, which takes about 20 ms at
 n = 200, m = 20 on two cores, NumPy's OpenBLAS is held to one thread, so
 that its own workers do not compete with the two for the cores; BLAS calls
 made meanwhile by other threads of the process also run on one thread.
+
+The stacked sweep Qs @ x of ``_linearize``, about one per accepted step,
+runs on two cores where that pays: where Qs has at least ``_SPLIT_MIN_SIZE``
+entries, OpenBLAS runs on one thread and the process may use two CPUs.  The
+calling thread then computes the rows [0, cut) and one daemon "lane" thread
+the rows [cut, rows), each with ``np.matmul`` into one output array.  The
+lane starts on the first such sweep and serves every later one in the
+process; a sweep that finds it busy takes Qs @ x.  cut is a multiple of 8
+rows, which keeps every bit of Qs @ x (see ``_sweep``).  With more OpenBLAS
+threads, OpenBLAS splits the plain product itself and is faster, so it is
+kept, as it is where NumPy has no OpenBLAS.  So a one-thread BLAS pin does
+not hold this module to one core; CPU affinity does.  The lane keeps no
+array alive between sweeps; its thread and malloc arena raised the peak
+memory of a 200x20 benchmark run by about 0.7 MiB.  A forked child forgets
+the lane and starts its own.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
 import threading
 from typing import Tuple
 
@@ -78,6 +94,14 @@ class QcqpInstance:
         _check_params(self.n, self.m)
         if not np.array_equal(self.Q0, np.eye(self.n)):
             raise ValueError("Q0 must be the n x n identity")
+        for name in ("b0", "bi", "xbar"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        # ||Q||_F is one of the scales below; it is finite exactly when every
+        # entry of Q is, unless the sum of squares overflows
+        q_norm = float(np.linalg.norm(self.Q))
+        if not math.isfinite(q_norm):
+            raise ValueError(f"Q must be finite, with a finite ||Q||_F, got {q_norm}")
         if not np.array_equal(self.Q, self.Q.transpose(0, 2, 1)):
             raise ValueError("each Q block must be exactly symmetric")
         # g's parameters, checked once here rather than mid-run by g.prox
@@ -93,7 +117,7 @@ class QcqpInstance:
         self._c_at: Tuple[bytes, Vector] = (b"", np.empty(0))
         # ||Q||_F, ||bi||_F, ||ri|| and sqrt(n)*r, the scales of ``_jvp_slack``
         self._scales = (
-            float(np.linalg.norm(self.Q)), float(np.linalg.norm(self.bi)),
+            q_norm, float(np.linalg.norm(self.bi)),
             float(np.linalg.norm(self.ri)), math.sqrt(self.n) * self.r,
         )
 
@@ -282,12 +306,120 @@ def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
     return g * (2.0 * (e_x + e_box) + 2.0 * (F * xn + B) * dn + F * dn * dn)
 
 
+# The stacked sweep is split between the calling thread and the lane only
+# from this many entries of Qs on: below it, the handoff costs more than the
+# half it saves.  On a 2-vCPU host with one OpenBLAS thread, the split lost
+# at n = 200, m = 5 (2^17.6 entries: 31 against 16 us), was even near 2^17.8
+# and won from 2^18 on (n = 128, m = 16: 29 against 38 us; n = 200, m = 20:
+# 114 against 188 us).
+_SPLIT_MIN_SIZE = 1 << 18
+
+
+class _Lane:
+    """One daemon thread that computes the rows [cut, rows) of Qs @ x while
+    the calling thread computes the rows [0, cut).  ``free`` is held by the
+    sweep that uses the lane; ``go`` and ``done`` are binary semaphores that
+    hand a job over and hand it back.  ``job`` holds (Qs[cut:], x, out[cut:])
+    from the handover until the lane takes it, and then None, or the error
+    the lane raised until the caller takes it, so that the lane keeps no
+    array alive between sweeps."""
+
+    def __init__(self) -> None:
+        self.free, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = None
+        self.thread = None
+
+    def serve(self) -> None:
+        while True:
+            self.go.acquire()
+            job, self.job = self.job, None
+            try:
+                np.matmul(job[0], job[1], out=job[2])
+            except Exception as exc:  # handed back to the caller, which raises it
+                self.job = exc
+            job = None
+            self.done.release()
+
+
+_lane = _Lane()
+
+
+def _forget_lane() -> None:
+    """In a forked child the lane thread does not exist, and the parent's locks
+    may be held: start from a new lane."""
+    global _lane
+    _lane = _Lane()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _split_pays() -> bool:
+    """Whether OpenBLAS runs on one thread and the process may use two CPUs.
+    With more OpenBLAS threads, OpenBLAS splits the plain product itself,
+    and that beats the two lanes."""
+    fns = _openblas()
+    return (
+        fns is not None and fns[0]() == 1
+        and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _sweep(Qs: np.ndarray, x: Vector) -> np.ndarray:
+    """Qs @ x, with the rows split between this thread and the lane where
+    that pays and the lane is free; the bits are those of Qs @ x.
+
+    The cut is a multiple of 8 rows.  OpenBLAS's dgemv kernels take the
+    rows in blocks from the first, and with NumPy's OpenBLAS a cut on a
+    multiple of 8 gives every row the bits of the whole product, while cuts
+    such as 1998 or 2001 of 4000 rows change the last bit of most rows.  It
+    also keeps both halves 64-byte aligned relative to Qs.  This is measured
+    behaviour of the library, not a documented one, so the tests compare
+    the split with Qs @ x byte for byte.  A sweep that finds the lane busy,
+    say in a concurrent solve, takes Qs @ x and never waits."""
+    lane = _lane
+    if Qs.size < _SPLIT_MIN_SIZE or not _split_pays() or not lane.free.acquire(blocking=False):
+        return Qs @ x
+    try:
+        if lane.thread is None:
+            lane.thread = threading.Thread(target=lane.serve, name="sdcam-qcqp-lane", daemon=True)
+            lane.thread.start()
+    except BaseException:
+        lane.thread = None
+        lane.free.release()
+        raise
+    rows = Qs.shape[0]
+    cut = rows // 16 * 8
+    out = np.empty(rows)
+    lane.job = (Qs[cut:], x, out[cut:])
+    lane.go.release()
+    # the lane's done is collected on every path before the lane is freed,
+    # so that no later sweep reads a stale done; an interrupt that lands
+    # outside this try, or in the wait for done, leaves the lane held for
+    # good, and later sweeps take Qs @ x
+    try:
+        np.matmul(Qs[:cut], x, out=out[:cut])
+    finally:
+        lane.done.acquire()
+        err, lane.job = lane.job, None
+        lane.free.release()
+    if err is not None:
+        try:
+            raise err
+        finally:
+            del err  # else err -> traceback -> this frame -> err pins Qs until a collection
+    return out
+
+
 def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:
     """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and their
     pullback, from one matrix product Qx[i] = Qi x.  Records c(x) under the
     bytes of x for ``relative_feasibility``."""
     x = np.asarray(x, dtype=float)
-    Qx = (inst.Q.reshape(-1, inst.n) @ x).reshape(inst.m, inst.n)
+    Qx = _sweep(inst.Q.reshape(-1, inst.n), x).reshape(inst.m, inst.n)
     bi = inst.bi
     c_x = 0.5 * (Qx @ x) + bi @ x + inst.ri
     inst._c_at = (x.tobytes(), c_x.copy())  # one assignment: a racing reader sees a whole pair

@@ -546,6 +546,18 @@ def _skew_q(doc):
     return doc
 
 
+def _set_entry(key, value):
+    """Set the first entry of instance array ``key``; in Q that is a diagonal
+    entry, so the blocks stay symmetric wherever NaN == NaN would hold."""
+    def malform(doc):
+        values = doc["data"][key]["values"]
+        while isinstance(values[0], list):
+            values = values[0]
+        values[0] = value
+        return doc
+    return malform
+
+
 def _set_ri(value):
     def malform(doc):
         doc["data"]["ri"]["values"] = [value] * len(doc["data"]["ri"]["values"])
@@ -581,6 +593,12 @@ def _set_ri(value):
         ("config", {"seed": 3, "problem": {"family": "qcqp", "n": 10, "m": 3, "p": 0.99,
                                            "scale0": 1e250}}),
         ("run", _set_ri(float("nan"))),
+        ("run", _set_entry("b0", float("nan"))),
+        ("check", _set_entry("b0", float("nan"))),
+        ("run", _set_entry("Q", float("inf"))),
+        ("run", _set_entry("Q", float("nan"))),
+        ("run", _set_entry("bi", float("inf"))),
+        ("run", _set_entry("xbar", float("nan"))),
         ("run", _set_ri(0.5)),
         ("run", _scale_q0),
         ("run", _skew_q),
@@ -612,6 +630,12 @@ def _set_ri(value):
         "run-param-type",
         "config-qcqp-ri-not-finite",
         "run-ri-nan",
+        "run-b0-nan",
+        "check-b0-nan",
+        "run-Q-inf",
+        "run-Q-nan",
+        "run-bi-inf",
+        "run-xbar-nan",
         "run-ri-positive",
         "run-q0-not-identity",
         "run-q-asymmetric",
@@ -643,5 +667,9 @@ def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, comma
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
-    if "seed" in request.node.callspec.id:
+    case = request.node.callspec.id
+    if "seed" in case:
         assert "seed" in err
+    for field in ("b0", "Q", "bi", "xbar"):
+        if f"-{field}-" in case:
+            assert f"usage error: {field} must be finite" in err

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -239,29 +240,218 @@ def test_qcqp_generate_without_openblas_equals_the_serial_loop(monkeypatch):
     _assert_equals_the_serial_loop(2, 50, 7)
 
 
-def test_mlp_and_mimo_solves_load_no_pool_and_start_no_thread():
-    # only QCQP generation imports concurrent.futures and glob and starts a thread
-    code = """
-import sys, threading
+_SOLVE_SNIPPET = """
 import sdcam
 from sdcam.problems import FAMILIES
-for name in ("mlp", "mimo"):
+
+def solve(name, steps, **kwargs):
     fam = FAMILIES[name]
-    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(0, **fam.check_kwargs))
+    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(0, **(kwargs or fam.check_kwargs)))
     cfg = sdcam.SolverConfig(
         **fam.solver_defaults, schedule=sdcam.ScheduleSpec(family="power", beta0=1.0, delta=0.3),
-        max_successful_iters=20, max_total_trials=2000,
+        max_successful_iters=steps, max_total_trials=100 * steps,
     )
-    assert len(sdcam.solve(prob, cfg, x0, y0, rel_feas).trace) == 20
-print("concurrent.futures" in sys.modules or "glob" in sys.modules, threading.active_count())
+    assert len(sdcam.solve(prob, cfg, x0, y0, rel_feas).trace) == steps
 """
+
+
+def _run_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's sdcam;
+    return its stdout split into words."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdcam.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "1"]
+    return out.stdout.split()
+
+
+def test_mlp_and_mimo_solves_load_no_pool_and_start_no_thread():
+    # only QCQP generation imports concurrent.futures and glob and starts a
+    # thread, and a QCQP sweep below the split size starts no lane, even
+    # with OpenBLAS on one thread
+    code = _SOLVE_SNIPPET + """
+import sys, threading
+solve("mlp", 20)
+solve("mimo", 20)
+print("concurrent.futures" in sys.modules or "glob" in sys.modules, threading.active_count())
+solve("qcqp", 20, n=20, m=5)
+print(threading.active_count())
+"""
+    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["False", "1", "1"]
+
+
+def _two_lanes_possible():
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return _blas_threads() is not None and len(cpus) >= 2
+
+
+needs_two_lanes = pytest.mark.skipif(
+    not _two_lanes_possible(), reason="the QCQP sweep splits only over OpenBLAS on two CPUs"
+)
+_LANE = "sdcam-qcqp-lane"
+
+
+@pytest.fixture
+def set_blas_threads():
+    """OpenBLAS's set_num_threads, with the count restored after the test."""
+    get, set_ = qcqp._openblas()
+    saved = get()
+    yield set_
+    set_(saved)
+
+
+def _record_matmuls(monkeypatch, fail_on_lane=False):
+    """Patch ``np.matmul``, which only the two-lane sweep calls, to record the
+    name of the calling thread, and to raise on the lane if asked."""
+    matmul, names = np.matmul, []
+
+    def recording_matmul(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        if fail_on_lane and names[-1] == _LANE:
+            raise FloatingPointError("lane half failed")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    return names
+
+
+@needs_two_lanes
+@pytest.mark.parametrize("threads", [1, 2])
+def test_two_lane_sweep_gives_the_bytes_of_the_plain_product(
+    monkeypatch, set_blas_threads, threads
+):
+    # forced below the split size; with one OpenBLAS thread every sweep is
+    # split, with two none is
+    monkeypatch.setattr(qcqp, "_SPLIT_MIN_SIZE", 0)
+    set_blas_threads(threads)
+    names = _record_matmuls(monkeypatch)
+    rng = np.random.default_rng(0)
+    sweeps = 0
+    for n in (2, 5, 7, 8, 13, 200):
+        for m in (1, 3, 20):  # 5, 21, 39 and 260 rows are not multiples of 8
+            Qs = rng.standard_normal((m * n, n))
+            for scale in np.logspace(-3, 3, 7):
+                x = scale * rng.standard_normal(n)
+                assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes(), (n, m, scale)
+                sweeps += 1
+    if threads == 1:
+        assert names.count(_LANE) == sweeps
+        assert set(names) == {threading.current_thread().name, _LANE}
+    else:
+        assert names == []
+
+
+@needs_two_lanes
+def test_one_lane_serves_every_solve_of_the_process():
+    code = _SOLVE_SNIPPET + """
+import threading
+
+def others():
+    main = threading.main_thread()
+    return [(t.ident, t.name, t.daemon) for t in threading.enumerate() if t is not main]
+
+solve("qcqp", 5, n=200, m=20)
+first = others()
+solve("qcqp", 5, n=200, m=20)
+print(len(first), first[0][1], first[0][2], others() == first)
+"""
+    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["1", _LANE, "True", "True"]
+
+
+@needs_two_lanes
+def test_concurrent_qcqp_solves_of_one_instance_give_the_serial_bytes(set_blas_threads):
+    set_blas_threads(1)
+    fam = FAMILIES["qcqp"]
+    prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(1, n=200, m=20))
+    cfg = sdcam.SolverConfig(
+        **fam.solver_defaults, schedule=sdcam.ScheduleSpec(family="power", beta0=1.0, delta=0.3),
+        max_successful_iters=30, max_total_trials=3000,
+    )
+
+    def run():
+        res = sdcam.solve(prob, cfg, x0, y0, rel_feas)
+        return [repr(row) for row in res.trace], res.x.tobytes(), res.total_trials
+
+    ref, out = run(), [None] * 3
+
+    def worker(k):
+        out[k] = run()
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert out == [ref] * 3
+
+
+@needs_two_lanes
+def test_a_lane_error_reaches_the_caller_and_the_lane_survives(monkeypatch, set_blas_threads):
+    set_blas_threads(1)
+    rng = np.random.default_rng(3)
+    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
+    assert Qs.size >= qcqp._SPLIT_MIN_SIZE
+    with monkeypatch.context() as patch:
+        names = _record_matmuls(patch, fail_on_lane=True)
+        with pytest.raises(FloatingPointError, match="lane half failed"):
+            qcqp._sweep(Qs, x)
+        assert _LANE in names
+    lane = qcqp._lane.thread
+    names = _record_matmuls(monkeypatch)
+    assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+    assert _LANE in names and qcqp._lane.thread is lane and lane.is_alive()
+    # between sweeps the lane keeps no array alive
+    ref = weakref.ref(Qs)
+    del Qs
+    assert ref() is None
+
+
+@needs_two_lanes
+def test_a_sweep_that_finds_the_lane_busy_takes_the_plain_product_at_once(
+    monkeypatch, set_blas_threads
+):
+    set_blas_threads(1)
+    rng = np.random.default_rng(4)
+    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
+    names, out = _record_matmuls(monkeypatch), []
+    sweeper = threading.Thread(target=lambda: out.append(qcqp._sweep(Qs, x)))
+    with qcqp._lane.free:
+        sweeper.start()
+        sweeper.join(timeout=10)
+        waited = sweeper.is_alive()
+    sweeper.join(timeout=10)
+    assert not waited and not sweeper.is_alive()
+    assert out[0].tobytes() == (Qs @ x).tobytes() and names == []
+
+
+@needs_two_lanes
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_fork_child_sweeps_on_a_lane_of_its_own():
+    code = """
+import os, signal
+import numpy as np
+from sdcam.problems import qcqp
+rng = np.random.default_rng(0)
+Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
+plain = (Qs @ x).tobytes()
+assert qcqp._sweep(Qs, x).tobytes() == plain and qcqp._lane.thread is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child that waits on the parent's lane dies of SIGALRM
+    same = all(qcqp._sweep(Qs, x).tobytes() == plain for _ in range(3))
+    os._exit(0 if same and qcqp._lane.thread.is_alive() else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["0"]
 
 
 def test_qcqp_oracles_pass_fd_checks():
