@@ -28,18 +28,21 @@ made meanwhile by other threads of the process also run on one thread.
 
 The stacked sweep Qs @ x of ``_linearize``, about one per accepted step,
 runs on two cores where that pays: where Qs has at least ``_SPLIT_MIN_SIZE``
-entries, OpenBLAS runs on one thread and the process may use two CPUs.  The
+entries, OpenBLAS runs on one thread with a kernel set of ``_SPLIT_CORES``,
+the process may use two CPUs and it is not a ``multiprocessing`` worker.  The
 calling thread then computes the rows [0, cut) and one daemon "lane" thread
 the rows [cut, rows), each with ``np.matmul`` into one output array.  The
 lane starts on the first such sweep and serves every later one in the
 process; a sweep that finds it busy takes Qs @ x.  cut is a multiple of 8
-rows, which keeps every bit of Qs @ x (see ``_sweep``).  With more OpenBLAS
-threads, OpenBLAS splits the plain product itself and is faster, so it is
-kept, as it is where NumPy has no OpenBLAS.  So a one-thread BLAS pin does
-not hold this module to one core; CPU affinity does.  The lane keeps no
+rows, which keeps every bit of Qs @ x on the kernels checked (see
+``_sweep``).  With more OpenBLAS threads, OpenBLAS splits the plain product
+itself and is faster, so it is kept, as it is where NumPy has no OpenBLAS
+or another kernel set.  A pool worker takes it too: its pool already keeps
+the cores busy, one worker each.  So a one-thread BLAS pin does not hold a
+single process to one core; CPU affinity does.  The lane keeps no
 array alive between sweeps; its thread and malloc arena raised the peak
-memory of a 200x20 benchmark run by about 0.7 MiB.  A forked child forgets
-the lane and starts its own.
+memory of a 200x20 benchmark run by about 0.7 MiB.  A child forked outside
+``multiprocessing`` forgets the parent's lane and starts its own.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import dataclasses
 import functools
 import math
 import os
+import sys
 import threading
 from typing import Tuple
 
@@ -155,8 +159,9 @@ def _factor_blocks(seed: int, n: int, blocks, Q: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _openblas():
-    """The (get, set) thread-count functions of the OpenBLAS that NumPy's wheel
-    ships, or None where there is none."""
+    """(get, set, core) for the OpenBLAS that NumPy's wheel ships: its get and
+    set thread-count functions and the name of the kernel set it runs
+    (``get_corename``, "" where it has none), or None where there is none."""
     import ctypes
     import glob
     import os
@@ -172,7 +177,11 @@ def _openblas():
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and set_ is not None:
                 get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
-                return get, set_
+                core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                if core is not None:
+                    core.restype = ctypes.c_char_p
+                    core = core().decode("ascii", "replace")
+                return get, set_, core or ""
     return None
 
 
@@ -191,7 +200,7 @@ def _one_blas_thread():
     if fns is None:
         yield
         return
-    get, set_ = fns
+    get, set_, _ = fns
     with _blas_lock:
         if _blas_hold[0] == 0:
             _blas_hold[1] = get()
@@ -314,6 +323,16 @@ def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
 # 114 against 188 us).
 _SPLIT_MIN_SIZE = 1 << 18
 
+# The OpenBLAS kernel sets, by ``get_corename``, on which the cut of ``_sweep``
+# was checked to give every bit of Qs @ x: all five that the x86-64
+# DYNAMIC_ARCH build of OpenBLAS 0.3.31 in NumPy's wheel selects on an AVX-512
+# host, one by one through OPENBLAS_CORETYPE (Zen maps to Haswell there, and
+# Cooperlake and SapphireRapids to SkylakeX).  Each groups the rows in fours,
+# so cuts on a multiple of 4 changed no bit in about 7,800 cases per kernel,
+# while other cuts changed the bits in 70-95% of cases.  Elsewhere, say on
+# ARM, the sweep takes Qs @ x.
+_SPLIT_CORES = frozenset({"SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"})
+
 
 class _Lane:
     """One daemon thread that computes the rows [cut, rows) of Qs @ x while
@@ -358,12 +377,18 @@ if hasattr(os, "register_at_fork"):
 
 
 def _split_pays() -> bool:
-    """Whether OpenBLAS runs on one thread and the process may use two CPUs.
-    With more OpenBLAS threads, OpenBLAS splits the plain product itself,
-    and that beats the two lanes."""
+    """Whether OpenBLAS runs one of ``_SPLIT_CORES`` on one thread, the
+    process may use two CPUs and it is not a worker that ``multiprocessing``
+    started.  With more OpenBLAS threads, OpenBLAS splits the plain product
+    itself, and that beats the two lanes.  A pool, like that of
+    ``sdcam run --sweep``, runs about one worker per CPU, so no core is idle
+    for a lane: there the split cost 5% of the wall time and 4% of the CPU
+    time of a one-thread-BLAS sweep of two 200x20 runs on two CPUs."""
     fns = _openblas()
+    mp = sys.modules.get("multiprocessing")
     return (
-        fns is not None and fns[0]() == 1
+        fns is not None and fns[2] in _SPLIT_CORES and fns[0]() == 1
+        and (mp is None or mp.parent_process() is None)
         and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
     )
 
@@ -372,25 +397,32 @@ def _sweep(Qs: np.ndarray, x: Vector) -> np.ndarray:
     """Qs @ x, with the rows split between this thread and the lane where
     that pays and the lane is free; the bits are those of Qs @ x.
 
-    The cut is a multiple of 8 rows.  OpenBLAS's dgemv kernels take the
-    rows in blocks from the first, and with NumPy's OpenBLAS a cut on a
-    multiple of 8 gives every row the bits of the whole product, while cuts
-    such as 1998 or 2001 of 4000 rows change the last bit of most rows.  It
-    also keeps both halves 64-byte aligned relative to Qs.  This is measured
-    behaviour of the library, not a documented one, so the tests compare
-    the split with Qs @ x byte for byte.  A sweep that finds the lane busy,
-    say in a concurrent solve, takes Qs @ x and never waits."""
+    The cut is a multiple of 8 rows.  The dgemv kernels of ``_SPLIT_CORES``
+    take the rows in blocks of 4 from the first, so a cut on a multiple of 4
+    gives every row the bits of the whole product, while cuts such as 1998
+    or 2001 of 4000 rows change the last bit of most rows.  A multiple of 8
+    also keeps both halves at the alignment of Qs modulo 64 bytes.  Each half
+    has at least 256 rows, since the stacked Qs has at least 2^18 entries
+    and no more columns than rows; a one-row half would go to a dot
+    product, with other bits.  This is measured behaviour of the library,
+    not a documented one, so the tests compare the split with Qs @ x byte
+    for byte on each of those kernels the host can run.  A sweep that finds the lane busy, say
+    in a concurrent solve, takes Qs @ x and never waits, and so does one
+    that cannot start the lane's thread."""
     lane = _lane
     if Qs.size < _SPLIT_MIN_SIZE or not _split_pays() or not lane.free.acquire(blocking=False):
         return Qs @ x
-    try:
-        if lane.thread is None:
-            lane.thread = threading.Thread(target=lane.serve, name="sdcam-qcqp-lane", daemon=True)
-            lane.thread.start()
-    except BaseException:
-        lane.thread = None
-        lane.free.release()
-        raise
+    if lane.thread is None:
+        thread = threading.Thread(target=lane.serve, name="sdcam-qcqp-lane", daemon=True)
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had; a later sweep tries again
+            lane.free.release()
+            return Qs @ x
+        except BaseException:
+            lane.free.release()
+            raise
+        lane.thread = thread
     rows = Qs.shape[0]
     cut = rows // 16 * 8
     out = np.empty(rows)

@@ -215,7 +215,7 @@ def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
 
 @needs_openblas
 def test_qcqp_generate_holds_openblas_to_one_thread_inside_the_loop(monkeypatch):
-    get, set_ = qcqp._openblas()
+    get, set_, _ = qcqp._openblas()
     draw, seen = qcqp._draw, []
 
     def probe(seed, n, i):
@@ -285,11 +285,13 @@ print(threading.active_count())
 
 def _two_lanes_possible():
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    return _blas_threads() is not None and len(cpus) >= 2
+    fns = qcqp._openblas()
+    return fns is not None and fns[2] in qcqp._SPLIT_CORES and len(cpus) >= 2
 
 
 needs_two_lanes = pytest.mark.skipif(
-    not _two_lanes_possible(), reason="the QCQP sweep splits only over OpenBLAS on two CPUs"
+    not _two_lanes_possible(),
+    reason="the QCQP sweep splits only over OpenBLAS kernels it was checked on, on two CPUs",
 )
 _LANE = "sdcam-qcqp-lane"
 
@@ -297,7 +299,7 @@ _LANE = "sdcam-qcqp-lane"
 @pytest.fixture
 def set_blas_threads():
     """OpenBLAS's set_num_threads, with the count restored after the test."""
-    get, set_ = qcqp._openblas()
+    get, set_, _ = qcqp._openblas()
     saved = get()
     yield set_
     set_(saved)
@@ -319,14 +321,21 @@ def _record_matmuls(monkeypatch, fail_on_lane=False):
 
 
 @needs_two_lanes
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads, core", [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(1, "NEOVERSEN1", id="1-unchecked-kernel"),
+])
 def test_two_lane_sweep_gives_the_bytes_of_the_plain_product(
-    monkeypatch, set_blas_threads, threads
+    monkeypatch, set_blas_threads, threads, core
 ):
     # forced below the split size; with one OpenBLAS thread every sweep is
-    # split, with two none is
+    # split, with two or on a kernel set the cut was not checked on none is
     monkeypatch.setattr(qcqp, "_SPLIT_MIN_SIZE", 0)
     set_blas_threads(threads)
+    if core is not None:
+        get, set_, _ = qcqp._openblas()
+        monkeypatch.setattr(qcqp, "_openblas", lambda: (get, set_, core))
     names = _record_matmuls(monkeypatch)
     rng = np.random.default_rng(0)
     sweeps = 0
@@ -337,11 +346,87 @@ def test_two_lane_sweep_gives_the_bytes_of_the_plain_product(
                 x = scale * rng.standard_normal(n)
                 assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes(), (n, m, scale)
                 sweeps += 1
-    if threads == 1:
+    if threads == 1 and core is None:
         assert names.count(_LANE) == sweeps
         assert set(names) == {threading.current_thread().name, _LANE}
     else:
         assert names == []
+
+
+@needs_two_lanes
+def test_two_lane_sweep_keeps_the_bytes_on_every_checked_kernel():
+    # OPENBLAS_CORETYPE picks the kernel set of OpenBLAS's DYNAMIC_ARCH
+    # build; one the host cannot run is replaced by another and skipped here
+    code = """
+import numpy as np
+from sdcam.problems import qcqp
+qcqp._SPLIT_MIN_SIZE = 0
+core = qcqp._openblas()[2]
+rng = np.random.default_rng(0)
+same = True
+for n in (2, 5, 7, 8, 13, 200):
+    for m in (1, 3, 20):
+        Qs = rng.standard_normal((m * n, n))
+        for scale in np.logspace(-3, 3, 7):
+            x = scale * rng.standard_normal(n)
+            same = same and qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+print(core, same and qcqp._lane.thread is not None)
+"""
+    checked = []
+    for core in sorted(qcqp._SPLIT_CORES):
+        got = _run_python(code, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
+        if got[0] == core:
+            assert got == [core, "True"]
+            checked.append(core)
+    assert qcqp._openblas()[2] in checked
+
+
+@needs_two_lanes
+def test_a_sweep_that_cannot_start_the_lane_takes_the_plain_product(
+    monkeypatch, set_blas_threads
+):
+    set_blas_threads(1)
+    rng = np.random.default_rng(5)
+    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
+    with monkeypatch.context() as patch:
+        lane = qcqp._Lane()
+        patch.setattr(qcqp, "_lane", lane)
+
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+        patch.setattr(threading.Thread, "start", start)
+        names = _record_matmuls(patch)
+        for _ in range(2):
+            assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+        assert names == [] and lane.thread is None
+        assert lane.free.acquire(blocking=False)
+    assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+
+
+@needs_two_lanes
+def test_a_multiprocessing_worker_takes_the_plain_product():
+    # a pool keeps the cores busy, one worker each: its workers start no lane,
+    # whether forked from a process with a lane or spawned
+    code = """
+import multiprocessing, threading
+from concurrent.futures import ProcessPoolExecutor
+import numpy as np
+from sdcam.problems import qcqp
+
+if __name__ == "__main__":
+    rng = np.random.default_rng(0)
+    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
+    plain = (Qs @ x).tobytes()
+    assert qcqp._sweep(Qs, x).tobytes() == plain and qcqp._lane.thread is not None
+    for method in ("fork", "spawn"):
+        ctx = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            same = pool.submit(qcqp._sweep, Qs, x).result().tobytes() == plain
+            print(method, same, pool.submit(threading.active_count).result())
+"""
+    got = _run_python(code, OPENBLAS_NUM_THREADS="1")
+    assert got == ["fork", "True", "1", "spawn", "True", "1"]
 
 
 @needs_two_lanes
