@@ -41,6 +41,7 @@ from .schedule import ScheduleSpec
 from .solver import SolveResult, SolverConfig, SolverError, TraceRow, solve
 from .verify import verify_problem_oracles, verify_prox_family, verify_schedule_sandwich
 from .problems import FAMILIES, Family, family_of, load_instance, save_instance
+from .problems.qcqp import _set_blas_threads
 
 __all__ = ["main"]
 
@@ -313,9 +314,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         return run_config_file(paths[0])
     codes: List[int] = []
     # A fork-started pool forks all of its workers at once, so it gets no
-    # more workers than there are configs.
-    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(paths))) as pool:
+    # more workers than there are configs.  Each worker gets its share of the
+    # CPUs as OpenBLAS threads, so that the workers' BLAS threads do not
+    # outnumber the CPUs.
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if args.workers is None else args.workers, len(paths))
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_blas_threads, initargs=(max(1, cpus // workers),)
+    ) as pool:
         for path, code in zip(paths, pool.map(run_config_file, paths)):
             codes.append(code)
             if code != EXIT_OK:

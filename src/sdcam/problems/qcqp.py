@@ -19,35 +19,36 @@ Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
 orthogonal factor of Qi, and (2, i) for its diagonal.  Instances are
 bit-reproducible given (seed, params) and portable across platforms.  The
-calling thread and one pool worker each take the next block index from one
+calling thread and the lane (below) each take the next block index from one
 shared iterator and draw, factor and symmetrize that block, with the streams
-and operations of a serial loop.  For the loop, which takes about 20 ms at
-n = 200, m = 20 on two cores, NumPy's OpenBLAS is held to one thread, so
-that its own workers do not compete with the two for the cores; BLAS calls
-made meanwhile by other threads of the process also run on one thread.
+and operations of a serial loop; where the lane is not to be had, the
+calling thread factors every block.
 
-The stacked sweep Qs @ x of ``_linearize``, about one per accepted step,
-runs on two cores where that pays: where Qs has at least ``_SPLIT_MIN_SIZE``
-entries, OpenBLAS runs on one thread with a kernel set of ``_SPLIT_CORES``,
-the process may use two CPUs and it is not a ``multiprocessing`` worker.  The
-calling thread then computes the rows [0, cut) and one daemon "lane" thread
-the rows [cut, rows), each with ``np.matmul`` into one output array.  The
-lane starts on the first such sweep and serves every later one in the
-process; a sweep that finds it busy takes Qs @ x.  cut is a multiple of 8
-rows, which keeps every bit of Qs @ x on the kernels checked (see
-``_sweep``).  With more OpenBLAS threads, OpenBLAS splits the plain product
-itself and is faster, so it is kept, as it is where NumPy has no OpenBLAS
-or another kernel set.  A pool worker takes it too: its pool already keeps
-the cores busy, one worker each.  So a one-thread BLAS pin does not hold a
-single process to one core; CPU affinity does.  The lane keeps no
-array alive between sweeps; its thread and malloc arena raised the peak
-memory of a 200x20 benchmark run by about 0.7 MiB.  A child forked outside
-``multiprocessing`` forgets the parent's lane and starts its own.
+The stacked sweep Qs @ x of ``_linearize``, about one per accepted step, is
+split between the calling thread and the lane where that pays: where Qs has
+at least ``_SPLIT_MIN_SIZE`` entries and OpenBLAS runs on one thread with a
+kernel set of ``_SPLIT_CORES``.  The calling thread computes the rows
+[0, cut) and the lane the rows [cut, rows), each with ``np.matmul`` into one
+output array.  cut is a multiple of 8 rows, which keeps every bit of Qs @ x
+on the kernels checked (see ``_sweep``).  With more OpenBLAS threads,
+OpenBLAS splits the plain product itself and is faster, so it is kept, as
+it is where NumPy has no OpenBLAS or another kernel set.
+
+The lane is one daemon thread, started on first use and serving every later
+job in the process.  While it runs a job, NumPy's OpenBLAS is held to one
+thread, so that its own workers do not compete with the two threads for the
+cores; BLAS calls made meanwhile by other threads of the process also run on
+one thread.  A job that finds the lane busy, say in a concurrent solve, or a
+process without a second core (a CPU affinity of fewer than two CPUs, or a
+``multiprocessing`` worker) runs on the calling thread alone and never
+waits.  So a one-thread BLAS pin does not hold a single process to one core;
+CPU affinity does.  The lane keeps no array alive between jobs.  A child
+forked outside ``multiprocessing`` forgets the parent's lane and starts its
+own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import math
@@ -136,9 +137,10 @@ def _draw(seed: int, n: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_blocks(seed: int, n: int, blocks, Q: np.ndarray) -> None:
-    """Q[i] = sym(Ui Di Ui^T) for each index i taken from ``blocks``, the
-    iterator that both threads share.  Each temporary goes as soon as it has
-    been used, so that neither thread's malloc arena keeps a block's worth.
+    """Q[i] = sym(Ui Di Ui^T) for each index i taken from ``blocks``, an
+    iterator that the calling thread and the lane may share.  Each temporary
+    goes as soon as it has been used, so that neither thread's malloc arena
+    keeps a block's worth.
     On an error the iterator is drained, so that the other thread stops
     after its current block."""
     try:
@@ -164,7 +166,6 @@ def _openblas():
     (``get_corename``, "" where it has none), or None where there is none."""
     import ctypes
     import glob
-    import os
 
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
@@ -185,35 +186,16 @@ def _openblas():
     return None
 
 
-# OpenBLAS's thread count is process-wide, so the loops that hold it at one
-# share one saved count: the first to enter saves it, the last to leave
-# restores it.  [number of loops inside, saved count]
-_blas_lock = threading.Lock()
-_blas_hold = [0, 1]
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block; a no-op where it already
-    runs on one thread or where there is no OpenBLAS."""
+def _set_blas_threads(threads: int) -> int:
+    """Set OpenBLAS's thread count, which is process-wide, and return the
+    count it had; ``threads`` where NumPy has no OpenBLAS."""
     fns = _openblas()
     if fns is None:
-        yield
-        return
-    get, set_, _ = fns
-    with _blas_lock:
-        if _blas_hold[0] == 0:
-            _blas_hold[1] = get()
-            if _blas_hold[1] != 1:
-                set_(1)
-        _blas_hold[0] += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_hold[0] -= 1
-            if _blas_hold[0] == 0 and _blas_hold[1] != 1:
-                set_(_blas_hold[1])
+        return threads
+    had = fns[0]()
+    if had != threads:
+        fns[1](threads)
+    return had
 
 
 def qcqp_generate(
@@ -240,18 +222,12 @@ def qcqp_generate(
     else:
         raise RuntimeError("xbar degenerate (all zero) after 10 attempts; r would be 0")
 
-    # imported here, so that only QCQP generation loads the pool
-    from concurrent.futures import ThreadPoolExecutor
-
     Q = np.empty((m, n, n))
-    # this thread and one worker take block indices from one iterator; the
-    # draws, QRs and products release the GIL.  ``with`` joins the worker,
-    # then restores OpenBLAS's thread count, on every path out
-    blocks = iter(range(m))
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        worker = pool.submit(_factor_blocks, seed, n, blocks, Q)
-        _factor_blocks(seed, n, blocks, Q)
-        worker.result()
+    # this thread and the lane take block indices from one iterator; the
+    # draws, QRs and products release the GIL
+    factor = functools.partial(_factor_blocks, seed, n, iter(range(m)), Q)
+    if not _lane.run(factor, factor):
+        factor()
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
     return QcqpInstance(
@@ -335,13 +311,13 @@ _SPLIT_CORES = frozenset({"SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katm
 
 
 class _Lane:
-    """One daemon thread that computes the rows [cut, rows) of Qs @ x while
-    the calling thread computes the rows [0, cut).  ``free`` is held by the
-    sweep that uses the lane; ``go`` and ``done`` are binary semaphores that
-    hand a job over and hand it back.  ``job`` holds (Qs[cut:], x, out[cut:])
-    from the handover until the lane takes it, and then None, or the error
-    the lane raised until the caller takes it, so that the lane keeps no
-    array alive between sweeps."""
+    """One daemon thread that runs a job while the calling thread runs
+    another.  ``free`` is held by the caller that uses the lane, which alone
+    sets OpenBLAS's thread count meanwhile; ``go`` and ``done`` are binary
+    semaphores that hand a job over and hand it back.  ``job`` holds the
+    lane's function from the handover until the lane takes it, and then
+    None, or the error the lane raised until the caller takes it, so that
+    the lane keeps no array alive between jobs."""
 
     def __init__(self) -> None:
         self.free, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
@@ -355,11 +331,63 @@ class _Lane:
             self.go.acquire()
             job, self.job = self.job, None
             try:
-                np.matmul(job[0], job[1], out=job[2])
+                job()
             except Exception as exc:  # handed back to the caller, which raises it
                 self.job = exc
             job = None
             self.done.release()
+
+    def run(self, there, here) -> bool:
+        """Run ``there`` on the lane and ``here`` on this thread, both with
+        OpenBLAS on one thread, and return True; an error of either reaches
+        the caller.  Return False, calling neither, where the lane is busy,
+        where its thread cannot start, or where the process has no second
+        core: a CPU affinity of fewer than two CPUs, or a worker that
+        ``multiprocessing`` started.  A pool, like that of
+        ``sdcam run --sweep``, runs about one worker per CPU, so no core is
+        idle for a lane: there the split sweep cost 5% of the wall time and
+        4% of the CPU time of a one-thread-BLAS sweep of two 200x20 runs on
+        two CPUs."""
+        mp = sys.modules.get("multiprocessing")
+        if (
+            mp is not None and mp.parent_process() is not None
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or not self.free.acquire(blocking=False)
+        ):
+            return False
+        if self.thread is None:
+            thread = threading.Thread(target=self.serve, name="sdcam-qcqp-lane", daemon=True)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had; a later job tries again
+                self.free.release()
+                return False
+            except BaseException:
+                self.free.release()
+                raise
+            self.thread = thread
+        blas = _set_blas_threads(1)
+        self.job = there
+        self.go.release()
+        # the lane's done is collected on every path before OpenBLAS's count
+        # is restored and the lane freed, so that no later job reads a stale
+        # done or runs under a count this one then changes; an interrupt that
+        # lands outside this try, or in the wait for done, leaves the lane
+        # held, and OpenBLAS on one thread, for good, and later callers run
+        # alone
+        try:
+            here()
+        finally:
+            self.done.acquire()
+            err, self.job = self.job, None
+            _set_blas_threads(blas)
+            self.free.release()
+        if err is not None:
+            try:
+                raise err
+            finally:
+                del err  # else err -> traceback -> this frame -> err pins the jobs' arrays
+        return True
 
 
 _lane = _Lane()
@@ -376,26 +404,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane)
 
 
-def _split_pays() -> bool:
-    """Whether OpenBLAS runs one of ``_SPLIT_CORES`` on one thread, the
-    process may use two CPUs and it is not a worker that ``multiprocessing``
-    started.  With more OpenBLAS threads, OpenBLAS splits the plain product
-    itself, and that beats the two lanes.  A pool, like that of
-    ``sdcam run --sweep``, runs about one worker per CPU, so no core is idle
-    for a lane: there the split cost 5% of the wall time and 4% of the CPU
-    time of a one-thread-BLAS sweep of two 200x20 runs on two CPUs."""
-    fns = _openblas()
-    mp = sys.modules.get("multiprocessing")
-    return (
-        fns is not None and fns[2] in _SPLIT_CORES and fns[0]() == 1
-        and (mp is None or mp.parent_process() is None)
-        and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
 def _sweep(Qs: np.ndarray, x: Vector) -> np.ndarray:
     """Qs @ x, with the rows split between this thread and the lane where
-    that pays and the lane is free; the bits are those of Qs @ x.
+    that pays and the lane is to be had; the bits are those of Qs @ x.
+    The split pays where Qs has at least ``_SPLIT_MIN_SIZE`` entries and
+    OpenBLAS runs one of ``_SPLIT_CORES`` on one thread.  With more OpenBLAS
+    threads, OpenBLAS splits the plain product itself, and that beats the
+    two threads.
 
     The cut is a multiple of 8 rows.  The dgemv kernels of ``_SPLIT_CORES``
     take the rows in blocks of 4 from the first, so a cut on a multiple of 4
@@ -406,44 +421,19 @@ def _sweep(Qs: np.ndarray, x: Vector) -> np.ndarray:
     and no more columns than rows; a one-row half would go to a dot
     product, with other bits.  This is measured behaviour of the library,
     not a documented one, so the tests compare the split with Qs @ x byte
-    for byte on each of those kernels the host can run.  A sweep that finds the lane busy, say
-    in a concurrent solve, takes Qs @ x and never waits, and so does one
-    that cannot start the lane's thread."""
-    lane = _lane
-    if Qs.size < _SPLIT_MIN_SIZE or not _split_pays() or not lane.free.acquire(blocking=False):
-        return Qs @ x
-    if lane.thread is None:
-        thread = threading.Thread(target=lane.serve, name="sdcam-qcqp-lane", daemon=True)
-        try:
-            thread.start()
-        except RuntimeError:  # no thread to be had; a later sweep tries again
-            lane.free.release()
-            return Qs @ x
-        except BaseException:
-            lane.free.release()
-            raise
-        lane.thread = thread
-    rows = Qs.shape[0]
-    cut = rows // 16 * 8
-    out = np.empty(rows)
-    lane.job = (Qs[cut:], x, out[cut:])
-    lane.go.release()
-    # the lane's done is collected on every path before the lane is freed,
-    # so that no later sweep reads a stale done; an interrupt that lands
-    # outside this try, or in the wait for done, leaves the lane held for
-    # good, and later sweeps take Qs @ x
-    try:
-        np.matmul(Qs[:cut], x, out=out[:cut])
-    finally:
-        lane.done.acquire()
-        err, lane.job = lane.job, None
-        lane.free.release()
-    if err is not None:
-        try:
-            raise err
-        finally:
-            del err  # else err -> traceback -> this frame -> err pins Qs until a collection
-    return out
+    for byte on each of those kernels the host can run."""
+    if Qs.size >= _SPLIT_MIN_SIZE:
+        fns = _openblas()
+        if fns is not None and fns[2] in _SPLIT_CORES and fns[0]() == 1:
+            rows = Qs.shape[0]
+            cut = rows // 16 * 8
+            out = np.empty(rows)
+            if _lane.run(
+                functools.partial(np.matmul, Qs[cut:], x, out=out[cut:]),
+                functools.partial(np.matmul, Qs[:cut], x, out=out[:cut]),
+            ):
+                return out
+    return Qs @ x
 
 
 def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:

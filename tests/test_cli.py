@@ -10,6 +10,7 @@ import pytest
 import sdcam.cli
 from sdcam.cli import CSV_HEADER, _write_summary, main
 from sdcam.problems import FAMILIES, family_of, load_instance, save_instance
+from sdcam.problems.qcqp import _openblas
 from sdcam.solver import SolveResult, TraceRow
 
 
@@ -463,7 +464,7 @@ def test_sweep_pool_has_no_more_workers_than_configs(tmp_path, monkeypatch, flag
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -491,6 +492,43 @@ def test_sweep_pool_has_no_more_workers_than_configs(tmp_path, monkeypatch, flag
     assert main(["run", "--config", *map(str, paths), "--sweep", *flags]) == 0
     assert sizes == [expected]
     assert (tmp_path / "trace_0.csv").exists() and (tmp_path / "trace_1.csv").exists()
+
+
+def _openblas_threads():
+    fns = _openblas()
+    return None if fns is None else fns[0]()
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="NumPy has no OpenBLAS")
+def test_sweep_workers_share_the_cpus_as_openblas_threads(tmp_path, monkeypatch):
+    # two workers on os.cpu_count() CPUs run max(1, cpus // 2) OpenBLAS
+    # threads each, whatever count the parent, which keeps its own, runs
+    seen = []
+
+    class ProbingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, items):
+            seen.append(self.submit(_openblas_threads).result(timeout=60))
+            return super().map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ProbingPool)
+    paths = []
+    for k in range(2):
+        (tmp_path / str(k)).mkdir()
+        paths.append(str(_cfg(tmp_path / str(k), seed=k)[0]))
+    get, set_, _ = _openblas()
+    saved = get()
+    set_(3)
+    try:
+        assert main(["run", "--config", *paths, "--sweep", "--workers", "2"]) == 0
+        assert get() == 3
+    finally:
+        set_(saved)
+    assert seen == [max(1, (os.cpu_count() or 1) // 2)]
+
+
+def test_sweep_with_no_workers_is_usage_error(tmp_path):
+    path, _ = _cfg(tmp_path)
+    assert main(["run", "--config", str(path), str(path), "--sweep", "--workers", "0"]) == 1
 
 
 def test_multiple_configs_without_sweep_is_usage_error(tmp_path):

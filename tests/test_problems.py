@@ -135,14 +135,28 @@ def _blas_threads():
     return None if fns is None else fns[0]()
 
 
+def _two_cpus():
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
 needs_openblas = pytest.mark.skipif(_blas_threads() is None, reason="NumPy has no OpenBLAS")
+_LANE = "sdcam-qcqp-lane"
+
+
+def _assert_only_the_lane_is_left(blas):
+    """At most one thread besides the main one is left, the lane; it is free,
+    and OpenBLAS's thread count is ``blas``."""
+    others = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    assert others in ([], [qcqp._lane.thread]) and all(t.name == _LANE for t in others)
+    assert qcqp._lane.free.acquire(blocking=False)
+    qcqp._lane.free.release()
+    assert _blas_threads() == blas
 
 
 def test_qcqp_generate_leaves_no_thread_behind():
-    before, blas = threading.active_count(), _blas_threads()
+    blas = _blas_threads()
     qcqp_generate(4, 30, 6)
-    assert threading.active_count() == before
-    assert _blas_threads() == blas
+    _assert_only_the_lane_is_left(blas)
 
 
 def test_qcqp_generate_from_concurrent_threads_gives_the_same_bits():
@@ -193,11 +207,10 @@ def test_qcqp_generate_raises_a_helper_error_and_joins_the_helper(monkeypatch):
 
     monkeypatch.setattr(qcqp, "_stream", failing_stream)
     _record_qrs(monkeypatch, events)
-    before, blas = threading.active_count(), _blas_threads()
+    blas = _blas_threads()
     with pytest.raises(RuntimeError, match="draw failed"):
         qcqp_generate(4, 12, 6)
-    assert threading.active_count() == before
-    assert _blas_threads() == blas
+    _assert_only_the_lane_is_left(blas)
     # the other thread stops after the block it is on
     assert events[events.index("fail"):].count("qr") <= 1
 
@@ -205,15 +218,15 @@ def test_qcqp_generate_raises_a_helper_error_and_joins_the_helper(monkeypatch):
 def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
     events = []
     _record_qrs(monkeypatch, events, fail_on_call=2)
-    before, blas = threading.active_count(), _blas_threads()
+    blas = _blas_threads()
     with pytest.raises(np.linalg.LinAlgError, match="qr failed"):
         qcqp_generate(4, 12, 6)
-    assert threading.active_count() == before
-    assert _blas_threads() == blas
+    _assert_only_the_lane_is_left(blas)
     assert events[events.index("fail"):].count("qr") <= 1
 
 
 @needs_openblas
+@pytest.mark.skipif(not _two_cpus(), reason="generation uses the lane only on two CPUs")
 def test_qcqp_generate_holds_openblas_to_one_thread_inside_the_loop(monkeypatch):
     get, set_, _ = qcqp._openblas()
     draw, seen = qcqp._draw, []
@@ -269,31 +282,29 @@ def _run_python(code, **env):
 
 
 def test_mlp_and_mimo_solves_load_no_pool_and_start_no_thread():
-    # only QCQP generation imports concurrent.futures and glob and starts a
-    # thread, and a QCQP sweep below the split size starts no lane, even
-    # with OpenBLAS on one thread
+    # only QCQP imports glob and starts a thread, the lane, which its
+    # generation starts on two CPUs; nothing imports concurrent.futures
     code = _SOLVE_SNIPPET + """
 import sys, threading
 solve("mlp", 20)
 solve("mimo", 20)
 print("concurrent.futures" in sys.modules or "glob" in sys.modules, threading.active_count())
 solve("qcqp", 20, n=20, m=5)
-print(threading.active_count())
+print([t.name for t in threading.enumerate() if t is not threading.main_thread()])
 """
-    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["False", "1", "1"]
+    lanes = str([_LANE] if _two_cpus() else [])
+    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["False", "1", lanes]
 
 
 def _two_lanes_possible():
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     fns = qcqp._openblas()
-    return fns is not None and fns[2] in qcqp._SPLIT_CORES and len(cpus) >= 2
+    return fns is not None and fns[2] in qcqp._SPLIT_CORES and _two_cpus()
 
 
 needs_two_lanes = pytest.mark.skipif(
     not _two_lanes_possible(),
     reason="the QCQP sweep splits only over OpenBLAS kernels it was checked on, on two CPUs",
 )
-_LANE = "sdcam-qcqp-lane"
 
 
 @pytest.fixture
@@ -321,17 +332,19 @@ def _record_matmuls(monkeypatch, fail_on_lane=False):
 
 
 @needs_two_lanes
-@pytest.mark.parametrize("threads, core", [
-    pytest.param(1, None, id="1"),
-    pytest.param(2, None, id="2"),
-    pytest.param(1, "NEOVERSEN1", id="1-unchecked-kernel"),
+@pytest.mark.parametrize("threads, core, min_size", [
+    pytest.param(1, None, 0, id="1"),
+    pytest.param(2, None, 0, id="2"),
+    pytest.param(1, "NEOVERSEN1", 0, id="1-unchecked-kernel"),
+    pytest.param(1, None, 1 << 20, id="1-below-the-split-size"),
 ])
 def test_two_lane_sweep_gives_the_bytes_of_the_plain_product(
-    monkeypatch, set_blas_threads, threads, core
+    monkeypatch, set_blas_threads, threads, core, min_size
 ):
-    # forced below the split size; with one OpenBLAS thread every sweep is
-    # split, with two or on a kernel set the cut was not checked on none is
-    monkeypatch.setattr(qcqp, "_SPLIT_MIN_SIZE", 0)
+    # with the split size forced to 0 and one OpenBLAS thread every sweep is
+    # split; with two, on a kernel set the cut was not checked on, or below
+    # the split size (every Qs here has fewer than 2^20 entries) none is
+    monkeypatch.setattr(qcqp, "_SPLIT_MIN_SIZE", min_size)
     set_blas_threads(threads)
     if core is not None:
         get, set_, _ = qcqp._openblas()
@@ -346,7 +359,7 @@ def test_two_lane_sweep_gives_the_bytes_of_the_plain_product(
                 x = scale * rng.standard_normal(n)
                 assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes(), (n, m, scale)
                 sweeps += 1
-    if threads == 1 and core is None:
+    if threads == 1 and core is None and min_size == 0:
         assert names.count(_LANE) == sweeps
         assert set(names) == {threading.current_thread().name, _LANE}
     else:
@@ -381,10 +394,21 @@ print(core, same and qcqp._lane.thread is not None)
     assert qcqp._openblas()[2] in checked
 
 
+def _run_alone(job, Qs, x):
+    """A sweep of Qs @ x or a 50x7 generation; True where its bits are those
+    of the plain product or of the serial loop."""
+    if job == "sweep":
+        return qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+    _assert_equals_the_serial_loop(2, 50, 7)
+    return True
+
+
 @needs_two_lanes
+@pytest.mark.parametrize("job", ["sweep", "generate"])
 def test_a_sweep_that_cannot_start_the_lane_takes_the_plain_product(
-    monkeypatch, set_blas_threads
+    monkeypatch, set_blas_threads, job
 ):
+    # and a generation that cannot start it factors every block alone
     set_blas_threads(1)
     rng = np.random.default_rng(5)
     Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
@@ -398,16 +422,17 @@ def test_a_sweep_that_cannot_start_the_lane_takes_the_plain_product(
         patch.setattr(threading.Thread, "start", start)
         names = _record_matmuls(patch)
         for _ in range(2):
-            assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+            assert _run_alone(job, Qs, x)
         assert names == [] and lane.thread is None
         assert lane.free.acquire(blocking=False)
-    assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
+    assert _run_alone(job, Qs, x)
 
 
 @needs_two_lanes
 def test_a_multiprocessing_worker_takes_the_plain_product():
-    # a pool keeps the cores busy, one worker each: its workers start no lane,
-    # whether forked from a process with a lane or spawned
+    # a pool keeps the cores busy, one worker each: its workers generate
+    # alone and start no lane, whether forked from a process with a lane or
+    # spawned
     code = """
 import multiprocessing, threading
 from concurrent.futures import ProcessPoolExecutor
@@ -417,12 +442,13 @@ from sdcam.problems import qcqp
 if __name__ == "__main__":
     rng = np.random.default_rng(0)
     Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
-    plain = (Qs @ x).tobytes()
+    plain, Q = (Qs @ x).tobytes(), qcqp.qcqp_generate(1, 200, 20).Q.tobytes()
     assert qcqp._sweep(Qs, x).tobytes() == plain and qcqp._lane.thread is not None
     for method in ("fork", "spawn"):
         ctx = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            same = pool.submit(qcqp._sweep, Qs, x).result().tobytes() == plain
+            same = pool.submit(qcqp.qcqp_generate, 1, 200, 20).result().Q.tobytes() == Q
+            same = same and pool.submit(qcqp._sweep, Qs, x).result().tobytes() == plain
             print(method, same, pool.submit(threading.active_count).result())
 """
     got = _run_python(code, OPENBLAS_NUM_THREADS="1")
@@ -501,21 +527,26 @@ def test_a_lane_error_reaches_the_caller_and_the_lane_survives(monkeypatch, set_
 
 
 @needs_two_lanes
+@pytest.mark.parametrize("job", ["sweep", "generate"])
 def test_a_sweep_that_finds_the_lane_busy_takes_the_plain_product_at_once(
-    monkeypatch, set_blas_threads
+    monkeypatch, set_blas_threads, job
 ):
+    # and a generation that finds it busy factors every block alone at once
     set_blas_threads(1)
     rng = np.random.default_rng(4)
     Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
     names, out = _record_matmuls(monkeypatch), []
-    sweeper = threading.Thread(target=lambda: out.append(qcqp._sweep(Qs, x)))
-    with qcqp._lane.free:
+    sweeper = threading.Thread(target=lambda: out.append(_run_alone(job, Qs, x)))
+    assert qcqp._lane.free.acquire(timeout=10)
+    try:
         sweeper.start()
         sweeper.join(timeout=10)
         waited = sweeper.is_alive()
+    finally:
+        qcqp._lane.free.release()
     sweeper.join(timeout=10)
     assert not waited and not sweeper.is_alive()
-    assert out[0].tobytes() == (Qs @ x).tobytes() and names == []
+    assert out == [True] and names == []
 
 
 @needs_two_lanes
