@@ -284,8 +284,12 @@ def rate_bound_check(trace, consts: RateConstants, regime: str) -> RateBoundRepo
             report.violations.append((name, int(idx[i]), float(lhs[i]), float(rhs[i])))
 
     # Stepsize floor from the backtracking analysis (all regimes):
-    # mu_t >= rho / (L + (L_c*M0 + M_c^2)*beta_t).
-    check("mu_floor", c.rho / (c.L + curv * beta), mu)
+    # mu_t >= min(mu_0, rho / (L + (L_c*M0 + M_c^2)*beta_t)).  The first trial
+    # at each iterate starts at or above the last accepted mu, beta_t does not
+    # decrease, and a trial is rejected only above 1/(L + curv*beta_t); so
+    # mu_t falls below the paper's floor only where mu_init does, and then
+    # mu_0 = mu_init.
+    check("mu_floor", np.minimum(c.rho / (c.L + curv * beta), trace[0].mu_t), mu)
 
     avg_s2_mu2 = np.cumsum(step2 / mu**2) / Tn
     avg_s2_mu = np.cumsum(step2 / mu) / Tn

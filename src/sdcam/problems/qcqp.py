@@ -24,27 +24,17 @@ shared iterator and draw, factor and symmetrize that block, with the streams
 and operations of a serial loop; where the lane is not to be had, the
 calling thread factors every block.
 
-The stacked sweep Qs @ x of ``_linearize``, about one per accepted step, is
-split between the calling thread and the lane where that pays: where Qs has
-at least ``_SPLIT_MIN_SIZE`` entries and OpenBLAS runs on one thread with a
-kernel set of ``_SPLIT_CORES``.  The calling thread computes the rows
-[0, cut) and the lane the rows [cut, rows), each with ``np.matmul`` into one
-output array.  cut is a multiple of 8 rows, which keeps every bit of Qs @ x
-on the kernels checked (see ``_sweep``).  With more OpenBLAS threads,
-OpenBLAS splits the plain product itself and is faster, so it is kept, as
-it is where NumPy has no OpenBLAS or another kernel set.
-
 The lane is one daemon thread, started on first use and serving every later
-job in the process.  While it runs a job, NumPy's OpenBLAS is held to one
-thread, so that its own workers do not compete with the two threads for the
-cores; BLAS calls made meanwhile by other threads of the process also run on
-one thread.  A job that finds the lane busy, say in a concurrent solve, or a
-process without a second core (a CPU affinity of fewer than two CPUs, or a
-``multiprocessing`` worker) runs on the calling thread alone and never
-waits.  So a one-thread BLAS pin does not hold a single process to one core;
-CPU affinity does.  The lane keeps no array alive between jobs.  A child
-forked outside ``multiprocessing`` forgets the parent's lane and starts its
-own.
+generation in the process.  While it runs one, NumPy's OpenBLAS is held to
+one thread, so that its own workers do not compete with the two threads for
+the cores; BLAS calls made meanwhile by other threads of the process also
+run on one thread.  A generation that finds the lane busy, say a concurrent
+one, or a process without a second core (a CPU affinity of fewer than two
+CPUs, or a ``multiprocessing`` worker) runs on the calling thread alone and
+never waits.  So a one-thread BLAS pin does not hold a single process to
+one core; CPU affinity does.  The lane keeps no array alive between jobs.  A
+child forked outside ``multiprocessing`` forgets the parent's lane and
+starts its own.
 """
 
 from __future__ import annotations
@@ -161,9 +151,8 @@ def _factor_blocks(seed: int, n: int, blocks, Q: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _openblas():
-    """(get, set, core) for the OpenBLAS that NumPy's wheel ships: its get and
-    set thread-count functions and the name of the kernel set it runs
-    (``get_corename``, "" where it has none), or None where there is none."""
+    """(get, set) for the OpenBLAS that NumPy's wheel ships: its get and set
+    thread-count functions, or None where there is none."""
     import ctypes
     import glob
 
@@ -178,11 +167,7 @@ def _openblas():
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and set_ is not None:
                 get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
-                core = getattr(lib, f"{prefix}_get_corename{suffix}", None)
-                if core is not None:
-                    core.restype = ctypes.c_char_p
-                    core = core().decode("ascii", "replace")
-                return get, set_, core or ""
+                return get, set_
     return None
 
 
@@ -291,25 +276,6 @@ def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
     return g * (2.0 * (e_x + e_box) + 2.0 * (F * xn + B) * dn + F * dn * dn)
 
 
-# The stacked sweep is split between the calling thread and the lane only
-# from this many entries of Qs on: below it, the handoff costs more than the
-# half it saves.  On a 2-vCPU host with one OpenBLAS thread, the split lost
-# at n = 200, m = 5 (2^17.6 entries: 31 against 16 us), was even near 2^17.8
-# and won from 2^18 on (n = 128, m = 16: 29 against 38 us; n = 200, m = 20:
-# 114 against 188 us).
-_SPLIT_MIN_SIZE = 1 << 18
-
-# The OpenBLAS kernel sets, by ``get_corename``, on which the cut of ``_sweep``
-# was checked to give every bit of Qs @ x: all five that the x86-64
-# DYNAMIC_ARCH build of OpenBLAS 0.3.31 in NumPy's wheel selects on an AVX-512
-# host, one by one through OPENBLAS_CORETYPE (Zen maps to Haswell there, and
-# Cooperlake and SapphireRapids to SkylakeX).  Each groups the rows in fours,
-# so cuts on a multiple of 4 changed no bit in about 7,800 cases per kernel,
-# while other cuts changed the bits in 70-95% of cases.  Elsewhere, say on
-# ARM, the sweep takes Qs @ x.
-_SPLIT_CORES = frozenset({"SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai"})
-
-
 class _Lane:
     """One daemon thread that runs a job while the calling thread runs
     another.  ``free`` is held by the caller that uses the lane, which alone
@@ -345,9 +311,7 @@ class _Lane:
         core: a CPU affinity of fewer than two CPUs, or a worker that
         ``multiprocessing`` started.  A pool, like that of
         ``sdcam run --sweep``, runs about one worker per CPU, so no core is
-        idle for a lane: there the split sweep cost 5% of the wall time and
-        4% of the CPU time of a one-thread-BLAS sweep of two 200x20 runs on
-        two CPUs."""
+        idle for a lane."""
         mp = sys.modules.get("multiprocessing")
         if (
             mp is not None and mp.parent_process() is not None
@@ -404,44 +368,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane)
 
 
-def _sweep(Qs: np.ndarray, x: Vector) -> np.ndarray:
-    """Qs @ x, with the rows split between this thread and the lane where
-    that pays and the lane is to be had; the bits are those of Qs @ x.
-    The split pays where Qs has at least ``_SPLIT_MIN_SIZE`` entries and
-    OpenBLAS runs one of ``_SPLIT_CORES`` on one thread.  With more OpenBLAS
-    threads, OpenBLAS splits the plain product itself, and that beats the
-    two threads.
-
-    The cut is a multiple of 8 rows.  The dgemv kernels of ``_SPLIT_CORES``
-    take the rows in blocks of 4 from the first, so a cut on a multiple of 4
-    gives every row the bits of the whole product, while cuts such as 1998
-    or 2001 of 4000 rows change the last bit of most rows.  A multiple of 8
-    also keeps both halves at the alignment of Qs modulo 64 bytes.  Each half
-    has at least 256 rows, since the stacked Qs has at least 2^18 entries
-    and no more columns than rows; a one-row half would go to a dot
-    product, with other bits.  This is measured behaviour of the library,
-    not a documented one, so the tests compare the split with Qs @ x byte
-    for byte on each of those kernels the host can run."""
-    if Qs.size >= _SPLIT_MIN_SIZE:
-        fns = _openblas()
-        if fns is not None and fns[2] in _SPLIT_CORES and fns[0]() == 1:
-            rows = Qs.shape[0]
-            cut = rows // 16 * 8
-            out = np.empty(rows)
-            if _lane.run(
-                functools.partial(np.matmul, Qs[cut:], x, out=out[cut:]),
-                functools.partial(np.matmul, Qs[:cut], x, out=out[:cut]),
-            ):
-                return out
-    return Qs @ x
-
-
 def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:
     """The constraint values (1/2) x^T Qi x + bi^T x + ri, i = 1..m, and their
     pullback, from one matrix product Qx[i] = Qi x.  Records c(x) under the
     bytes of x for ``relative_feasibility``."""
     x = np.asarray(x, dtype=float)
-    Qx = _sweep(inst.Q.reshape(-1, inst.n), x).reshape(inst.m, inst.n)
+    Qx = (inst.Q.reshape(-1, inst.n) @ x).reshape(inst.m, inst.n)
     bi = inst.bi
     c_x = 0.5 * (Qx @ x) + bi @ x + inst.ri
     inst._c_at = (x.tobytes(), c_x.copy())  # one assignment: a racing reader sees a whole pair

@@ -515,7 +515,7 @@ def test_sweep_workers_share_the_cpus_as_openblas_threads(tmp_path, monkeypatch)
     for k in range(2):
         (tmp_path / str(k)).mkdir()
         paths.append(str(_cfg(tmp_path / str(k), seed=k)[0]))
-    get, set_, _ = _openblas()
+    get, set_ = _openblas()
     saved = get()
     set_(3)
     try:

@@ -172,6 +172,26 @@ def test_rate_bound_check_bounded_domains_passes():
     assert rep.skipped == []
 
 
+def test_rate_bound_check_floors_mu_at_mu_init_below_the_papers_floor():
+    # mu_init is below rho/(L + curv*beta_t), so the first steps grow from it
+    # by eta with no rejection and sit below the paper's floor at t = 1-5
+    fam = FAMILIES["mimo"]
+    prob, x0, y0, _, sup = fam.setup(fam.generate(63, **fam.check_kwargs))
+    cfg = SolverConfig(
+        **{**fam.solver_defaults, "mu_init": 0.00212, "rho": 0.458, "eta": 1.376},
+        schedule=ScheduleSpec(family="blocked", beta0=0.0063, delta=0.331, K=2),
+        max_successful_iters=60, max_total_trials=6000,
+    )
+    res = solve(prob, cfg, x0, y0)
+    rc = rate_constants(
+        prob, cfg.schedule, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max, sup_abs_fg_bound=sup
+    )
+    row = res.trace[1]
+    assert row.mu_t < rc.rho / (rc.L + (rc.L_c * rc.M0 + rc.M_c**2) * row.beta_t)
+    rep = rate_bound_check(res.trace, rc, fam.regime)
+    assert rep.passed and rep.violations == [] and rep.checked == 413
+
+
 def test_rate_bound_check_detects_wrong_constant():
     prob, cfg, res = _qcqp_run()
     rc = rate_constants(prob, cfg.schedule, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max)

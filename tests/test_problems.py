@@ -140,6 +140,9 @@ def _two_cpus():
 
 
 needs_openblas = pytest.mark.skipif(_blas_threads() is None, reason="NumPy has no OpenBLAS")
+needs_two_cpus = pytest.mark.skipif(
+    not _two_cpus(), reason="generation uses the lane only on two CPUs"
+)
 _LANE = "sdcam-qcqp-lane"
 
 
@@ -226,9 +229,9 @@ def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
 
 
 @needs_openblas
-@pytest.mark.skipif(not _two_cpus(), reason="generation uses the lane only on two CPUs")
+@needs_two_cpus
 def test_qcqp_generate_holds_openblas_to_one_thread_inside_the_loop(monkeypatch):
-    get, set_, _ = qcqp._openblas()
+    get, set_ = qcqp._openblas()
     draw, seen = qcqp._draw, []
 
     def probe(seed, n, i):
@@ -296,122 +299,8 @@ print([t.name for t in threading.enumerate() if t is not threading.main_thread()
     assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["False", "1", lanes]
 
 
-def _two_lanes_possible():
-    fns = qcqp._openblas()
-    return fns is not None and fns[2] in qcqp._SPLIT_CORES and _two_cpus()
-
-
-needs_two_lanes = pytest.mark.skipif(
-    not _two_lanes_possible(),
-    reason="the QCQP sweep splits only over OpenBLAS kernels it was checked on, on two CPUs",
-)
-
-
-@pytest.fixture
-def set_blas_threads():
-    """OpenBLAS's set_num_threads, with the count restored after the test."""
-    get, set_, _ = qcqp._openblas()
-    saved = get()
-    yield set_
-    set_(saved)
-
-
-def _record_matmuls(monkeypatch, fail_on_lane=False):
-    """Patch ``np.matmul``, which only the two-lane sweep calls, to record the
-    name of the calling thread, and to raise on the lane if asked."""
-    matmul, names = np.matmul, []
-
-    def recording_matmul(*args, **kwargs):
-        names.append(threading.current_thread().name)
-        if fail_on_lane and names[-1] == _LANE:
-            raise FloatingPointError("lane half failed")
-        return matmul(*args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", recording_matmul)
-    return names
-
-
-@needs_two_lanes
-@pytest.mark.parametrize("threads, core, min_size", [
-    pytest.param(1, None, 0, id="1"),
-    pytest.param(2, None, 0, id="2"),
-    pytest.param(1, "NEOVERSEN1", 0, id="1-unchecked-kernel"),
-    pytest.param(1, None, 1 << 20, id="1-below-the-split-size"),
-])
-def test_two_lane_sweep_gives_the_bytes_of_the_plain_product(
-    monkeypatch, set_blas_threads, threads, core, min_size
-):
-    # with the split size forced to 0 and one OpenBLAS thread every sweep is
-    # split; with two, on a kernel set the cut was not checked on, or below
-    # the split size (every Qs here has fewer than 2^20 entries) none is
-    monkeypatch.setattr(qcqp, "_SPLIT_MIN_SIZE", min_size)
-    set_blas_threads(threads)
-    if core is not None:
-        get, set_, _ = qcqp._openblas()
-        monkeypatch.setattr(qcqp, "_openblas", lambda: (get, set_, core))
-    names = _record_matmuls(monkeypatch)
-    rng = np.random.default_rng(0)
-    sweeps = 0
-    for n in (2, 5, 7, 8, 13, 200):
-        for m in (1, 3, 20):  # 5, 21, 39 and 260 rows are not multiples of 8
-            Qs = rng.standard_normal((m * n, n))
-            for scale in np.logspace(-3, 3, 7):
-                x = scale * rng.standard_normal(n)
-                assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes(), (n, m, scale)
-                sweeps += 1
-    if threads == 1 and core is None and min_size == 0:
-        assert names.count(_LANE) == sweeps
-        assert set(names) == {threading.current_thread().name, _LANE}
-    else:
-        assert names == []
-
-
-@needs_two_lanes
-def test_two_lane_sweep_keeps_the_bytes_on_every_checked_kernel():
-    # OPENBLAS_CORETYPE picks the kernel set of OpenBLAS's DYNAMIC_ARCH
-    # build; one the host cannot run is replaced by another and skipped here
-    code = """
-import numpy as np
-from sdcam.problems import qcqp
-qcqp._SPLIT_MIN_SIZE = 0
-core = qcqp._openblas()[2]
-rng = np.random.default_rng(0)
-same = True
-for n in (2, 5, 7, 8, 13, 200):
-    for m in (1, 3, 20):
-        Qs = rng.standard_normal((m * n, n))
-        for scale in np.logspace(-3, 3, 7):
-            x = scale * rng.standard_normal(n)
-            same = same and qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
-print(core, same and qcqp._lane.thread is not None)
-"""
-    checked = []
-    for core in sorted(qcqp._SPLIT_CORES):
-        got = _run_python(code, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")
-        if got[0] == core:
-            assert got == [core, "True"]
-            checked.append(core)
-    assert qcqp._openblas()[2] in checked
-
-
-def _run_alone(job, Qs, x):
-    """A sweep of Qs @ x or a 50x7 generation; True where its bits are those
-    of the plain product or of the serial loop."""
-    if job == "sweep":
-        return qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
-    _assert_equals_the_serial_loop(2, 50, 7)
-    return True
-
-
-@needs_two_lanes
-@pytest.mark.parametrize("job", ["sweep", "generate"])
-def test_a_sweep_that_cannot_start_the_lane_takes_the_plain_product(
-    monkeypatch, set_blas_threads, job
-):
-    # and a generation that cannot start it factors every block alone
-    set_blas_threads(1)
-    rng = np.random.default_rng(5)
-    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
+@needs_two_cpus
+def test_a_generation_that_cannot_start_the_lane_factors_every_block_alone(monkeypatch):
     with monkeypatch.context() as patch:
         lane = qcqp._Lane()
         patch.setattr(qcqp, "_lane", lane)
@@ -420,42 +309,36 @@ def test_a_sweep_that_cannot_start_the_lane_takes_the_plain_product(
             raise RuntimeError("can't start new thread")
 
         patch.setattr(threading.Thread, "start", start)
-        names = _record_matmuls(patch)
         for _ in range(2):
-            assert _run_alone(job, Qs, x)
-        assert names == [] and lane.thread is None
+            _assert_equals_the_serial_loop(2, 50, 7)
+        assert lane.thread is None
         assert lane.free.acquire(blocking=False)
-    assert _run_alone(job, Qs, x)
+    _assert_equals_the_serial_loop(2, 50, 7)
 
 
-@needs_two_lanes
-def test_a_multiprocessing_worker_takes_the_plain_product():
+@needs_two_cpus
+def test_a_multiprocessing_worker_generates_without_a_lane():
     # a pool keeps the cores busy, one worker each: its workers generate
     # alone and start no lane, whether forked from a process with a lane or
     # spawned
     code = """
 import multiprocessing, threading
 from concurrent.futures import ProcessPoolExecutor
-import numpy as np
 from sdcam.problems import qcqp
 
 if __name__ == "__main__":
-    rng = np.random.default_rng(0)
-    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
-    plain, Q = (Qs @ x).tobytes(), qcqp.qcqp_generate(1, 200, 20).Q.tobytes()
-    assert qcqp._sweep(Qs, x).tobytes() == plain and qcqp._lane.thread is not None
+    Q = qcqp.qcqp_generate(1, 200, 20).Q.tobytes()
+    assert qcqp._lane.thread is not None
     for method in ("fork", "spawn"):
         ctx = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             same = pool.submit(qcqp.qcqp_generate, 1, 200, 20).result().Q.tobytes() == Q
-            same = same and pool.submit(qcqp._sweep, Qs, x).result().tobytes() == plain
             print(method, same, pool.submit(threading.active_count).result())
 """
-    got = _run_python(code, OPENBLAS_NUM_THREADS="1")
-    assert got == ["fork", "True", "1", "spawn", "True", "1"]
+    assert _run_python(code) == ["fork", "True", "1", "spawn", "True", "1"]
 
 
-@needs_two_lanes
+@needs_two_cpus
 def test_one_lane_serves_every_solve_of_the_process():
     code = _SOLVE_SNIPPET + """
 import threading
@@ -469,12 +352,10 @@ first = others()
 solve("qcqp", 5, n=200, m=20)
 print(len(first), first[0][1], first[0][2], others() == first)
 """
-    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["1", _LANE, "True", "True"]
+    assert _run_python(code) == ["1", _LANE, "True", "True"]
 
 
-@needs_two_lanes
-def test_concurrent_qcqp_solves_of_one_instance_give_the_serial_bytes(set_blas_threads):
-    set_blas_threads(1)
+def test_concurrent_qcqp_solves_of_one_instance_give_the_serial_bytes():
     fam = FAMILIES["qcqp"]
     prob, x0, y0, rel_feas, _ = fam.setup(fam.generate(1, n=200, m=20))
     cfg = sdcam.SolverConfig(
@@ -505,69 +386,63 @@ def test_concurrent_qcqp_solves_of_one_instance_give_the_serial_bytes(set_blas_t
     assert out == [ref] * 3
 
 
-@needs_two_lanes
-def test_a_lane_error_reaches_the_caller_and_the_lane_survives(monkeypatch, set_blas_threads):
-    set_blas_threads(1)
-    rng = np.random.default_rng(3)
-    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
-    assert Qs.size >= qcqp._SPLIT_MIN_SIZE
+@needs_two_cpus
+def test_a_lane_error_reaches_the_caller_and_the_lane_survives(monkeypatch):
+    draw, lane_failed = qcqp._draw, threading.Event()
+
+    def draw_failing_on_the_lane(seed, n, i):
+        if threading.current_thread().name == _LANE:
+            lane_failed.set()
+            raise FloatingPointError("lane block failed")
+        lane_failed.wait(timeout=10)  # so that the lane takes a block
+        return draw(seed, n, i)
+
     with monkeypatch.context() as patch:
-        names = _record_matmuls(patch, fail_on_lane=True)
-        with pytest.raises(FloatingPointError, match="lane half failed"):
-            qcqp._sweep(Qs, x)
-        assert _LANE in names
+        patch.setattr(qcqp, "_draw", draw_failing_on_the_lane)
+        with pytest.raises(FloatingPointError, match="lane block failed"):
+            qcqp_generate(1, 20, 5)
     lane = qcqp._lane.thread
-    names = _record_matmuls(monkeypatch)
-    assert qcqp._sweep(Qs, x).tobytes() == (Qs @ x).tobytes()
-    assert _LANE in names and qcqp._lane.thread is lane and lane.is_alive()
-    # between sweeps the lane keeps no array alive
-    ref = weakref.ref(Qs)
-    del Qs
+    Q = qcqp_generate(1, 20, 5).Q
+    assert np.array_equal(Q, _qcqp_generate_serial(1, 20, 5).Q)
+    assert qcqp._lane.thread is lane and lane.is_alive()
+    # between generations the lane keeps no array alive
+    ref = weakref.ref(Q)
+    del Q
     assert ref() is None
 
 
-@needs_two_lanes
-@pytest.mark.parametrize("job", ["sweep", "generate"])
-def test_a_sweep_that_finds_the_lane_busy_takes_the_plain_product_at_once(
-    monkeypatch, set_blas_threads, job
-):
-    # and a generation that finds it busy factors every block alone at once
-    set_blas_threads(1)
-    rng = np.random.default_rng(4)
-    Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
-    names, out = _record_matmuls(monkeypatch), []
-    sweeper = threading.Thread(target=lambda: out.append(_run_alone(job, Qs, x)))
+@needs_two_cpus
+def test_a_generation_that_finds_the_lane_busy_factors_every_block_alone_at_once():
+    out = []
+    generator = threading.Thread(target=lambda: out.append(qcqp_generate(2, 50, 7)))
     assert qcqp._lane.free.acquire(timeout=10)
     try:
-        sweeper.start()
-        sweeper.join(timeout=10)
-        waited = sweeper.is_alive()
+        generator.start()
+        generator.join(timeout=10)
+        waited = generator.is_alive()
     finally:
         qcqp._lane.free.release()
-    sweeper.join(timeout=10)
-    assert not waited and not sweeper.is_alive()
-    assert out == [True] and names == []
+    generator.join(timeout=10)
+    assert not waited and not generator.is_alive()
+    assert len(out) == 1 and np.array_equal(out[0].Q, _qcqp_generate_serial(2, 50, 7).Q)
 
 
-@needs_two_lanes
+@needs_two_cpus
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-def test_a_fork_child_sweeps_on_a_lane_of_its_own():
+def test_a_fork_child_generates_on_a_lane_of_its_own():
     code = """
 import os, signal
-import numpy as np
 from sdcam.problems import qcqp
-rng = np.random.default_rng(0)
-Qs, x = rng.standard_normal((4000, 200)), rng.standard_normal(200)
-plain = (Qs @ x).tobytes()
-assert qcqp._sweep(Qs, x).tobytes() == plain and qcqp._lane.thread is not None
+Q = qcqp.qcqp_generate(1, 200, 20).Q.tobytes()
+assert qcqp._lane.thread is not None
 pid = os.fork()
 if pid == 0:
     signal.alarm(30)  # a child that waits on the parent's lane dies of SIGALRM
-    same = all(qcqp._sweep(Qs, x).tobytes() == plain for _ in range(3))
+    same = all(qcqp.qcqp_generate(1, 200, 20).Q.tobytes() == Q for _ in range(3))
     os._exit(0 if same and qcqp._lane.thread.is_alive() else 1)
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
-    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["0"]
+    assert _run_python(code) == ["0"]
 
 
 def test_qcqp_oracles_pass_fd_checks():
