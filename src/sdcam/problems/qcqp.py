@@ -19,22 +19,17 @@ Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
 orthogonal factor of Qi, and (2, i) for its diagonal.  Instances are
 bit-reproducible given (seed, params) and portable across platforms.  The
-calling thread and the lane (below) each take the next block index from one
-shared iterator and draw, factor and symmetrize that block, with the streams
-and operations of a serial loop; where the lane is not to be had, the
-calling thread factors every block.
-
-The lane is one daemon thread, started on first use and serving every later
-generation in the process.  While it runs one, NumPy's OpenBLAS is held to
-one thread, so that its own workers do not compete with the two threads for
-the cores; BLAS calls made meanwhile by other threads of the process also
-run on one thread.  A generation that finds the lane busy, say a concurrent
-one, or a process without a second core (a CPU affinity of fewer than two
-CPUs, or a ``multiprocessing`` worker) runs on the calling thread alone and
-never waits.  So a one-thread BLAS pin does not hold a single process to
-one core; CPU affinity does.  The lane keeps no array alive between jobs.  A
-child forked outside ``multiprocessing`` forgets the parent's lane and
-starts its own.
+calling thread and a helper thread, started and joined by each generation,
+each take the next block index from one shared iterator and draw, factor and
+symmetrize that block, with the streams and operations of a serial loop.
+Meanwhile NumPy's OpenBLAS is held to one thread, so that its own workers do
+not compete with the two threads for the cores; BLAS calls made meanwhile by
+other threads of the process also run on one thread.  A generation that
+finds another one on two threads, or runs in a process without a second
+core (a CPU affinity of fewer than two CPUs, or a ``multiprocessing``
+worker), factors every block on the calling thread alone and never waits.
+So a one-thread BLAS pin does not hold a single process to one core; CPU
+affinity does.
 """
 
 from __future__ import annotations
@@ -128,7 +123,7 @@ def _draw(seed: int, n: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def _factor_blocks(seed: int, n: int, blocks, Q: np.ndarray) -> None:
     """Q[i] = sym(Ui Di Ui^T) for each index i taken from ``blocks``, an
-    iterator that the calling thread and the lane may share.  Each temporary
+    iterator that the calling thread and the helper may share.  Each temporary
     goes as soon as it has been used, so that neither thread's malloc arena
     keeps a block's worth.
     On an error the iterator is drained, so that the other thread stops
@@ -208,10 +203,10 @@ def qcqp_generate(
         raise RuntimeError("xbar degenerate (all zero) after 10 attempts; r would be 0")
 
     Q = np.empty((m, n, n))
-    # this thread and the lane take block indices from one iterator; the
+    # this thread and the helper take block indices from one iterator; the
     # draws, QRs and products release the GIL
     factor = functools.partial(_factor_blocks, seed, n, iter(range(m)), Q)
-    if not _lane.run(factor, factor):
+    if not _on_two_threads(factor):
         factor()
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
@@ -276,96 +271,52 @@ def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
     return g * (2.0 * (e_x + e_box) + 2.0 * (F * xn + B) * dn + F * dn * dn)
 
 
-class _Lane:
-    """One daemon thread that runs a job while the calling thread runs
-    another.  ``free`` is held by the caller that uses the lane, which alone
-    sets OpenBLAS's thread count meanwhile; ``go`` and ``done`` are binary
-    semaphores that hand a job over and hand it back.  ``job`` holds the
-    lane's function from the handover until the lane takes it, and then
-    None, or the error the lane raised until the caller takes it, so that
-    the lane keeps no array alive between jobs."""
+# held while a generation runs on two threads; a generation that finds it
+# held runs on the calling thread alone and never waits
+_hold = threading.Lock()
 
-    def __init__(self) -> None:
-        self.free, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.job = None
-        self.thread = None
 
-    def serve(self) -> None:
-        while True:
-            self.go.acquire()
-            job, self.job = self.job, None
-            try:
-                job()
-            except Exception as exc:  # handed back to the caller, which raises it
-                self.job = exc
-            job = None
-            self.done.release()
+def _on_two_threads(fn) -> bool:
+    """Run ``fn`` on the calling thread and on a helper thread at once, both
+    with OpenBLAS on one thread, join the helper and return True; an error of
+    either reaches the caller.  Return False, without calling ``fn``, where
+    ``_hold`` is taken, where the helper cannot start, or where the process
+    has no second core: a CPU affinity of fewer than two CPUs, or a worker
+    that ``multiprocessing`` started.  A pool, like that of
+    ``sdcam run --sweep``, runs about one worker per CPU, so no core is idle
+    for a helper."""
+    mp = sys.modules.get("multiprocessing")
+    if (
+        mp is not None and mp.parent_process() is not None
+        or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+        or not _hold.acquire(blocking=False)
+    ):
+        return False
+    errors = []
 
-    def run(self, there, here) -> bool:
-        """Run ``there`` on the lane and ``here`` on this thread, both with
-        OpenBLAS on one thread, and return True; an error of either reaches
-        the caller.  Return False, calling neither, where the lane is busy,
-        where its thread cannot start, or where the process has no second
-        core: a CPU affinity of fewer than two CPUs, or a worker that
-        ``multiprocessing`` started.  A pool, like that of
-        ``sdcam run --sweep``, runs about one worker per CPU, so no core is
-        idle for a lane."""
-        mp = sys.modules.get("multiprocessing")
-        if (
-            mp is not None and mp.parent_process() is not None
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or not self.free.acquire(blocking=False)
-        ):
-            return False
-        if self.thread is None:
-            thread = threading.Thread(target=self.serve, name="sdcam-qcqp-lane", daemon=True)
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to be had; a later job tries again
-                self.free.release()
-                return False
-            except BaseException:
-                self.free.release()
-                raise
-            self.thread = thread
-        blas = _set_blas_threads(1)
-        self.job = there
-        self.go.release()
-        # the lane's done is collected on every path before OpenBLAS's count
-        # is restored and the lane freed, so that no later job reads a stale
-        # done or runs under a count this one then changes; an interrupt that
-        # lands outside this try, or in the wait for done, leaves the lane
-        # held, and OpenBLAS on one thread, for good, and later callers run
-        # alone
+    def helper() -> None:
         try:
-            here()
+            fn()
+        except BaseException as exc:  # raised on the caller below
+            errors.append(exc)
+
+    blas = _set_blas_threads(1)
+    try:
+        thread = threading.Thread(target=helper, name="sdcam-qcqp-helper")
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had
+            return False
+        try:
+            fn()
         finally:
-            self.done.acquire()
-            err, self.job = self.job, None
-            _set_blas_threads(blas)
-            self.free.release()
-        if err is not None:
-            try:
-                raise err
-            finally:
-                del err  # else err -> traceback -> this frame -> err pins the jobs' arrays
-        return True
-
-
-_lane = _Lane()
-
-
-def _forget_lane() -> None:
-    """In a forked child the lane thread does not exist, and the parent's locks
-    may be held: start from a new lane."""
-    global _lane
-    _lane = _Lane()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane)
+            thread.join()
+    finally:
+        _set_blas_threads(blas)
+        _hold.release()
+    if errors:
+        raise errors.pop()  # pop: a list holding it would pin this frame, and Q, in a cycle
+    return True
 
 
 def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:

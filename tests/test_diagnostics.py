@@ -16,7 +16,7 @@ from sdcam.diagnostics import (
 )
 from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle
 from sdcam.schedule import ScheduleSpec
-from sdcam.solver import SolverConfig, solve
+from sdcam.solver import SolverConfig, SolverError, solve
 from sdcam.problems import (
     FAMILIES,
     mlp_generate,
@@ -190,6 +190,49 @@ def test_rate_bound_check_floors_mu_at_mu_init_below_the_papers_floor():
     assert row.mu_t < rc.rho / (rc.L + (rc.L_c * rc.M0 + rc.M_c**2) * row.beta_t)
     rep = rate_bound_check(res.trace, rc, fam.regime)
     assert rep.passed and rep.violations == [] and rep.checked == 413
+
+
+def test_rate_bound_check_passes_on_random_configurations():
+    # schedules, step parameters and instances that the fixed seeds never
+    # reach: each run passes the check in its family's regime, or raises a
+    # SolverError that names its cause
+    rng = np.random.default_rng(28)
+    draws = [
+        (
+            list(FAMILIES)[k % len(FAMILIES)],
+            int(rng.integers(64)),
+            ScheduleSpec(
+                family=str(rng.choice(["power", "blocked"])),
+                beta0=float(10.0 ** rng.uniform(-3.0, 7.0)),
+                delta=float(rng.uniform(0.05, 0.95)),
+                K=int(rng.choice([1, 2, 5])),
+            ),
+            {
+                "rho": float(rng.uniform(0.1, 0.95)),
+                "eta": float(rng.uniform(1.0, 3.0)),
+                "mu_init": float(10.0 ** rng.uniform(-3.0, 0.0)),
+            },
+        )
+        for k in range(60)
+    ]
+    for draw in draws:
+        name, seed, schedule, params = draw
+        fam = FAMILIES[name]
+        prob, x0, y0, _, sup = fam.setup(fam.generate(seed, **fam.check_kwargs))
+        cfg = SolverConfig(
+            **{**fam.solver_defaults, **params}, schedule=schedule,
+            max_successful_iters=60, max_total_trials=6000, assert_level="full",
+        )
+        try:
+            res = solve(prob, cfg, x0, y0)
+        except SolverError as exc:
+            assert str(exc), draw
+            continue
+        rc = rate_constants(
+            prob, schedule, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max, sup_abs_fg_bound=sup
+        )
+        rep = rate_bound_check(res.trace, rc, fam.regime)
+        assert rep.passed and rep.violations == [] and rep.checked > 0, draw
 
 
 def test_rate_bound_check_detects_wrong_constant():

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import weakref
 
@@ -141,25 +142,23 @@ def _two_cpus():
 
 needs_openblas = pytest.mark.skipif(_blas_threads() is None, reason="NumPy has no OpenBLAS")
 needs_two_cpus = pytest.mark.skipif(
-    not _two_cpus(), reason="generation uses the lane only on two CPUs"
+    not _two_cpus(), reason="generation starts a helper thread only on two CPUs"
 )
-_LANE = "sdcam-qcqp-lane"
 
 
-def _assert_only_the_lane_is_left(blas):
-    """At most one thread besides the main one is left, the lane; it is free,
-    and OpenBLAS's thread count is ``blas``."""
-    others = [t for t in threading.enumerate() if t is not threading.main_thread()]
-    assert others in ([], [qcqp._lane.thread]) and all(t.name == _LANE for t in others)
-    assert qcqp._lane.free.acquire(blocking=False)
-    qcqp._lane.free.release()
+def _assert_no_helper_is_left(blas):
+    """No thread besides the main one is left, ``qcqp._hold`` is free, and
+    OpenBLAS's thread count is ``blas``."""
+    assert threading.enumerate() == [threading.main_thread()]
+    assert qcqp._hold.acquire(blocking=False)
+    qcqp._hold.release()
     assert _blas_threads() == blas
 
 
 def test_qcqp_generate_leaves_no_thread_behind():
     blas = _blas_threads()
     qcqp_generate(4, 30, 6)
-    _assert_only_the_lane_is_left(blas)
+    _assert_no_helper_is_left(blas)
 
 
 def test_qcqp_generate_from_concurrent_threads_gives_the_same_bits():
@@ -213,7 +212,7 @@ def test_qcqp_generate_raises_a_helper_error_and_joins_the_helper(monkeypatch):
     blas = _blas_threads()
     with pytest.raises(RuntimeError, match="draw failed"):
         qcqp_generate(4, 12, 6)
-    _assert_only_the_lane_is_left(blas)
+    _assert_no_helper_is_left(blas)
     # the other thread stops after the block it is on
     assert events[events.index("fail"):].count("qr") <= 1
 
@@ -224,7 +223,7 @@ def test_qcqp_generate_joins_the_helper_when_the_caller_fails(monkeypatch):
     blas = _blas_threads()
     with pytest.raises(np.linalg.LinAlgError, match="qr failed"):
         qcqp_generate(4, 12, 6)
-    _assert_only_the_lane_is_left(blas)
+    _assert_no_helper_is_left(blas)
     assert events[events.index("fail"):].count("qr") <= 1
 
 
@@ -272,21 +271,25 @@ def solve(name, steps, **kwargs):
 
 
 def _run_python(code, **env):
-    """Run ``code`` in a fresh interpreter that imports this checkout's sdcam;
+    """Run ``code`` as a script file, whose functions ``spawn`` workers can
+    import, in a fresh interpreter that imports this checkout's sdcam;
     return its stdout split into words."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdcam.__file__)))
     env = {**os.environ, **env,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
+    with tempfile.NamedTemporaryFile("w", suffix=".py") as script:
+        script.write(code)
+        script.flush()
+        out = subprocess.run(
+            [sys.executable, script.name], env=env, capture_output=True, text=True, timeout=120
+        )
     assert out.returncode == 0, out.stderr
     return out.stdout.split()
 
 
 def test_mlp_and_mimo_solves_load_no_pool_and_start_no_thread():
-    # only QCQP imports glob and starts a thread, the lane, which its
-    # generation starts on two CPUs; nothing imports concurrent.futures
+    # only QCQP imports glob and starts a thread, a helper that its generation
+    # joins before it returns; nothing imports concurrent.futures
     code = _SOLVE_SNIPPET + """
 import sys, threading
 solve("mlp", 20)
@@ -295,64 +298,47 @@ print("concurrent.futures" in sys.modules or "glob" in sys.modules, threading.ac
 solve("qcqp", 20, n=20, m=5)
 print([t.name for t in threading.enumerate() if t is not threading.main_thread()])
 """
-    lanes = str([_LANE] if _two_cpus() else [])
-    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["False", "1", lanes]
+    assert _run_python(code, OPENBLAS_NUM_THREADS="1") == ["False", "1", "[]"]
 
 
 @needs_two_cpus
-def test_a_generation_that_cannot_start_the_lane_factors_every_block_alone(monkeypatch):
-    with monkeypatch.context() as patch:
-        lane = qcqp._Lane()
-        patch.setattr(qcqp, "_lane", lane)
+def test_a_generation_that_cannot_start_the_helper_factors_every_block_alone(monkeypatch):
+    blas = _blas_threads()
 
-        def start(self):
-            raise RuntimeError("can't start new thread")
+    def start(self):
+        raise RuntimeError("can't start new thread")
 
-        patch.setattr(threading.Thread, "start", start)
-        for _ in range(2):
-            _assert_equals_the_serial_loop(2, 50, 7)
-        assert lane.thread is None
-        assert lane.free.acquire(blocking=False)
+    monkeypatch.setattr(threading.Thread, "start", start)
     _assert_equals_the_serial_loop(2, 50, 7)
+    _assert_no_helper_is_left(blas)
 
 
 @needs_two_cpus
-def test_a_multiprocessing_worker_generates_without_a_lane():
+def test_a_multiprocessing_worker_generates_without_a_helper():
     # a pool keeps the cores busy, one worker each: its workers generate
-    # alone and start no lane, whether forked from a process with a lane or
-    # spawned
+    # alone and start no thread, whether forked or spawned
     code = """
 import multiprocessing, threading
 from concurrent.futures import ProcessPoolExecutor
 from sdcam.problems import qcqp
 
+start, started = threading.Thread.start, []
+threading.Thread.start = lambda self: started.append(self.name) or start(self)
+
+def generate():
+    before = len(started)
+    return qcqp.qcqp_generate(1, 200, 20).Q.tobytes(), started[before:]
+
 if __name__ == "__main__":
-    Q = qcqp.qcqp_generate(1, 200, 20).Q.tobytes()
-    assert qcqp._lane.thread is not None
+    Q, here = generate()
+    assert here == ["sdcam-qcqp-helper"]
     for method in ("fork", "spawn"):
         ctx = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            same = pool.submit(qcqp.qcqp_generate, 1, 200, 20).result().Q.tobytes() == Q
-            print(method, same, pool.submit(threading.active_count).result())
+            Q_worker, there = pool.submit(generate).result()
+            print(method, Q_worker == Q, there)
 """
-    assert _run_python(code) == ["fork", "True", "1", "spawn", "True", "1"]
-
-
-@needs_two_cpus
-def test_one_lane_serves_every_solve_of_the_process():
-    code = _SOLVE_SNIPPET + """
-import threading
-
-def others():
-    main = threading.main_thread()
-    return [(t.ident, t.name, t.daemon) for t in threading.enumerate() if t is not main]
-
-solve("qcqp", 5, n=200, m=20)
-first = others()
-solve("qcqp", 5, n=200, m=20)
-print(len(first), first[0][1], first[0][2], others() == first)
-"""
-    assert _run_python(code) == ["1", _LANE, "True", "True"]
+    assert _run_python(code) == ["fork", "True", "[]", "spawn", "True", "[]"]
 
 
 def test_concurrent_qcqp_solves_of_one_instance_give_the_serial_bytes():
@@ -387,41 +373,49 @@ def test_concurrent_qcqp_solves_of_one_instance_give_the_serial_bytes():
 
 
 @needs_two_cpus
-def test_a_lane_error_reaches_the_caller_and_the_lane_survives(monkeypatch):
-    draw, lane_failed = qcqp._draw, threading.Event()
+@pytest.mark.parametrize("error", [FloatingPointError, SystemExit])
+def test_a_helper_error_reaches_the_caller_and_pins_no_array(monkeypatch, error):
+    # SystemExit, a BaseException, too: else the helper ends silently and the
+    # caller returns a Q with blocks never written
+    draw, helper_failed, blas = qcqp._draw, threading.Event(), _blas_threads()
 
-    def draw_failing_on_the_lane(seed, n, i):
-        if threading.current_thread().name == _LANE:
-            lane_failed.set()
-            raise FloatingPointError("lane block failed")
-        lane_failed.wait(timeout=10)  # so that the lane takes a block
+    def draw_failing_on_the_helper(seed, n, i):
+        if threading.current_thread().name == "sdcam-qcqp-helper":
+            helper_failed.set()
+            raise error("helper block failed")
+        helper_failed.wait(timeout=10)  # so that the helper takes a block
         return draw(seed, n, i)
 
     with monkeypatch.context() as patch:
-        patch.setattr(qcqp, "_draw", draw_failing_on_the_lane)
-        with pytest.raises(FloatingPointError, match="lane block failed"):
+        patch.setattr(qcqp, "_draw", draw_failing_on_the_helper)
+        with pytest.raises(error, match="helper block failed") as excinfo:
             qcqp_generate(1, 20, 5)
-    lane = qcqp._lane.thread
+    _assert_no_helper_is_left(blas)
+    # the failed generation's Q goes with its error, which is in no cycle
+    tb = excinfo.value.__traceback__.tb_next  # at qcqp_generate
+    failed = weakref.ref(tb.tb_frame.f_locals["Q"])
+    del tb, excinfo
+    assert failed() is None
     Q = qcqp_generate(1, 20, 5).Q
     assert np.array_equal(Q, _qcqp_generate_serial(1, 20, 5).Q)
-    assert qcqp._lane.thread is lane and lane.is_alive()
-    # between generations the lane keeps no array alive
     ref = weakref.ref(Q)
     del Q
     assert ref() is None
 
 
 @needs_two_cpus
-def test_a_generation_that_finds_the_lane_busy_factors_every_block_alone_at_once():
+def test_a_generation_that_finds_the_hold_taken_factors_every_block_alone_at_once(monkeypatch):
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", None)  # a helper's start would raise
     out = []
     generator = threading.Thread(target=lambda: out.append(qcqp_generate(2, 50, 7)))
-    assert qcqp._lane.free.acquire(timeout=10)
+    assert qcqp._hold.acquire(timeout=10)
     try:
-        generator.start()
+        start(generator)
         generator.join(timeout=10)
         waited = generator.is_alive()
     finally:
-        qcqp._lane.free.release()
+        qcqp._hold.release()
     generator.join(timeout=10)
     assert not waited and not generator.is_alive()
     assert len(out) == 1 and np.array_equal(out[0].Q, _qcqp_generate_serial(2, 50, 7).Q)
@@ -429,17 +423,22 @@ def test_a_generation_that_finds_the_lane_busy_factors_every_block_alone_at_once
 
 @needs_two_cpus
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-def test_a_fork_child_generates_on_a_lane_of_its_own():
+def test_a_child_forked_mid_generation_generates_alone_at_once():
+    # the child inherits _hold held, as in a fork while another thread
+    # generates, and must not wait for it
     code = """
-import os, signal
+import os, signal, threading
 from sdcam.problems import qcqp
 Q = qcqp.qcqp_generate(1, 200, 20).Q.tobytes()
-assert qcqp._lane.thread is not None
+holder = threading.Thread(target=qcqp._hold.acquire)
+holder.start()
+holder.join()
 pid = os.fork()
 if pid == 0:
-    signal.alarm(30)  # a child that waits on the parent's lane dies of SIGALRM
+    signal.alarm(30)  # a child that waits on _hold dies of SIGALRM
     same = all(qcqp.qcqp_generate(1, 200, 20).Q.tobytes() == Q for _ in range(3))
-    os._exit(0 if same and qcqp._lane.thread.is_alive() else 1)
+    os._exit(0 if same else 1)
+qcqp._hold.release()
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
     assert _run_python(code) == ["0"]
