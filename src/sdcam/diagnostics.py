@@ -57,14 +57,14 @@ def stationarity_residual(
     """Norm of grad f(x^{t+1}) + psi + J_c(x^t)^T xi for the witnesses above."""
     x_t = np.asarray(x_t, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-    c_t = np.asarray(p.c.value(x_t), dtype=float)
-    d = c_t - np.asarray(y_t, dtype=float)
+    c_t, pullback = p.c.linearize(x_t)
+    d = np.asarray(c_t, dtype=float) - np.asarray(y_t, dtype=float)
     psi = (
         -np.asarray(p.f.grad(x_t), dtype=float)
-        - beta_t * np.asarray(p.c.vjp(x_t, d), dtype=float)
+        - beta_t * np.asarray(pullback(d), dtype=float)
         - (2.0 / mu_t) * (x_next - x_t)
     )
-    xi_term = np.asarray(p.c.vjp(x_t, beta_prev * d), dtype=float)
+    xi_term = np.asarray(pullback(beta_prev * d), dtype=float)
     return float(np.linalg.norm(np.asarray(p.f.grad(x_next), dtype=float) + psi + xi_term))
 
 

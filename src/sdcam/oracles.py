@@ -11,16 +11,16 @@ A problem is a bundle of four oracles:
 
 Dense Jacobians are never formed: the solver needs J_c(x)^T w, and J_c(a) e
 where a pullback offers it.  A ``Pullback`` is a callable w -> J_c(a)^T w; it
-may also offer ``jvp(e) = J_c(a) e`` at the same point a, together with
-``jvp_slack``, a finite float >= 0.  For every x, x' in dom g, with
-e = x' - a and r the computed c(a) - c(x) (exactly 0 when x = a),
-``jvp_slack`` plus (m + 4)*u*||r||, u = 2^-53, must bound how far rounding
-can lift the computed ||r + J_c(a) e|| - (L_c/2)||e||^2 above the computed
-||c(x') - c(x)||.  ``sdcam.solver.step`` adds the ||r|| term and derives it,
-so ``jvp_slack`` covers the rounding of c(a), c(x'), the jvp and L_c, and of
-the sums and norms as far as they scale with ||J_c(a) e||.  ``step`` uses
-this bound to reject trials that fail backtracking condition (i) without
-evaluating c(x'), so a jvp is sound only when
+may also offer ``jvp(e) = J_c(a) e`` at the same point a.  Like L_c,
+``MapOracle.jvp_slack`` is a constant of the map, a finite float >= 0: for
+every a, x, x' in dom g, with e = x' - a and r the computed c(a) - c(x)
+(exactly 0 when x = a), ``jvp_slack`` plus (m + 4)*u*||r||, u = 2^-53, must
+bound how far rounding can lift the computed ||r + J_c(a) e|| - (L_c/2)||e||^2
+above the computed ||c(x') - c(x)||.  ``sdcam.solver.step`` adds the ||r||
+term and derives it, so ``jvp_slack`` covers the rounding of c(a), c(x'), the
+jvp and L_c, and of the sums and norms as far as they scale with ||J_c(a) e||.
+``step`` uses this bound to reject trials that fail backtracking condition
+(i) without evaluating c(x'), so a jvp is sound only when
 ``MapOracle.jac_lipschitz_bound`` is a valid L_c on the convex closure of
 dom g; without that constant, or without ``jvp_slack``, the jvp is not used.
 ``sdcam.verify.verify_problem_oracles`` tests both at check points.
@@ -90,7 +90,8 @@ class MapOracle:
     one pass; a map given by it alone gets ``value(x) = linearizer(x)[0]`` and
     ``vjp(x, w) = linearizer(x)[1](w)``.  Without a linearizer, ``value`` and
     ``vjp(x, w) = J_c(x)^T w`` are both required.  ``jac_lipschitz_bound`` and
-    ``jac_norm_bound`` are optional user-supplied constants L_c and M_c.
+    ``jac_norm_bound`` are optional user-supplied constants L_c and M_c, and
+    ``jvp_slack`` the rounding slack of a jvp's Taylor bound (module docstring).
     """
 
     value: Optional[Callable[[Vector], Vector]] = None
@@ -98,6 +99,7 @@ class MapOracle:
     jac_lipschitz_bound: Optional[float] = None
     jac_norm_bound: Optional[float] = None
     linearizer: Optional[Callable[[Vector], Tuple[Vector, Pullback]]] = None
+    jvp_slack: Optional[float] = None
 
     def __post_init__(self) -> None:
         lin = self.linearizer
@@ -281,7 +283,7 @@ def objective(p: Problem, x: Vector) -> float:
     gx = float(p.g.value(x))
     if gx == math.inf:
         return math.inf
-    hx = float(p.h.value(np.asarray(p.c.value(x), dtype=float)))
+    hx = float(p.h.value(np.asarray(p.c.linearize(x)[0], dtype=float)))
     if hx == math.inf:
         return math.inf
     return float(p.f.value(x)) + gx + hx

@@ -11,9 +11,9 @@ Map constants, with Qs = [Q_1; ...; Q_m] the stacked blocks: L_c = ||Qs||_2,
 since J_c(x) - J_c(x') has rows (Q_i d)^T, d = x - x', so its norm is at most
 ||Qs d|| <= L_c ||d||; M_c = r*sqrt(n)*L_c + ||bi||_F, since on the box
 ||J_c(x)||_2 <= ||Qs x|| + ||bi||_2.  The pullback of c at x also offers
-jvp(d) = J_c(x) d from the same product Qi x, and ``jvp_slack``, a bound on
-the rounding error of the solver's Taylor-bound rejection, which uses both
-with L_c.
+jvp(d) = J_c(x) d from the same product Qi x; the map's ``jvp_slack`` bounds,
+on the whole box, the rounding error of the solver's Taylor-bound rejection,
+which uses the jvp with L_c.
 
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
@@ -87,7 +87,7 @@ class QcqpInstance:
         for name in ("b0", "bi", "xbar"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        # ||Q||_F is one of the scales below; it is finite exactly when every
+        # ||Q||_F, a scale of ``_jvp_slack``, is finite exactly when every
         # entry of Q is, unless the sum of squares overflows
         q_norm = float(np.linalg.norm(self.Q))
         if not math.isfinite(q_norm):
@@ -105,11 +105,6 @@ class QcqpInstance:
         # ``Q`` product.  An attribute, not a field: equality, ``repr``,
         # ``dataclasses.replace`` and instance files do not see it.
         self._c_at: Tuple[bytes, Vector] = (b"", np.empty(0))
-        # ||Q||_F, ||bi||_F, ||ri|| and sqrt(n)*r, the scales of ``_jvp_slack``
-        self._scales = (
-            q_norm, float(np.linalg.norm(self.bi)),
-            float(np.linalg.norm(self.ri)), math.sqrt(self.n) * self.r,
-        )
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -229,13 +224,12 @@ def qcqp_generate(
 
 class _Pullback:
     """w -> J_c(x)^T w and jvp(d) = J_c(x) d from Qx[i] = Qi x; row i of J_c(x)
-    is (Qi x + bi)^T because each Qi is symmetric.  ``jvp_slack`` is
-    ``_jvp_slack`` at x."""
+    is (Qi x + bi)^T because each Qi is symmetric."""
 
-    __slots__ = ("Qx", "bi", "jvp_slack")
+    __slots__ = ("Qx", "bi")
 
-    def __init__(self, Qx: np.ndarray, bi: np.ndarray, jvp_slack: float) -> None:
-        self.Qx, self.bi, self.jvp_slack = Qx, bi, jvp_slack
+    def __init__(self, Qx: np.ndarray, bi: np.ndarray) -> None:
+        self.Qx, self.bi = Qx, bi
 
     def __call__(self, w: Vector) -> Vector:
         return w @ self.Qx + w @ self.bi
@@ -244,31 +238,30 @@ class _Pullback:
         return self.Qx @ d + self.bi @ d
 
 
-def _jvp_slack(inst: QcqpInstance, x: Vector) -> float:
+def _jvp_slack(inst: QcqpInstance) -> float:
     """A bound on how far rounding can lift the solver's computed Taylor bound
     ||r + J_c(x) d|| - (L_c/2)||d||^2 above its computed ||c(x') - c(z)||, less
-    the (m + 4)*u*||r|| the solver adds, for every x', z in the box, d = x' - x
-    and r the computed c(x) - c(z); r = 0 when z = x.
+    the (m + 4)*u*||r|| the solver adds, for every x, x', z in the box,
+    d = x' - x and r the computed c(x) - c(z); r = 0 when z = x.
 
-    With F = ||Q||_F, B = ||bi||_F and R = ||ri||, the computed c(w) is within
-    g*(F||w||^2 + B||w|| + R) of c(w): each dot product errs by at most n*u
-    times its sum of absolute products, in any order of summation, and
-    |w|^T |Qi| |w| <= ||Qi||_F ||w||^2.  Likewise the computed J_c(x) d is
-    within g*(F||x|| + B)||d|| of J_c(x) d.  The difference, the norms and the
-    L_c term (L_c <= F) add errors of the same scales.  On the box,
-    ||x'|| <= sqrt(n)*r and ||d|| <= ||x|| + sqrt(n)*r; g = 2*(2n + m + 8)*u,
-    with u = 2^-53, covers every rounding step with room to spare.
+    With F = ||Q||_F, B = ||bi||_F, R = ||ri|| and box = sqrt(n)*r >= ||w||
+    for w in the box, the computed c(w) is within g*(F*box^2 + B*box + R) of
+    c(w): each dot product errs by at most n*u times its sum of absolute
+    products, in any order of summation, and |w|^T |Qi| |w| <= ||Qi||_F ||w||^2.
+    Likewise the computed J_c(x) d is within g*(F*box + B)||d|| of J_c(x) d,
+    and ||d|| <= 2*box.  The difference, the norms and the L_c term (L_c <= F)
+    add twice the errors of c(x), c(x') and the jvp, and g*F*||d||^2: in all,
+    4*g*(3*F*box^2 + 2*B*box + R).  g = 2*(2n + m + 8)*u, with u = 2^-53,
+    covers every rounding step with room to spare.
 
     For z other than x, the solver's (m + 4)*u*||r|| covers the rest as far as
     it scales with ||r|| (see ``sdcam.solver.step``); the sum r + J_c(x) d and
     its norm add (m/2 + 2)*u*||J_c(x) d|| more to first order, which is inside
-    g*(F||x|| + B)||d||, since g >= 2*(m + 4)*u."""
-    F, B, R, box = inst._scales
-    xn = math.sqrt(x @ x)
-    dn = xn + box
-    e_x, e_box = F * xn * xn + B * xn + R, F * box * box + B * box + R
+    g*(F*box + B)||d||, since g >= 2*(m + 4)*u."""
+    F, B, R = (float(np.linalg.norm(a)) for a in (inst.Q, inst.bi, inst.ri))
+    box = math.sqrt(inst.n) * inst.r
     g = 2.0 * (2 * inst.n + inst.m + 8) * 2.0**-53
-    return g * (2.0 * (e_x + e_box) + 2.0 * (F * xn + B) * dn + F * dn * dn)
+    return 4.0 * g * (3.0 * F * box * box + 2.0 * B * box + R)
 
 
 # held while a generation runs on two threads; a generation that finds it
@@ -328,7 +321,7 @@ def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:
     bi = inst.bi
     c_x = 0.5 * (Qx @ x) + bi @ x + inst.ri
     inst._c_at = (x.tobytes(), c_x.copy())  # one assignment: a racing reader sees a whole pair
-    return c_x, _Pullback(Qx, bi, _jvp_slack(inst, x))
+    return c_x, _Pullback(Qx, bi)
 
 
 def qcqp_problem(inst: QcqpInstance) -> Problem:
@@ -378,6 +371,7 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
             jac_lipschitz_bound=L_c,
             jac_norm_bound=M_c,
             linearizer=functools.partial(_linearize, inst),
+            jvp_slack=_jvp_slack(inst),
         ),
         n=inst.n,
         m=inst.m,

@@ -41,8 +41,8 @@ trial that (i) rejects computes one ``g.prox``, ``g.value``, one
 passes (i) adds ``f.value`` and ||c(x~) - y^t||.  An accepted step reuses
 ||x~ - x^t|| and ||c(x~) - y^t|| from its test.
 
-When c has a Jacobian Lipschitz constant L_c and the pullback at x^t offers
-``jvp`` and ``jvp_slack``, a trial first tests a Taylor lower bound on
+When c has a Jacobian Lipschitz constant L_c and a ``jvp_slack`` and the
+pullback at x^t offers ``jvp``, a trial first tests a Taylor lower bound on
 ||c(x~) - c(x^t)|| less a rounding slack.  Where it proves that (i) fails, the
 trial is rejected without ``c.linearize`` (one jvp and three norms in its
 place), and every output bit is that of the exact test.  ``step`` states the
@@ -107,7 +107,7 @@ class SolverConfig:
 class TaylorAnchor(NamedTuple):
     """The point a of the Taylor-bound rejection, r = c(a) - c(x^t) as
     computed, the pullback at a (it offers ``jvp``) and the slack of the
-    bound, the pullback's ``jvp_slack`` plus (m + 4)*u*||r||."""
+    bound, the map's ``jvp_slack`` plus (m + 4)*u*||r||."""
 
     a: Vector
     r: Vector
@@ -222,16 +222,14 @@ def _anchor(
     p: Problem, a: Vector, pullback: Pullback, r: Optional[Vector] = None, r_norm: float = 0.0
 ) -> Optional[TaylorAnchor]:
     """The anchor at a, where c(a) - c(x^t) computed to r of norm r_norm (r
-    None: a is x^t and r is 0), when ``pullback`` (at a) offers ``jvp`` and
-    ``jvp_slack`` and c has an L_c, the inputs of the Taylor-bound rejection;
-    otherwise None."""
-    if p.c.jac_lipschitz_bound is None:
-        return None
-    if not (hasattr(pullback, "jvp") and hasattr(pullback, "jvp_slack")):
+    None: a is x^t and r is 0), when c has an L_c and a ``jvp_slack`` and
+    ``pullback`` (at a) offers ``jvp``, the inputs of the Taylor-bound
+    rejection; otherwise None."""
+    if p.c.jac_lipschitz_bound is None or p.c.jvp_slack is None or not hasattr(pullback, "jvp"):
         return None
     if r is None:
         r = np.zeros(p.m)
-    return TaylorAnchor(a, r, pullback, pullback.jvp_slack + (p.m + 4) * 2.0**-53 * r_norm)
+    return TaylorAnchor(a, r, pullback, p.c.jvp_slack + (p.m + 4) * 2.0**-53 * r_norm)
 
 
 def _taylor_bound(anchor: TaylorAnchor, x_trial: Vector, L_c: float) -> float:
@@ -309,7 +307,7 @@ def step(
     unchanged; only its reported margin_i differs.
 
     The anchor moves.  ``initial_state`` and every accepted step put it at
-    x^t, with r_a = 0 and the slack jvp_slack.  A rejected trial that did
+    x^t, with r_a = 0 and the slack ``jvp_slack``.  A rejected trial that did
     evaluate c(x~) moves it to x~, with that trial's pullback and r_a formed
     from its c(x~) as its test of (i) formed c(x~) - c(x^t), bit for bit; a
     certified trial leaves it.  While mu walks down, successive trial points
@@ -318,7 +316,7 @@ def step(
     trial applies one jvp, at the anchor.  An anchor from an earlier iterate
     would measure r_a against an old c(x^t), so an accepted step resets it.
 
-    The anchor's slack is the pullback's ``jvp_slack`` plus (m + 4)*u*||r_a||
+    The anchor's slack is the map's ``jvp_slack`` plus (m + 4)*u*||r_a||
     with u = 2^-53, the solver's own rounding as far as it scales with r_a.
     Write c~ for the computed values of c.  The computed r_a is
     c~(a) - c~(x^t) + delta with ||delta|| <= u||r_a||/(1 - u), so
@@ -326,10 +324,10 @@ def step(
         c~(x~) - c~(x^t)  =  r_a - delta + (c~(x~) - c~(a)):
 
     the error of c~(x^t) cancels, since the same float vector is on both
-    sides, and c~(x~) - c~(a) is the difference that ``jvp_slack`` covers at
-    a.  With j the computed J_c(a) e, forming r_a + j errs by at most
+    sides, and c~(x~) - c~(a) is a difference that ``jvp_slack`` covers, as
+    a is in dom g.  With j the computed J_c(a) e, forming r_a + j errs by at most
     u(||r_a|| + ||j||), and its norm by (m/2 + 1)u(||r_a|| + ||j||) to first
-    order.  The ||j|| shares are the pullback's, as ``sdcam.oracles`` states;
+    order.  The ||j|| shares are ``jvp_slack``'s, as ``sdcam.oracles`` states;
     the ||r_a|| shares and delta stay below (m/2 + 3)(1 + 2u)u||r_a||, which
     (m + 4)*u*||r_a||, computed, exceeds.  At an anchor at x^t, r_a = 0, so the
     bound is the plain one at x^t, bit for bit.
@@ -399,8 +397,9 @@ def step(
     if h_y_new == math.inf:
         raise SolverError("h.prox returned a point outside dom h")
     grad_new, jtd_new = _linearize(p, x_trial, c_trial, pullback, y_new)
-    residual = _norm(grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu) * dx)
-    gap = _norm(c_trial - y_new)
+    with np.errstate(over="ignore"):  # an overflow is the SolverError below
+        residual = _norm(grad_new - st.grad_fx - (beta_t - beta_prev) * st.jtd - (2.0 / mu) * dx)
+        gap = _norm(c_trial - y_new)
     for name, q in (("gap", gap), ("residual", residual)):
         if not math.isfinite(q):
             raise SolverError(f"{name} = {q!r} is not finite at t={st.t}")

@@ -117,10 +117,10 @@ def verify_problem_oracles(
     ||J_c(x)||_2 <= jac_norm_bound where g(x) is finite, and
     ||J_c(x) - J_c(x')||_2 <= jac_lipschitz_bound * ||x - x'|| for each pair of
     consecutive points, each to 1e-9 relative; a constant that is None is
-    skipped.  Where the pullback offers ``jvp``, <w, jvp(d)> must equal
-    <pullback(w), d> for a random (w, d), to 1e-9 relative to the sums of the
-    absolute products; where it also offers ``jvp_slack``, that must be finite
-    and >= 0, and, with jac_lipschitz_bound set and d = x' - x toward the
+    skipped.  The map's ``jvp_slack``, where set, must be finite and >= 0.
+    Where the pullback offers ``jvp``, <w, jvp(d)> must equal <pullback(w), d>
+    for a random (w, d), to 1e-9 relative to the sums of the absolute
+    products, and, with both constants valid and d = x' - x toward the
     previous point x' with both points in dom g, the computed ||c(x') - c(x)||
     must be at least the computed ||jvp(d)|| - (L_c/2)||d||^2 - jvp_slack, the
     Taylor bound the solver rejects trials with (skipped where L_c fails
@@ -128,7 +128,10 @@ def verify_problem_oracles(
     Returns a list of failure messages (empty means all passed)."""
     failures: List[str] = []
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    M_c, L_c = problem.c.jac_norm_bound, problem.c.jac_lipschitz_bound
+    M_c, L_c, slack = problem.c.jac_norm_bound, problem.c.jac_lipschitz_bound, problem.c.jvp_slack
+    slack_ok = slack is not None and math.isfinite(slack) and slack >= 0.0
+    if slack is not None and not slack_ok:
+        failures.append(f"jvp_slack {slack!r} is not a finite number >= 0")
     J_prev = c_prev = None
     for k, x in enumerate(points):
         rep = check_gradient(problem.f, x, rng=rng)
@@ -157,7 +160,7 @@ def verify_problem_oracles(
             J_prev = J
         if hasattr(pullback, "jvp"):
             # a Taylor bound that fails where L_c does is L_c's failure
-            x_prev = points[k - 1] if k and lipschitz_ok else None
+            x_prev = points[k - 1] if k and lipschitz_ok and slack_ok and L_c is not None else None
             failure = _jvp_failure(problem, pullback, x, c_x, x_prev, c_prev, rng)
             if failure:
                 failures.append(f"{failure} at point {k}")
@@ -175,14 +178,9 @@ def _jvp_failure(problem: Problem, pullback, x: np.ndarray, c_x: np.ndarray,
     if not abs(float(w @ jd) - float(jtw @ d)) <= _BOUND_REL_SLACK * scale:
         return (f"jvp is not the adjoint of the pullback: <w, jvp(d)> = {float(w @ jd):.6g}, "
                 f"<pullback(w), d> = {float(jtw @ d):.6g}")
-    if not hasattr(pullback, "jvp_slack"):
+    if x_prev is None or math.inf in (problem.g.value(x), problem.g.value(x_prev)):
         return ""
-    slack = pullback.jvp_slack
-    if not (math.isfinite(slack) and slack >= 0.0):
-        return f"jvp_slack {slack!r} is not a finite number >= 0"
-    L_c = problem.c.jac_lipschitz_bound
-    if L_c is None or x_prev is None or math.inf in (problem.g.value(x), problem.g.value(x_prev)):
-        return ""
+    L_c, slack = problem.c.jac_lipschitz_bound, problem.c.jvp_slack
     d = x_prev - x
     d_norm = float(np.linalg.norm(d))
     bound = float(np.linalg.norm(pullback.jvp(d))) - 0.5 * L_c * d_norm * d_norm - slack

@@ -202,12 +202,13 @@ def test_run_with_huge_beta0_writes_strict_summary(tmp_path, beta0, delta, unava
     assert report["checked"] > 0 and report["passed"] is True
 
 
-def _huge_beta0_qcqp(tmp_path, beta0, delta):
+def _huge_beta0_qcqp(tmp_path, beta0, delta, **overrides):
     path, _ = _cfg(
         tmp_path,
         seed=3,
         problem={"family": "qcqp", "n": 10, "m": 3},
         schedule={"beta0": beta0, "delta": delta},
+        **overrides,
     )
     return path
 
@@ -225,6 +226,19 @@ def test_run_qcqp_prox_overflow_is_silent(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == "trial budget"
     assert summary["successful_iters"] == 0
+
+
+def test_run_qcqp_accepted_residual_overflow_is_silent(tmp_path, capsys):
+    # With rho = 0.5 a trial is accepted at this beta0, and its residual
+    # overflows.  That is a numerical failure, exit 2 with the error line
+    # alone: no RuntimeWarning (the suite turns them into errors).
+    path = _huge_beta0_qcqp(tmp_path, 1e300, 1.0 / 3.0, solver={
+        "max_successful_iters": 5, "rho": 0.5, "max_total_trials": 2000,
+    })
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: numerical failure: residual = inf is not finite at t=0\n"
+    )
 
 
 def test_run_qcqp_mu_overflow_exits_2(tmp_path, capsys):
