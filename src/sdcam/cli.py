@@ -154,7 +154,6 @@ def _load_run_config(path: str) -> Dict[str, Any]:
             "solver": False,
             "schedule": True,
             "output": True,
-            "assert_level": False,
         },
         "config",
     )
@@ -192,11 +191,7 @@ def _solver_config(cfg: Dict[str, Any], fam: Family) -> SolverConfig:
         iters = solver_cfg["max_successful_iters"]
         solver_cfg.setdefault("max_total_trials", max(1000, 50 * iters))
         schedule = ScheduleSpec(**schedule_cfg)
-        return SolverConfig(
-            schedule=schedule,
-            assert_level=cfg.get("assert_level", "off"),
-            **solver_cfg,
-        )
+        return SolverConfig(schedule=schedule, **solver_cfg)
     except (TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
         raise UsageError(str(exc)) from exc
 

@@ -130,7 +130,11 @@ class Problem:
     """Composite problem bundle for  min f(x) + g(x) + h(c(x)).
 
     ``inf_fg_lower_bound`` is an optional user-supplied lower bound on
-    inf {f+g}; ``h_lipschitz_bound`` an optional Lipschitz constant M_h of h;
+    inf {f+g}.  Given it, every trace row carries the merit Theta and ``solve``
+    checks that Theta does not increase along accepted steps.  That check, the
+    paper's Theta and M0/M1 in ``rate_constants`` rest on two premises: the
+    field is a valid lower bound on f+g, and h >= 0.
+    ``h_lipschitz_bound`` is an optional Lipschitz constant M_h of h;
     ``h_sup_on_image_bound`` an optional bound on sup_{x in dom g} h(c(x)).
     """
 

@@ -19,6 +19,7 @@ from .families import FAMILIES, family_of
 __all__ = ["save_instance", "load_instance"]
 
 FORMAT_VERSION = 1
+_DOC_KEYS = {"format_version", "family", "seed", "params", "data"}
 
 
 def save_instance(inst: Any, path: str) -> None:
@@ -49,11 +50,19 @@ def save_instance(inst: Any, path: str) -> None:
 
 
 def load_instance(path: str) -> Any:
-    """Read an instance document written by save_instance."""
+    """Read an instance document written by save_instance.
+
+    Raises ValueError on a key that save_instance would not write: a
+    top-level key beyond the five, a ``params`` or ``data`` key that is not
+    a field of the family's instance class (``seed`` included), or a field
+    given in both sections."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"instance file {path} must hold a JSON object")
+    unknown = sorted(set(doc) - _DOC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in instance file {path}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version!r} (expected {FORMAT_VERSION})")
@@ -66,10 +75,17 @@ def load_instance(path: str) -> Any:
     seed, params, data = doc["seed"], doc["params"], doc["data"]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed in instance file {path} must be an integer")
+    cls = FAMILIES[family].instance_type
+    fields = {field.name for field in dataclasses.fields(cls)} - {"seed"}
     for key, value in (("params", params), ("data", data)):
         if not isinstance(value, dict):
             raise ValueError(f"{key} in instance file {path} must be a JSON object")
-    cls = FAMILIES[family].instance_type
+        unknown = sorted(set(value) - fields)
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown} in {key} of instance file {path}")
+    twice = sorted(set(params) & set(data))
+    if twice:
+        raise ValueError(f"key(s) {twice} in both params and data of instance file {path}")
 
     kwargs: Dict[str, Any] = {"seed": seed}
     for field in dataclasses.fields(cls):

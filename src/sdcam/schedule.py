@@ -27,12 +27,14 @@ class ScheduleSpec:
     def __post_init__(self) -> None:
         if self.family not in ("power", "blocked"):
             raise ValueError(f"unknown schedule family {self.family!r}")
-        if self.beta0 <= 0.0:
+        if isinstance(self.beta0, bool) or isinstance(self.delta, bool):
+            raise ValueError("beta0 and delta must not be booleans")
+        if not self.beta0 > 0.0:  # NaN included
             raise ValueError("beta0 must be positive")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0,1)")
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
+        if isinstance(self.K, bool) or not isinstance(self.K, int) or self.K < 1:
+            raise ValueError(f"K must be a positive integer, got {self.K!r}")
 
     @property
     def alpha0(self) -> float:

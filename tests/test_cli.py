@@ -610,6 +610,13 @@ def _set_entry(key, value):
     return malform
 
 
+def _add_entry(section, key, value):
+    def malform(doc):
+        doc[section][key] = value
+        return doc
+    return malform
+
+
 def _set_ri(value):
     def malform(doc):
         doc["data"]["ri"]["values"] = [value] * len(doc["data"]["ri"]["values"])
@@ -657,6 +664,22 @@ def _set_ri(value):
         ("run", _set_param("alpha", -1.0)),
         ("run", _set_param("r", 0.0)),
         ("argv", ["check", "--family", "qcqp", "--seed", "0", "--prox-instances", "0"]),
+        ("check", lambda doc: {**doc, "extra": 1}),
+        ("run", lambda doc: {**doc, "extra": 1}),
+        ("run", _set_param("surprise", 1)),
+        ("check", _add_entry("data", "Z", {"shape": [1], "values": [0.0]})),
+        ("run", _set_param("seed", 0)),
+        ("check", _add_entry("data", "seed", {"shape": [], "values": 0})),
+        ("run", _set_param("b0", [0.0] * 4)),
+        ("config", {"assert_level": "full"}),
+        ("config", {"solver": {"max_successful_iters": 2.5}}),
+        ("config", {"solver": {"max_successful_iters": True}}),
+        ("config", {"solver": {"max_successful_iters": 5, "max_total_trials": 7.5}}),
+        ("config", {"schedule": {"family": "blocked", "beta0": 1.0, "delta": 0.3, "K": 2.5}}),
+        ("config", {"schedule": {"beta0": True, "delta": 0.3}}),
+        ("config", {"solver": {"max_successful_iters": 5, "eta": True}}),
+        ("config", {"solver": {"max_successful_iters": 5, "eta": math.nan}}),
+        ("config", {"schedule": {"beta0": math.nan, "delta": 0.3}}),
     ],
     ids=[
         "check-no-seed",
@@ -694,6 +717,22 @@ def _set_ri(value):
         "run-alpha-negative",
         "run-r-zero",
         "check-prox-instances-zero",
+        "check-top-names-extra",
+        "run-top-names-extra",
+        "run-params-names-surprise",
+        "check-data-names-Z",
+        "run-params-names-seed",
+        "check-data-names-seed",
+        "run-twice-names-b0",
+        "config-names-assert_level",
+        "config-float-names-max_successful_iters",
+        "config-bool-names-max_successful_iters",
+        "config-float-names-max_total_trials",
+        "config-float-names-K",
+        "config-bool-names-beta0",
+        "config-bool-names-eta",
+        "config-nan-names-eta",
+        "config-nan-names-beta0",
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, command, malform):
@@ -722,6 +761,8 @@ def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, comma
     case = request.node.callspec.id
     if "seed" in case:
         assert "seed" in err
+    if "-names-" in case:  # the message names the key that ends the case id
+        assert case.rsplit("-names-", 1)[1] in err
     for field in ("b0", "Q", "bi", "xbar"):
         if f"-{field}-" in case:
             assert f"usage error: {field} must be finite" in err

@@ -221,7 +221,7 @@ def test_rate_bound_check_passes_on_random_configurations():
         prob, x0, y0, _, sup = fam.setup(fam.generate(seed, **fam.check_kwargs))
         cfg = SolverConfig(
             **{**fam.solver_defaults, **params}, schedule=schedule,
-            max_successful_iters=60, max_total_trials=6000, assert_level="full",
+            max_successful_iters=60, max_total_trials=6000,
         )
         try:
             res = solve(prob, cfg, x0, y0)

@@ -7,6 +7,7 @@ that exits 1.
 """
 
 import dataclasses
+import importlib
 import inspect
 import json
 import os
@@ -59,3 +60,34 @@ def test_benchmark_run_is_correct(workload, trace):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+# rows_sha256() and total_trials of perfbench's run_once at each workload's
+# measured and held-out instance seeds: the 100-step QCQP 200x20 runs and the
+# 1000-step runs that its reference gate judges.
+_BENCHMARK_RUNS = {
+    ("qcqp-200x20", 1): ("22bec6c4585a15400cd15d8a76baeb1d879003aa55acedbac2d41bb42e4a091e", 243),
+    ("qcqp-200x20", 33): ("cbc4fb58c8a66640ec838ccfa0cc5e33351c49bf9bddaa9b3db640faa4b2dbc3", 243),
+    ("mlp-20x8x4x1", 0): ("6659ae4df9b97a0688330d9b5d7f46f024d2274c8ba1e63a4884110598a56cf7", 2007),
+    ("mlp-20x8x4x1", 32): ("3abead1b9f3309b6c768278ee5cb4d221ace0ae3557bd215e2e14925c778c776", 2007),
+    ("mimo-8x16-backtrack", 0): (
+        "e956b12a4c4c07590dd1289ced5fd67ec1782592ec728b3c28d9eb74c44ee056", 7606),
+    ("mimo-8x16-backtrack", 32): (
+        "f4e3d90cc582424842b3a7b2cfa55aa3878367620458dc20a1ad01f36a03d203", 7607),
+}
+
+
+@pytest.mark.slow
+def test_benchmark_run_bits_are_pinned(monkeypatch):
+    # perfbench/workloads.py imports its neighbour tracing.py by plain name
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for wl in workloads.WORKLOADS.values():
+        seeds = (wl.default_seed, workloads.heldout_seed(wl.default_seed))
+        assert [(wl.name, s) for s in seeds] == [k for k in _BENCHMARK_RUNS if k[0] == wl.name]
+    for (name, seed), pinned in _BENCHMARK_RUNS.items():
+        rec = workloads.run_once(workloads.WORKLOADS[name], seed)
+        assert (rec.rows_sha256(), rec.result.total_trials) == pinned, (
+            f"{name} seed {seed}: the trace or summary bits changed.  Only a numerics change "
+            "may do that; it must update these digests and explain the change in CHANGES.md."
+        )

@@ -50,14 +50,21 @@ def test_constants_blocked():
 def test_validation():
     with pytest.raises(ValueError):
         ScheduleSpec(family="exotic", beta0=1.0, delta=0.5)
-    with pytest.raises(ValueError):
-        ScheduleSpec(family="power", beta0=0.0, delta=0.5)
+    for beta0 in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="beta0 must be positive"):
+            ScheduleSpec(family="power", beta0=beta0, delta=0.5)
     with pytest.raises(ValueError):
         ScheduleSpec(family="power", beta0=1.0, delta=1.0)
     with pytest.raises(ValueError):
         ScheduleSpec(family="blocked", beta0=1.0, delta=0.5, K=0)
     with pytest.raises(ValueError):
         beta_at(ScheduleSpec(family="power", beta0=1.0, delta=0.5), -1)
+    for K in (2.5, True, 3.0, "3"):
+        with pytest.raises(ValueError, match="K must be a positive integer"):
+            ScheduleSpec(family="blocked", beta0=1.0, delta=0.5, K=K)
+    for kw in ({"beta0": True}, {"delta": True}):
+        with pytest.raises(ValueError, match="must not be booleans"):
+            ScheduleSpec(**{"family": "power", "beta0": 1.0, "delta": 0.5, **kw})
 
 
 def test_schedules_nondecreasing_and_divergent():

@@ -234,28 +234,28 @@ def test_config_validation():
         _config(mu_init=2e7)  # mu_init >= mu_max
     with pytest.raises(ValueError):
         _config(rho=1.0)
-    with pytest.raises(ValueError):
-        _config(eta=0.5)
+    for eta in (0.5, math.nan):
+        with pytest.raises(ValueError, match="eta must be >= 1"):
+            _config(eta=eta)
     with pytest.raises(ValueError):
         _config(max_successful_iters=0)
-    for level in ("loud", "cheap"):
-        with pytest.raises(ValueError, match="assert_level"):
-            _config(assert_level=level)
     for eps in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="stop_eps"):
             _config(stop_eps=eps)
-
-
-def test_full_asserts_require_objective_lower_bound():
-    p = _identity_problem()
-    p_nobound = Problem(f=p.f, g=p.g, h=p.h, c=p.c, n=2, m=2)
-    with pytest.raises(ValueError, match="inf_fg_lower_bound"):
-        solve(p_nobound, _config(assert_level="full"), np.zeros(2), np.zeros(2))
+    # a budget is an int and not a bool; no field is a bool
+    for name, value in (("max_successful_iters", 2.5), ("max_total_trials", 7.5),
+                        ("max_total_trials", "7")):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            _config(**{name: value})
+    for name in ("mu_max", "mu_init", "rho", "eta", "stop_eps", "max_successful_iters",
+                 "max_total_trials"):
+        with pytest.raises(ValueError, match=f"{name} must not be a boolean"):
+            _config(**{name: True})
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_full_asserts_pass(family):
-    prob, x0, y0, _, cfg = _family_run(family, 3, max_successful_iters=100, assert_level="full")
+    prob, x0, y0, _, cfg = _family_run(family, 3, max_successful_iters=100)
     res = solve(prob, cfg, x0, y0)
     assert len(res.trace) == 100
     # merit-row consistency: Theta = (H - inf_fg)/beta
@@ -267,16 +267,18 @@ def test_full_asserts_pass(family):
 
 def test_full_asserts_catch_a_non_optimal_h_prox():
     # An h.prox that moves away from its minimizer breaks the merit decrease,
-    # which no acceptance margin sees; "off" runs through it.
+    # which no acceptance margin sees; a default solve raises.  Without
+    # inf_fg_lower_bound there is no Theta, and the run goes through.
     h = ProxOracle(
         value=lambda u: float(np.abs(u).sum()),
         prox=lambda z, gamma: np.asarray(z, dtype=float) + 1.0,
     )
     p = dataclasses.replace(_identity_problem(), h=h)
-    res = solve(p, _config(max_successful_iters=10), np.ones(2), np.zeros(2))
-    assert len(res.trace) == 10
     with pytest.raises(SolverError, match="merit nonincrease violated at t=1"):
-        solve(p, _config(max_successful_iters=10, assert_level="full"), np.ones(2), np.zeros(2))
+        solve(p, _config(max_successful_iters=10), np.ones(2), np.zeros(2))
+    p_nobound = dataclasses.replace(p, inf_fg_lower_bound=None)
+    res = solve(p_nobound, _config(max_successful_iters=10), np.ones(2), np.zeros(2))
+    assert len(res.trace) == 10 and all(row.Theta_value is None for row in res.trace)
 
 
 def test_step_raises_on_non_finite_gap():
