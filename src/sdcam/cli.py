@@ -20,6 +20,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -41,7 +42,6 @@ from .schedule import ScheduleSpec
 from .solver import SolveResult, SolverConfig, SolverError, TraceRow, solve
 from .verify import verify_problem_oracles, verify_prox_family, verify_schedule_sandwich
 from .problems import FAMILIES, Family, family_of, load_instance, save_instance
-from .problems.qcqp import _set_blas_threads
 
 __all__ = ["main"]
 
@@ -299,6 +299,36 @@ def run_config_file(path: str) -> int:
         return EXIT_NUMERICAL
     print(f"{path}: {result.status}, {len(result.trace)} accepted steps -> {trace_path}")
     return EXIT_OK
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """(get, set) for the OpenBLAS that NumPy's wheel ships: its get and set
+    thread-count functions, or None where there is none."""
+    import ctypes
+    import glob
+
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _set_blas_threads(threads: int) -> None:
+    """Set OpenBLAS's thread count, which is process-wide, where NumPy has
+    an OpenBLAS."""
+    fns = _openblas()
+    if fns is not None:
+        fns[1](threads)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -133,7 +133,8 @@ class Problem:
     inf {f+g}.  Given it, every trace row carries the merit Theta and ``solve``
     checks that Theta does not increase along accepted steps.  That check, the
     paper's Theta and M0/M1 in ``rate_constants`` rest on two premises: the
-    field is a valid lower bound on f+g, and h >= 0.
+    field is a valid lower bound on f+g, and h >= 0.  ``solve`` checks both
+    at every accepted point.
     ``h_lipschitz_bound`` is an optional Lipschitz constant M_h of h;
     ``h_sup_on_image_bound`` an optional bound on sup_{x in dom g} h(c(x)).
     """

@@ -17,19 +17,13 @@ which uses the jvp with L_c.
 
 Randomness: Philox (64-bit counter-based) keyed by SeedSequence(seed,
 spawn_key=stream), with streams (0, attempt) for b0, (1, i) for the
-orthogonal factor of Qi, and (2, i) for its diagonal.  Instances are
-bit-reproducible given (seed, params) and portable across platforms.  The
-calling thread and a helper thread, started and joined by each generation,
-each take the next block index from one shared iterator and draw, factor and
-symmetrize that block, with the streams and operations of a serial loop.
-Meanwhile NumPy's OpenBLAS is held to one thread, so that its own workers do
-not compete with the two threads for the cores; BLAS calls made meanwhile by
-other threads of the process also run on one thread.  A generation that
-finds another one on two threads, or runs in a process without a second
-core (a CPU affinity of fewer than two CPUs, or a ``multiprocessing``
-worker), factors every block on the calling thread alone and never waits.
-So a one-thread BLAS pin does not hold a single process to one core; CPU
-affinity does.
+orthogonal factor of Qi, and (2, i) for its diagonal.  Generation draws,
+factors and symmetrizes the blocks in one loop on the calling thread.
+Instances are bit-reproducible given (seed, params) and the OpenBLAS kernel
+set.  ``b0`` is a Philox draw times ``scale0``, so it is bit-portable.  ``Q``
+and ``ri`` pass through QR and matrix products, which OpenBLAS sums in an
+order that its kernel set picks, so across kernel sets they agree only to
+rounding; the pinned digests in the tests were recorded on SkylakeX.
 """
 
 from __future__ import annotations
@@ -37,9 +31,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
-import sys
-import threading
 from typing import Tuple
 
 import numpy as np
@@ -111,68 +102,6 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _draw(seed: int, n: int, i: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Block i's Gaussian matrix (stream (1, i)) and diagonal (stream (2, i))."""
-    return _stream(seed, 1, i).standard_normal((n, n)), _stream(seed, 2, i).uniform(0.0, 5.0, n)
-
-
-def _factor_blocks(seed: int, n: int, blocks, Q: np.ndarray) -> None:
-    """Q[i] = sym(Ui Di Ui^T) for each index i taken from ``blocks``, an
-    iterator that the calling thread and the helper may share.  Each temporary
-    goes as soon as it has been used, so that neither thread's malloc arena
-    keeps a block's worth.
-    On an error the iterator is drained, so that the other thread stops
-    after its current block."""
-    try:
-        for i in blocks:
-            G, D = _draw(seed, n, i)
-            U = np.linalg.qr(G)[0]
-            del G
-            Qi = (U * D) @ U.T
-            del U
-            np.add(Qi, Qi.T, out=Q[i])
-            Q[i] *= 0.5  # the bits of 0.5 * (Qi + Qi.T)
-            del Qi
-    except BaseException:
-        for _ in blocks:
-            pass
-        raise
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas():
-    """(get, set) for the OpenBLAS that NumPy's wheel ships: its get and set
-    thread-count functions, or None where there is none."""
-    import ctypes
-    import glob
-
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, set_.argtypes, set_.restype = ctypes.c_int, [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-def _set_blas_threads(threads: int) -> int:
-    """Set OpenBLAS's thread count, which is process-wide, and return the
-    count it had; ``threads`` where NumPy has no OpenBLAS."""
-    fns = _openblas()
-    if fns is None:
-        return threads
-    had = fns[0]()
-    if had != threads:
-        fns[1](threads)
-    return had
-
-
 def qcqp_generate(
     seed: int,
     n: int,
@@ -198,11 +127,15 @@ def qcqp_generate(
         raise RuntimeError("xbar degenerate (all zero) after 10 attempts; r would be 0")
 
     Q = np.empty((m, n, n))
-    # this thread and the helper take block indices from one iterator; the
-    # draws, QRs and products release the GIL
-    factor = functools.partial(_factor_blocks, seed, n, iter(range(m)), Q)
-    if not _on_two_threads(factor):
-        factor()
+    # each block's temporaries go before the next block's are made: that
+    # lowers a qcqp-200x20 benchmark run's peak memory by about 0.75 MiB
+    for i in range(m):
+        U = np.linalg.qr(_stream(seed, 1, i).standard_normal((n, n)))[0]
+        Qi = (U * _stream(seed, 2, i).uniform(0.0, 5.0, n)) @ U.T
+        del U
+        np.add(Qi, Qi.T, out=Q[i])
+        Q[i] *= 0.5  # the bits of 0.5 * (Qi + Qi.T)
+        del Qi
 
     ri = -0.25 * np.einsum("ijk,j,k->i", Q, xbar, xbar)
     return QcqpInstance(
@@ -262,54 +195,6 @@ def _jvp_slack(inst: QcqpInstance) -> float:
     box = math.sqrt(inst.n) * inst.r
     g = 2.0 * (2 * inst.n + inst.m + 8) * 2.0**-53
     return 4.0 * g * (3.0 * F * box * box + 2.0 * B * box + R)
-
-
-# held while a generation runs on two threads; a generation that finds it
-# held runs on the calling thread alone and never waits
-_hold = threading.Lock()
-
-
-def _on_two_threads(fn) -> bool:
-    """Run ``fn`` on the calling thread and on a helper thread at once, both
-    with OpenBLAS on one thread, join the helper and return True; an error of
-    either reaches the caller.  Return False, without calling ``fn``, where
-    ``_hold`` is taken, where the helper cannot start, or where the process
-    has no second core: a CPU affinity of fewer than two CPUs, or a worker
-    that ``multiprocessing`` started.  A pool, like that of
-    ``sdcam run --sweep``, runs about one worker per CPU, so no core is idle
-    for a helper."""
-    mp = sys.modules.get("multiprocessing")
-    if (
-        mp is not None and mp.parent_process() is not None
-        or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-        or not _hold.acquire(blocking=False)
-    ):
-        return False
-    errors = []
-
-    def helper() -> None:
-        try:
-            fn()
-        except BaseException as exc:  # raised on the caller below
-            errors.append(exc)
-
-    blas = _set_blas_threads(1)
-    try:
-        thread = threading.Thread(target=helper, name="sdcam-qcqp-helper")
-        try:
-            thread.start()
-        except RuntimeError:  # no thread to be had
-            return False
-        try:
-            fn()
-        finally:
-            thread.join()
-    finally:
-        _set_blas_threads(blas)
-        _hold.release()
-    if errors:
-        raise errors.pop()  # pop: a list holding it would pin this frame, and Q, in a cycle
-    return True
 
 
 def _linearize(inst: QcqpInstance, x: Vector) -> Tuple[Vector, _Pullback]:

@@ -441,6 +441,28 @@ def step(
     return row, (margin_i, margin_ii)
 
 
+def _check_theta(p: Problem, row: TraceRow, prev: Optional[TraceRow]) -> None:
+    """Raise SolverError where ``row`` breaks a premise of Theta (f+g at or
+    above ``inf_fg_lower_bound``, to 1e-9*(1 + |bound|), and h(y) >= 0), or
+    where its Theta is above ``prev``'s by more than 1e-7*(1 + |Theta_prev|)."""
+    bound = p.inf_fg_lower_bound
+    if row.fg_value < bound - 1e-9 * (1.0 + abs(bound)):
+        raise SolverError(
+            f"premise of the merit check broken at t={row.t}: f+g = {row.fg_value!r} is "
+            f"below inf_fg_lower_bound = {bound!r}"
+        )
+    if row.h_at_y < 0.0:
+        raise SolverError(
+            f"premise of the merit check broken at t={row.t}: h(y) = {row.h_at_y!r} is negative"
+        )
+    if prev is None:
+        return
+    if row.Theta_value > prev.Theta_value + 1e-7 * (1.0 + abs(prev.Theta_value)):
+        raise SolverError(
+            f"merit nonincrease violated at t={row.t}: {row.Theta_value} > {prev.Theta_value}"
+        )
+
+
 def solve(
     p: Problem,
     cfg: SolverConfig,
@@ -453,8 +475,10 @@ def solve(
     stop_eps)-stationary point, which ends with status "converged".
 
     Every accepted row passed both margins, so the descent inequality on H
-    (condition (ii)) holds.  Where rows carry Theta (see ``Problem``), a Theta
-    above the last row's by more than 1e-7*(1 + |Theta_prev|) raises SolverError.
+    (condition (ii)) holds.  Where rows carry Theta (see ``Problem``), a row
+    whose f+g is below ``inf_fg_lower_bound`` or whose h(y) is negative, or
+    whose Theta is above the last row's by more than 1e-7*(1 + |Theta_prev|),
+    raises SolverError.
     """
     st = initial_state(p, x0, y0, cfg.mu_init)
     anchors = RunAnchors(beta0=cfg.schedule.beta0, gap_x0_y0=st.gap_x, h_y0=st.h_y)
@@ -473,14 +497,8 @@ def solve(
         if row is None:
             continue
         margins.append(step_margins)
-        if row.Theta_value is not None and row.t >= 1:
-            prev = trace[-1]
-            tol = 1e-7 * (1.0 + abs(prev.Theta_value))
-            if row.Theta_value > prev.Theta_value + tol:
-                raise SolverError(
-                    f"merit nonincrease violated at t={row.t}: "
-                    f"{row.Theta_value} > {prev.Theta_value}"
-                )
+        if row.Theta_value is not None:
+            _check_theta(p, row, trace[-1] if trace else None)
         trace.append(row)
         if row.t == 0:
             anchors.fg_x1 = row.fg_value

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import sdcam.cli
-from sdcam.cli import CSV_HEADER, _write_summary, main
+from sdcam.cli import CSV_HEADER, _openblas, _write_summary, main
 from sdcam.problems import FAMILIES, family_of, load_instance, save_instance
-from sdcam.problems.qcqp import _openblas
 from sdcam.solver import SolveResult, TraceRow
 
 

@@ -281,6 +281,21 @@ def test_full_asserts_catch_a_non_optimal_h_prox():
     assert len(res.trace) == 10 and all(row.Theta_value is None for row in res.trace)
 
 
+@pytest.mark.parametrize("broken, match", [
+    ({"inf_fg_lower_bound": 0.5}, r"t=0: f\+g = 0.0625 is below inf_fg_lower_bound = 0.5"),
+    ({"h": ProxOracle(value=lambda u: -1.0, prox=lambda z, gamma: np.asarray(z, dtype=float))},
+     r"t=0: h\(y\) = -1.0 is negative"),
+], ids=["bound-too-high", "h-negative"])
+def test_solve_raises_on_a_broken_premise_of_the_merit_check(broken, match):
+    # inf f+g is 0: with beta constant, Theta is H shifted and scaled, so a
+    # bound that is too high, or an h that is negative, leaves Theta
+    # nonincreasing and only the premise check sees it
+    p = dataclasses.replace(_identity_problem(), **broken)
+    cfg = _config(schedule=ScheduleSpec(family="blocked", beta0=1.0, delta=0.5, K=1000))
+    with pytest.raises(SolverError, match="premise of the merit check broken at " + match):
+        solve(p, cfg, np.array([2.0, -1.0]), np.array([0.5, 0.5]))
+
+
 def test_step_raises_on_non_finite_gap():
     # h.prox lands 1e200 away, so ||c(x~) - y|| overflows: step must not
     # return a row with gap = inf.
