@@ -27,7 +27,7 @@ import logging
 import math
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -362,7 +362,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     problem_cfg: Dict[str, Any] = {"family": args.family}
-    for _, key, _ in _GEN_PROBLEM_FLAGS:
+    for key in _gen_problem_types():
         if getattr(args, key) is not None:
             problem_cfg[key] = getattr(args, key)
     _, inst = _build_instance(problem_cfg, args.seed)
@@ -470,25 +470,15 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-# The ``gen`` flags that set ``problem`` config keys: (flag, key, argparse kwargs).
-_GEN_PROBLEM_FLAGS = (
-    ("--n", "n", {"type": int}),
-    ("--m", "m", {"type": int}),
-    ("--alpha", "alpha", {"type": float}),
-    ("--p", "p", {"type": float}),
-    ("--scale0", "scale0", {"type": float}),
-    ("--p-psk", "p_psk", {"type": int}),
-    ("--lambda1", "lambda1", {"type": float}),
-    ("--lambda2", "lambda2", {"type": float}),
-    ("--r-lo", "r_lo", {"type": float}),
-    ("--layer-dims", "layer_dims", {"type": _int_list}),
-    ("--n-samples", "n_samples", {"type": int}),
-    ("--lam", "lam", {"type": float}),
-    ("--activation", "activation", {"choices": ("tanh", "sigmoid")}),
-    ("--source", "source", {"choices": ("synthetic", "idx")}),
-    ("--images", "images_path", {}),
-    ("--labels", "labels_path", {}),
-)
+def _gen_problem_types() -> Dict[str, Callable[[str], Any]]:
+    """Every family's ``problem`` keys, each with the argparse type that its
+    generator's annotation of the key gives."""
+    types = {int: int, float: float, str: str, Tuple[int, ...]: _int_list}
+    keys: Dict[str, Callable[[str], Any]] = {}
+    for fam in FAMILIES.values():
+        hints = get_type_hints(fam.generate)
+        keys.update((key, types[hints[key]]) for key in fam.problem_keys())
+    return keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -504,8 +494,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_gen.add_argument("--seed", type=_seed, required=True)
     p_gen.add_argument("--out", required=True)
-    for flag, key, kwargs in _GEN_PROBLEM_FLAGS:
-        p_gen.add_argument(flag, dest=key, **kwargs)
+    for key, type_ in _gen_problem_types().items():
+        p_gen.add_argument("--" + key.replace("_", "-"), dest=key, type=type_)
     p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="run the solver from JSON config(s)")

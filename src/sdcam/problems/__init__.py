@@ -11,14 +11,7 @@ from .qcqp import (
     relative_feasibility,
 )
 from .mimo import MimoInstance, mimo_generate, mimo_problem, mimo_initial_point, mimo_sup_abs_fg
-from .mlp import (
-    MlpInstance,
-    mlp_generate,
-    mlp_problem,
-    mlp_initial_point,
-    mlp_sup_abs_fg,
-)
-from .mnist_idx import read_idx, IdxData
+from .mlp import MlpInstance, mlp_generate, mlp_problem, mlp_initial_point, mlp_sup_abs_fg
 from .families import Family, FAMILIES, family_of
 from .io import save_instance, load_instance
 
@@ -38,8 +31,6 @@ __all__ = [
     "mlp_problem",
     "mlp_initial_point",
     "mlp_sup_abs_fg",
-    "read_idx",
-    "IdxData",
     "Family",
     "FAMILIES",
     "family_of",

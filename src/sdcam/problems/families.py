@@ -5,7 +5,8 @@ about a family: its instance class, generator and problem set-up, the solver
 defaults, the ``rate_bound_check`` regime the family falls under (the paper's
 three cases: Lipschitz ``h``, finite-everywhere ``h``, ``h`` without full
 domain on bounded domains), the instance size that ``sdcam check`` uses, and
-an optional structure check.  Adding a family means adding one entry.
+an optional structure check.  Adding a family means adding one entry: the
+generator's annotated parameters give the config keys and ``sdcam gen`` flags.
 """
 
 from __future__ import annotations

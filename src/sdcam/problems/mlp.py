@@ -8,6 +8,9 @@ with C the sup-norm ball whose radius makes it contain every minimizer
 the box indicator, c_i(v) = MLP(a_i; v) - y_i (vjp by reverse accumulation),
 h(u) = (1/(p*m)) * sum_i |u_i|^p with a separable scalar prox.
 
+The data are synthetic, from a random teacher network: the family stands for
+the paper's case of an h finite everywhere but not Lipschitz.
+
 Randomness: Philox streams (0,) features, (1,) teacher weights, (2,) target
 noise, (3,) the default initial point.
 """
@@ -16,13 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..oracles import MapOracle, Problem, ProxOracle, Pullback, SmoothOracle, Vector
 from ..prox import LpProxParams, prox_l1_box, prox_lp_power
-from .mnist_idx import read_idx
 
 __all__ = [
     "MlpInstance",
@@ -37,10 +39,12 @@ _ACTIVATIONS = ("tanh", "sigmoid")
 
 def _check_params(layer_dims: Tuple[int, ...], activation: str, p: float, lam: float) -> None:
     """The parameter checks of ``mlp_generate``, which every instance passes."""
-    if layer_dims[-1] != 1:
-        raise ValueError("layer_dims must end in 1")
+    if any(isinstance(d, bool) or not isinstance(d, int) for d in layer_dims):
+        raise ValueError(f"layer_dims entries must be integers, got {list(layer_dims)}")
     if len(layer_dims) < 2:
         raise ValueError("need at least one layer")
+    if layer_dims[-1] != 1:
+        raise ValueError("layer_dims must end in 1")
     if activation not in _ACTIVATIONS:
         raise ValueError(f"activation must be one of {_ACTIVATIONS}")
     if not (0.0 < p < 1.0):
@@ -150,56 +154,32 @@ def mlp_generate(
     p: float = 0.5,
     lam: float = 0.05,
     activation: str = "tanh",
-    source: str = "synthetic",
-    images_path: Optional[str] = None,
-    labels_path: Optional[str] = None,
 ) -> MlpInstance:
-    """Synthetic source: features uniform on [0,1], targets in [-1,1] from a
-    random teacher network plus 0.05-level noise.  IDX source: image files
-    flattened and scaled by 1/255, labels mapped to [-1,1] via (x-4.5)/4.5.
-    """
-    layer_dims = tuple(int(d) for d in layer_dims)
+    """Features uniform on [0,1]; targets from a random teacher network scaled
+    into [-1,1], plus 0.05-level noise, clipped to [-1,1]."""
+    layer_dims = tuple(layer_dims)
     _check_params(layer_dims, activation, p, lam)
     if n_samples < 1:
         raise ValueError("n_samples >= 1 required")
-    if source == "synthetic":
-        X = _stream(seed, 0).uniform(0.0, 1.0, (n_samples, layer_dims[0]))
-        rng_t = _stream(seed, 1)
-        teacher = []
-        for l in range(len(layer_dims) - 1):
-            n_out, n_in = layer_dims[l + 1], layer_dims[l]
-            teacher.append(rng_t.standard_normal((n_out, n_in)) / math.sqrt(n_in))
-            teacher.append(rng_t.standard_normal(n_out))
-        v_teacher = np.concatenate([a.ravel() for a in teacher])
-        raw = _forward(v_teacher, layer_dims, activation, X)[0]
-        scale = max(1.0, float(np.max(np.abs(raw))))
-        y = np.clip(raw / scale + 0.05 * _stream(seed, 2).standard_normal(n_samples), -1.0, 1.0)
-    elif source == "idx":
-        if images_path is None or labels_path is None:
-            raise ValueError("idx source requires images_path and labels_path")
-        images = read_idx(images_path)
-        labels = read_idx(labels_path)
-        X = images.data.reshape(images.dims[0], -1).astype(float) / 255.0
-        y = (labels.data.astype(float) - 4.5) / 4.5
-        if X.shape[0] < n_samples or y.shape[0] < n_samples:
-            raise ValueError("IDX files contain fewer than n_samples records")
-        X, y = X[:n_samples], y[:n_samples]
-        if X.shape[1] != layer_dims[0]:
-            raise ValueError(
-                f"layer_dims[0]={layer_dims[0]} does not match flattened image size {X.shape[1]}"
-            )
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    X = _stream(seed, 0).uniform(0.0, 1.0, (n_samples, layer_dims[0]))
+    rng_t = _stream(seed, 1)
+    teacher = []
+    for l in range(len(layer_dims) - 1):
+        n_out, n_in = layer_dims[l + 1], layer_dims[l]
+        teacher.append(rng_t.standard_normal((n_out, n_in)) / math.sqrt(n_in))
+        teacher.append(rng_t.standard_normal(n_out))
+    v_teacher = np.concatenate([a.ravel() for a in teacher])
+    raw = _forward(v_teacher, layer_dims, activation, X)[0]
+    scale = max(1.0, float(np.max(np.abs(raw))))
+    y = np.clip(raw / scale + 0.05 * _stream(seed, 2).standard_normal(n_samples), -1.0, 1.0)
 
     out0 = _forward(np.zeros(_param_count(layer_dims)), layer_dims, activation, X)[0]
     C_radius = float(np.sum(np.abs(out0 - y) ** p) / p / (lam * n_samples))
-    if C_radius <= 0.0:
-        raise ValueError("degenerate instance: C_radius is zero (all targets fit at v=0)")
     return MlpInstance(
         layer_dims=layer_dims,
         activation=activation,
         features=X,
-        targets=np.asarray(y, dtype=float),
+        targets=y,
         p=p,
         lam=lam,
         C_radius=C_radius,

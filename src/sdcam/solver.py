@@ -356,6 +356,8 @@ def step(
         raise SolverError("g.prox returned a point outside dom g")
     dx = x_trial - st.x
     step_norm = _norm(dx)
+    if mu * beta_t == 0.0:
+        raise SolverError(f"mu is too small to invert: mu*beta_t = {mu!r}*{beta_t!r} is 0")
     thr = math.sqrt(1.0 / (mu * beta_t)) * step_norm  # the right side of (i)
     tol = 1e-12 * (1.0 + abs(st.fg_x))
     # a NaN or -inf g(x~) takes the exact path below, which raises

@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import hashlib
 import json
@@ -264,6 +265,18 @@ def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys, caplog):
     assert not [r for r in caplog.records if "numerical failure" in r.getMessage()]
 
 
+def test_run_mu_beta_underflow_exits_2(tmp_path, capsys):
+    # mu_init * beta0 = 1e-330 underflows to 0, so 1/(mu*beta_t) in (i) cannot
+    # be formed: a numerical failure with one error line, not a traceback.
+    path, _ = _cfg(tmp_path, problem={"family": "mimo", "n": 8, "m": 16},
+                   solver={"max_successful_iters": 5, "mu_init": 1e-300},
+                   schedule={"beta0": 1e-30, "delta": 0.3})
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: numerical failure: mu is too small to invert: mu*beta_t = 1e-300*1e-30 is 0\n"
+    )
+
+
 def test_summary_writes_non_finite_floats_as_null(tmp_path):
     inf, nan = float("inf"), float("nan")
     row = TraceRow(
@@ -328,6 +341,19 @@ def test_gen_rejects_keys_the_family_does_not_take(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_takes_one_flag_per_problem_key_of_the_family_table():
+    parser = sdcam.cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        flag
+        for action in sub.choices["gen"]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    keys = {key for fam in FAMILIES.values() for key in fam.problem_keys()}
+    assert flags == {"--family", "--seed", "--out"} | {"--" + k.replace("_", "-") for k in keys}
+
+
 def test_gen_usage_errors(tmp_path, capsys):
     assert main([
         "gen", "--family", "qcqp", "--n", "1", "--m", "1", "--seed", "0",
@@ -337,6 +363,12 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert main([
         "gen", "--family", "qcqp", "--seed", "0", "--out", str(tmp_path / "x.json"),
     ]) == 1
+    capsys.readouterr()
+    assert main([
+        "gen", "--family", "mlp", "--seed", "0", "--activation", "relu",
+        "--out", str(tmp_path / "x.json"),
+    ]) == 1
+    assert capsys.readouterr().err == "usage error: activation must be one of ('tanh', 'sigmoid')\n"
 
 
 def test_argparse_errors_map_to_usage_exit_code(capsys):
@@ -366,7 +398,13 @@ def test_family_table_gen_load_and_check(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize(
-    "name, key, value", [("mimo", "r_lo", 2.0), ("mimo", "p_psk", 1), ("mlp", "lam", -1.0)]
+    "name, key, value",
+    [
+        ("mimo", "r_lo", 2.0),
+        ("mimo", "p_psk", 1),
+        ("mlp", "lam", -1.0),
+        ("mlp", "layer_dims", (8, 5.5, 3, 1)),
+    ],
 )
 def test_instance_file_gets_the_generators_parameter_checks(tmp_path, capsys, name, key, value):
     # An edited instance file must fail as the generator would on that
@@ -679,6 +717,8 @@ def _set_ri(value):
         ("config", {"solver": {"max_successful_iters": 5, "eta": True}}),
         ("config", {"solver": {"max_successful_iters": 5, "eta": math.nan}}),
         ("config", {"schedule": {"beta0": math.nan, "delta": 0.3}}),
+        ("config", {"problem": {"family": "mlp", "source": "synthetic"}}),
+        ("config", {"problem": {"family": "mlp", "layer_dims": [20, 8.5, 4, 1]}}),
     ],
     ids=[
         "check-no-seed",
@@ -732,6 +772,8 @@ def _set_ri(value):
         "config-bool-names-eta",
         "config-nan-names-eta",
         "config-nan-names-beta0",
+        "config-mlp-names-source",
+        "config-float-names-layer_dims",
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, command, malform):

@@ -17,7 +17,6 @@ import sdcam.solver
 from sdcam.oracles import MapOracle, Problem, ProxOracle, SmoothOracle, check_gradient, check_vjp
 from sdcam.problems import (
     FAMILIES,
-    IdxData,
     load_instance,
     mimo_generate,
     mimo_initial_point,
@@ -29,7 +28,6 @@ from sdcam.problems import (
     qcqp_generate,
     qcqp_initial_point,
     qcqp_problem,
-    read_idx,
     relative_feasibility,
     save_instance,
 )
@@ -964,10 +962,9 @@ def test_mlp_validation():
         mlp_generate(0, p=1.0)
     with pytest.raises(ValueError):
         mlp_generate(0, activation="relu")
-    with pytest.raises(ValueError):
-        mlp_generate(0, source="parquet")
-    with pytest.raises(ValueError, match="images_path"):
-        mlp_generate(0, source="idx")
+    for dims in ((6, 4.9, 1.7), (6, True, 1), (6.0, 4, 1)):  # not truncated to ints
+        with pytest.raises(ValueError, match="layer_dims entries must be integers"):
+            mlp_generate(0, layer_dims=dims)
 
 
 def test_mlp_reproducible():
@@ -976,76 +973,6 @@ def test_mlp_reproducible():
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.targets, b.targets)
     assert a.C_radius == b.C_radius
-
-
-# --- IDX reader -----------------------------------------------------------------
-
-
-def _write(path, payload: bytes):
-    with open(path, "wb") as fh:
-        fh.write(payload)
-
-
-def test_read_idx_single_pixel_image(tmp_path):
-    path = tmp_path / "img.idx"
-    _write(path, struct.pack(">IIII", 0x00000803, 1, 1, 1) + bytes([255]))
-    out = read_idx(str(path))
-    assert out.dims == (1, 1, 1)
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 255
-
-
-def test_read_idx_labels(tmp_path):
-    path = tmp_path / "labels.idx"
-    _write(path, struct.pack(">II", 0x00000801, 3) + bytes([0, 4, 9]))
-    out = read_idx(str(path))
-    assert out.dims == (3,)
-    np.testing.assert_array_equal(out.data, [0, 4, 9])
-
-
-def test_read_idx_empty_file(tmp_path):
-    path = tmp_path / "empty.idx"
-    _write(path, b"")
-    with pytest.raises(ValueError, match="truncated header at offset 0"):
-        read_idx(str(path))
-
-
-def test_read_idx_bad_magic(tmp_path):
-    path = tmp_path / "bad.idx"
-    _write(path, struct.pack(">I", 0xDEADBEEF))
-    with pytest.raises(ValueError, match="bad magic 0xdeadbeef at offset 0"):
-        read_idx(str(path))
-
-
-def test_read_idx_truncated_header_and_payload(tmp_path):
-    path = tmp_path / "short.idx"
-    _write(path, struct.pack(">II", 0x00000803, 2))  # images need 3 dims
-    with pytest.raises(ValueError, match="truncated header at offset 8"):
-        read_idx(str(path))
-    path2 = tmp_path / "short2.idx"
-    _write(path2, struct.pack(">II", 0x00000801, 5) + bytes([1, 2]))
-    with pytest.raises(ValueError, match="truncated payload"):
-        read_idx(str(path2))
-
-
-def test_mlp_idx_source(tmp_path):
-    img = tmp_path / "img.idx"
-    lab = tmp_path / "lab.idx"
-    rng = np.random.default_rng(0)
-    pixels = rng.integers(0, 256, (6, 2, 2), dtype=np.uint8)
-    labels = rng.integers(0, 10, 6, dtype=np.uint8)
-    _write(img, struct.pack(">IIII", 0x00000803, 6, 2, 2) + pixels.tobytes())
-    _write(lab, struct.pack(">II", 0x00000801, 6) + labels.tobytes())
-    inst = mlp_generate(
-        0,
-        layer_dims=(4, 3, 1),
-        n_samples=6,
-        source="idx",
-        images_path=str(img),
-        labels_path=str(lab),
-    )
-    np.testing.assert_allclose(inst.features, pixels.reshape(6, 4) / 255.0)
-    np.testing.assert_allclose(inst.targets, (labels - 4.5) / 4.5)
 
 
 # --- serialization round trip ---------------------------------------------------
