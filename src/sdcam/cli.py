@@ -5,13 +5,13 @@ Subcommands:
 - ``gen``     write a seeded problem instance as versioned JSON (prints a
               sha256 content digest for reproducibility logs)
 - ``run``     run the solver from a JSON config; writes a CSV trace and a
-              summary JSON (``--sweep`` runs several configs on a process pool)
+              summary JSON (several configs run on a process pool)
 - ``check``   finite-difference oracle checks, prox grid-oracle tests, and the
               schedule sandwich test for one problem family
 - ``subseq``  extract the certified monotone subsequence from a trace column
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-failure.  ``SDCAM_LOG_LEVEL`` in {error, info, debug} controls logging.
+failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
@@ -45,8 +44,6 @@ from .problems import FAMILIES, Family, family_of, load_instance, save_instance
 
 __all__ = ["main"]
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
@@ -59,19 +56,12 @@ CSV_HEADER = ",".join(_TRACE_FIELDS)
 
 _SUBSEQ_COLUMNS = ("step_norm_sq", "scaled_step_sq")
 
+# scalar prox instances that `check` compares with the grid oracle
+_PROX_INSTANCES = 200
+
 
 class UsageError(ValueError):
     """Bad flags or config contents."""
-
-
-def _configure_logging() -> None:
-    level_name = os.environ.get("SDCAM_LOG_LEVEL", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        raise UsageError(
-            f"SDCAM_LOG_LEVEL must be one of {sorted(levels)}, got {level_name!r}"
-        )
-    logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
 def _require_keys(obj: Any, allowed: Dict[str, bool], where: str) -> None:
@@ -286,13 +276,6 @@ def run_config_file(path: str) -> int:
     rate_report = _rate_report_dict(result.trace, consts, fam.regime)
     _write_trace_csv(trace_path, result)
     _write_summary(summary_path, result, rate_report)
-    logger.info(
-        "run finished: status=%s iters=%d trials=%d trace=%s",
-        result.status,
-        len(result.trace),
-        result.total_trials,
-        trace_path,
-    )
     if not result.trace:
         print(f"error: numerical failure: no accepted step in {result.total_trials} trials "
               f"({result.status})", file=sys.stderr)
@@ -333,11 +316,8 @@ def _set_blas_threads(threads: int) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     paths: List[str] = args.config
-    if not args.sweep and len(paths) != 1:
-        raise UsageError("multiple configs require --sweep")
-    if not args.sweep:
+    if len(paths) == 1:
         return run_config_file(paths[0])
-    codes: List[int] = []
     # A fork-started pool forks all of its workers at once, so it gets no
     # more workers than there are configs.  Each worker gets its share of the
     # CPUs as OpenBLAS threads, so that the workers' BLAS threads do not
@@ -349,11 +329,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(max(1, cpus // workers),)
     ) as pool:
-        for path, code in zip(paths, pool.map(run_config_file, paths)):
-            codes.append(code)
-            if code != EXIT_OK:
-                logger.error("sweep member %s exited with code %d", path, code)
-    return max(codes) if codes else EXIT_OK
+        codes = list(pool.map(run_config_file, paths))
+    for path, code in zip(paths, codes):
+        if code != EXIT_OK:
+            print(f"error: config {path} exited with code {code}", file=sys.stderr)
+    return max(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +363,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.instance is not None:
         inst = load_instance(args.instance)
         fam = family_of(inst)
-    elif args.family is not None:
+    else:
         fam = FAMILIES[args.family]
         inst = fam.generate(args.seed, **fam.check_kwargs)
-    else:
-        raise UsageError("check requires --family or --instance")
 
     problem, x0, _, _, _ = fam.setup(inst)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed, spawn_key=(99,))))
@@ -399,9 +377,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"oracle checks ({fam.name}, 10 points): "
           f"{'pass' if not oracle_failures else 'FAIL'}")
 
-    prox_report = verify_prox_family(prox_lp_power, n_instances=args.prox_instances,
-                                     seed=args.seed)
-    print(f"prox grid-oracle ({args.prox_instances} instances): "
+    prox_report = verify_prox_family(prox_lp_power, n_instances=_PROX_INSTANCES, seed=args.seed)
+    print(f"prox grid-oracle ({_PROX_INSTANCES} instances): "
           f"{'pass' if prox_report.passed else 'FAIL'} "
           f"(max objective excess {prox_report.max_excess:.3e})")
     if not prox_report.passed:
@@ -500,16 +477,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the solver from JSON config(s)")
     p_run.add_argument("--config", nargs="+", required=True)
-    p_run.add_argument("--sweep", action="store_true",
-                       help="run all configs on a process pool")
     p_run.add_argument("--workers", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="verification suite for a problem family")
-    p_check.add_argument("--family", choices=tuple(FAMILIES))
-    p_check.add_argument("--instance")
+    target = p_check.add_mutually_exclusive_group(required=True)
+    target.add_argument("--family", choices=tuple(FAMILIES))
+    target.add_argument("--instance")
     p_check.add_argument("--seed", type=_seed, default=0)
-    p_check.add_argument("--prox-instances", dest="prox_instances", type=int, default=200)
     p_check.set_defaults(func=cmd_check)
 
     p_sub = sub.add_parser("subseq", help="extract the certified subsequence from a trace")
@@ -522,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        _configure_logging()
         parser = _build_parser()
         args = parser.parse_args(argv)
         return int(args.func(args))

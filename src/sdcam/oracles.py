@@ -53,7 +53,6 @@ __all__ = [
     "check_gradient",
     "check_vjp",
     "objective",
-    "default_fd_step",
 ]
 
 
@@ -154,11 +153,6 @@ class Problem:
             raise ValueError(f"degenerate dimensions n={self.n}, m={self.m}")
 
 
-def default_fd_step(x: Vector) -> float:
-    """Central-difference step balancing truncation and rounding."""
-    return 1e-6 * (1.0 + float(np.max(np.abs(x))) if x.size else 1.0)
-
-
 @dataclasses.dataclass(frozen=True)
 class CheckReport:
     max_rel_error: float
@@ -177,19 +171,27 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _fd_step(x: Vector, h_step: Optional[float]) -> float:
-    """The central-difference step of the checkers: ``h_step``, or the default
-    at x, which must lie in [1e-8, 1e-2]."""
-    h = default_fd_step(x) if h_step is None else float(h_step)
-    if not (1e-8 <= h <= 1e-2):
-        raise ValueError(f"h_step {h} outside [1e-8, 1e-2]")
-    return h
+def _fd_step(x: Vector) -> float:
+    """The checkers' central-difference step 1e-6*(1 + max|x|), which balances
+    truncation and rounding; it stays at most 1e-2 for max|x| <= 9999."""
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    if not x_max <= 9999.0:
+        raise ValueError(f"finite-difference checks need max|x| <= 9999, got {x_max:.6g}")
+    return 1e-6 * (1.0 + x_max)
+
+
+def _fd_report(worst: float, worst_i: Optional[int], where: str) -> CheckReport:
+    """The report of a central-difference check whose largest relative error,
+    ``worst``, is at ``where``."""
+    passed = worst <= _REL_TOL
+    message = "" if passed else (f"{where} disagrees with central differences by "
+                                 f"{worst:.3g} relative")
+    return CheckReport(max_rel_error=worst, passed=passed, worst_index=worst_i, message=message)
 
 
 def check_gradient(
     f: SmoothOracle,
     x: Vector,
-    h_step: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> CheckReport:
     """Compare ``f.grad`` against central differences of ``f.value``.
@@ -198,7 +200,7 @@ def check_gradient(
     directions.  Passes iff the max relative error is <= 1e-5.
     """
     x = np.asarray(x, dtype=float)
-    h = _fd_step(x, h_step)
+    h = _fd_step(x)
     n = x.size
     g = np.asarray(f.grad(x), dtype=float)
     if g.shape != x.shape:
@@ -228,13 +230,12 @@ def check_gradient(
         err = _rel_err(fd, an)
         if err > worst:
             worst, worst_i = err, i
-    return CheckReport(max_rel_error=worst, passed=worst <= _REL_TOL, worst_index=worst_i)
+    return _fd_report(worst, worst_i, f"grad along direction {worst_i}")
 
 
 def check_vjp(
     c: MapOracle,
     x: Vector,
-    h_step: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> CheckReport:
     """Compare ``<vjp(x, w), d>`` and ``<pullback(w), d>`` (from
@@ -243,7 +244,7 @@ def check_vjp(
     ``linearize(x)[0]`` equals ``value(x)`` to 1e-13 relative.
     """
     x = np.asarray(x, dtype=float)
-    h = _fd_step(x, h_step)
+    h = _fd_step(x)
     rng = rng if rng is not None else np.random.default_rng(0)
     cx = np.asarray(c.value(x), dtype=float)
     c_lin, pullback = c.linearize(x)
@@ -273,13 +274,7 @@ def check_vjp(
             err = _rel_err(fd, float(v @ d))
             if err > worst:
                 worst, worst_i, worst_name = err, i, name
-    passed = worst <= _REL_TOL
-    return CheckReport(
-        max_rel_error=worst,
-        passed=passed,
-        worst_index=worst_i,
-        message="" if passed else f"{worst_name} disagrees with central differences",
-    )
+    return _fd_report(worst, worst_i, f"{worst_name} at pair {worst_i}")
 
 
 def objective(p: Problem, x: Vector) -> float:

@@ -27,6 +27,8 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BOUND_REL_SLACK = 1e-9
+_GRID_POINTS = 4001
+_GOLDEN_ITERS = 200
 
 
 def scalar_prox_objective(u: float, z: float, params: LpProxParams) -> float:
@@ -34,12 +36,11 @@ def scalar_prox_objective(u: float, z: float, params: LpProxParams) -> float:
     return 0.5 / params.gamma * (z - u) ** 2 + params.alpha * abs(u) ** params.p
 
 
-def _golden_refine(lo: float, hi: float, fn, iters: int = 200) -> float:
-    a, b = lo, hi
+def _golden_refine(a: float, b: float, fn) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if b - a < 1e-15 * (1.0 + abs(a) + abs(b)):
             break
         if fc < fd:
@@ -53,18 +54,18 @@ def _golden_refine(lo: float, hi: float, fn, iters: int = 200) -> float:
     return 0.5 * (a + b)
 
 
-def grid_prox_scalar(z: float, params: LpProxParams, grid_points: int = 4001) -> float:
+def grid_prox_scalar(z: float, params: LpProxParams) -> float:
     """Brute-force minimizer of the scalar prox objective: coarse grid over
     the bracket [0, |z|] (the minimizer has the sign of z and magnitude at
     most |z|), then golden-section refinement inside the best grid cell."""
     if z == 0.0:
         return 0.0
     a = abs(z)
-    grid = np.linspace(0.0, a, grid_points)
+    grid = np.linspace(0.0, a, _GRID_POINTS)
     vals = 0.5 / params.gamma * (a - grid) ** 2 + params.alpha * grid**params.p
     k = int(np.argmin(vals))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
+    hi = grid[min(k + 1, _GRID_POINTS - 1)]
     u = _golden_refine(lo, hi, lambda t: scalar_prox_objective(t, a, params))
     # the origin is always a candidate (the objective is nonsmooth there)
     if scalar_prox_objective(0.0, a, params) <= scalar_prox_objective(u, a, params):
@@ -79,11 +80,7 @@ class ProxComparison:
     worst_case: Optional[Tuple[float, float, float, float]]  # (z, p, alpha, gamma)
 
 
-def verify_prox_family(
-    prox_fn,
-    n_instances: int = 1000,
-    seed: int = 0,
-) -> ProxComparison:
+def verify_prox_family(prox_fn, n_instances: int, seed: int) -> ProxComparison:
     """Check that prox_fn(z, params) never loses to the brute-force grid
     minimizer by more than 1e-8 in objective value, over random scalar
     instances with p in {0.5, 0.8} and gamma log-uniform on [1e-3, 1e3]."""

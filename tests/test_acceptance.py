@@ -20,55 +20,35 @@ from sdcam.schedule import ScheduleSpec, beta_at
 from sdcam.solver import SolverConfig, solve
 from sdcam.verify import verify_prox_family, verify_schedule_sandwich
 from sdcam.problems import (
-    mimo_generate,
-    mimo_initial_point,
-    mimo_problem,
+    FAMILIES,
     mlp_generate,
     mlp_initial_point,
     mlp_problem,
-    mlp_sup_abs_fg,
     qcqp_generate,
     qcqp_initial_point,
     qcqp_problem,
     relative_feasibility,
 )
-from sdcam.problems.mimo import mimo_sup_abs_fg
 
 
-def _solve_family(family, iters, beta0=1.0, delta=None, seed=None):
-    if family == "qcqp":
-        inst = qcqp_generate(1 if seed is None else seed, n=20, m=5)
-        prob = qcqp_problem(inst)
-        x0, y0 = qcqp_initial_point(inst)
-        cfg = SolverConfig(
-            mu_max=1e7, mu_init=1.0, rho=0.8, eta=1.2,
-            schedule=ScheduleSpec("power", beta0, 0.3 if delta is None else delta),
-            max_successful_iters=iters, max_total_trials=100 * iters,
-        )
-        res = solve(prob, cfg, x0, y0, rel_feas=lambda x: relative_feasibility(inst, x))
-        sup = None
-    elif family == "mimo":
-        inst = mimo_generate(0 if seed is None else seed, n=8, m=16)
-        prob = mimo_problem(inst)
-        x0, y0 = mimo_initial_point(inst)
-        cfg = SolverConfig(
-            mu_max=1e7, mu_init=1.0, rho=0.5, eta=2.0,
-            schedule=ScheduleSpec("power", beta0, 1.0 / 3.0 if delta is None else delta),
-            max_successful_iters=iters, max_total_trials=100 * iters,
-        )
-        res = solve(prob, cfg, x0, y0)
-        sup = mimo_sup_abs_fg(inst)
-    else:
-        inst = mlp_generate(0 if seed is None else seed)  # dims (20,8,4,1), 100 samples
-        prob = mlp_problem(inst)
-        x0, y0 = mlp_initial_point(inst)
-        cfg = SolverConfig(
-            mu_max=1e7, mu_init=0.01, rho=0.5, eta=2.0,
-            schedule=ScheduleSpec("power", beta0, 0.5 if delta is None else delta),
-            max_successful_iters=iters, max_total_trials=100 * iters,
-        )
-        res = solve(prob, cfg, x0, y0)
-        sup = mlp_sup_abs_fg(inst)
+# Each family's acceptance run: instance seed, generator kwargs, schedule delta.
+_RUNS = {
+    "qcqp": (1, {"n": 20, "m": 5}, 0.3),
+    "mimo": (0, {"n": 8, "m": 16}, 1.0 / 3.0),
+    "mlp": (0, {}, 0.5),  # dims (20,8,4,1), 100 samples
+}
+
+
+def _solve_family(family, iters):
+    fam = FAMILIES[family]
+    seed, kwargs, delta = _RUNS[family]
+    inst = fam.generate(seed, **kwargs)
+    prob, x0, y0, rel_feas, sup = fam.setup(inst)
+    cfg = SolverConfig(
+        schedule=ScheduleSpec("power", 1.0, delta),
+        max_successful_iters=iters, max_total_trials=100 * iters, **fam.solver_defaults,
+    )
+    res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
     consts = rate_constants(
         prob, cfg.schedule, res.anchors, rho=cfg.rho, mu_max=cfg.mu_max,
         sup_abs_fg_bound=sup,
@@ -107,28 +87,19 @@ def all_runs(run_mimo, run_mlp, run_qcqp):
 def test_criterion_1_oracle_soundness():
     t0 = time.time()
     rng = np.random.default_rng(0)
-
-    inst = qcqp_generate(1, n=20, m=5)
-    prob = qcqp_problem(inst)
-    for _ in range(10):
-        x = rng.uniform(-inst.r, inst.r, 20)
-        assert check_gradient(prob.f, x, rng=rng).max_rel_error <= 1e-5
-        assert check_vjp(prob.c, x, rng=rng).max_rel_error <= 1e-5
-
-    inst = mimo_generate(0, n=8, m=16)
-    prob = mimo_problem(inst)
-    for _ in range(10):
-        x = np.concatenate([rng.uniform(0.5, 1.0, 8), rng.uniform(-3, 3, 8)])
-        assert check_gradient(prob.f, x, rng=rng).max_rel_error <= 1e-5
-        assert check_vjp(prob.c, x, rng=rng).max_rel_error <= 1e-5
-
-    inst = mlp_generate(0)
-    prob = mlp_problem(inst)
-    for _ in range(10):
-        v = rng.uniform(-0.5, 0.5, inst.param_count)
-        assert check_gradient(prob.f, v, rng=rng).max_rel_error <= 1e-5
-        assert check_vjp(prob.c, v, rng=rng).max_rel_error <= 1e-5
-
+    samplers = {
+        "qcqp": lambda inst: rng.uniform(-inst.r, inst.r, 20),
+        "mimo": lambda inst: np.concatenate([rng.uniform(0.5, 1.0, 8), rng.uniform(-3, 3, 8)]),
+        "mlp": lambda inst: rng.uniform(-0.5, 0.5, inst.param_count),
+    }
+    for family, sample in samplers.items():
+        seed, kwargs, _ = _RUNS[family]
+        inst = FAMILIES[family].generate(seed, **kwargs)
+        prob = FAMILIES[family].setup(inst)[0]
+        for _ in range(10):
+            x = sample(inst)
+            assert check_gradient(prob.f, x, rng=rng).max_rel_error <= 1e-5
+            assert check_vjp(prob.c, x, rng=rng).max_rel_error <= 1e-5
     assert time.time() - t0 < 10.0
 
 

@@ -252,17 +252,16 @@ def test_run_qcqp_mu_overflow_exits_2(tmp_path, capsys):
     assert err.startswith("error: numerical failure: g.prox rejected its step mu/2 at mu=inf")
 
 
-def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys, caplog):
+def test_run_qcqp_non_finite_v_exits_2(tmp_path, capsys):
     # beta_t * J_c^T (c - y) overflows: the run fails at v, naming v and beta_t,
     # instead of passing inf into g.prox and blaming the acceptance margins.
-    # The failure is reported once, by the error line, and not logged as well.
+    # The failure is reported once, by the error line.
     path = _huge_beta0_qcqp(tmp_path, 1e305, 0.6)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("numerical failure") == 1
     assert "v = grad f(x) + beta_t * J_c(x)^T (c(x) - y) is not finite" in err
     assert "beta_t=1e+305" in err
-    assert not [r for r in caplog.records if "numerical failure" in r.getMessage()]
 
 
 def test_run_mu_beta_underflow_exits_2(tmp_path, capsys):
@@ -392,8 +391,8 @@ def test_family_table_gen_load_and_check(tmp_path, capsys, name):
     assert json.loads(first.read_text())["family"] == name
     save_instance(inst, str(second))
     assert second.read_bytes() == first.read_bytes()
-    assert main(["check", "--instance", str(first), "--prox-instances", "20"]) == 0
-    assert main(["check", "--family", name, "--seed", "0", "--prox-instances", "20"]) == 0
+    assert main(["check", "--instance", str(first)]) == 0
+    assert main(["check", "--family", name, "--seed", "0"]) == 0
     assert capsys.readouterr().out.count(f"oracle checks ({name}, 10 points): pass") == 2
 
 
@@ -435,15 +434,23 @@ def test_check_points_lie_in_dom_g(monkeypatch, name):
 
     monkeypatch.setattr(sdcam.cli, "verify_problem_oracles", verify)
     for seed in range(3):
-        assert main(["check", "--family", name, "--seed", str(seed), "--prox-instances", "1"]) == 0
+        assert main(["check", "--family", name, "--seed", str(seed)]) == 0
     assert len(seen) == 3
     for problem, points in seen:
         assert len(points) == 10
         assert all(math.isfinite(problem.g.value(x)) for x in points)
 
 
-def test_check_requires_target():
+def test_check_requires_target(tmp_path, capsys):
     assert main(["check"]) == 1
+    # --family must not be silently ignored beside an instance of another family
+    inst = tmp_path / "q.json"
+    assert main(["gen", "--family", "qcqp", "--n", "4", "--m", "2", "--seed", "0",
+                 "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--family", "mimo", "--instance", str(inst)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: argument --instance: not allowed with argument --family\n")
 
 
 def test_subseq_roundtrip(tmp_path):
@@ -499,10 +506,25 @@ def test_sweep_runs_all_configs(tmp_path):
     }
     p2 = tmp_path / "cfg2.json"
     p2.write_text(json.dumps(cfg2))
-    assert main(["run", "--config", str(p1), str(p2), "--sweep", "--workers", "2"]) == 0
-    assert (tmp_path / "trace.csv").exists()
-    assert (tmp_path / "trace_b.csv").exists()
-    assert (tmp_path / "trace_b.csv.summary.json").exists()
+    # on the pool, each config writes the bytes that its own run writes
+    outputs = [tmp_path / name for name in ("trace.csv", "summary.json", "trace_b.csv",
+                                            "trace_b.csv.summary.json")]
+    assert main(["run", "--config", str(p1)]) == 0
+    assert main(["run", "--config", str(p2)]) == 0
+    single = [path.read_bytes() for path in outputs]
+    for path in outputs:
+        path.unlink()
+    assert main(["run", "--config", str(p1), str(p2), "--workers", "2"]) == 0
+    assert [path.read_bytes() for path in outputs] == single
+
+
+def test_sweep_exits_with_the_largest_code_and_names_the_failing_config(tmp_path, capsys):
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "bad").mkdir()
+    ok = _cfg(tmp_path / "ok")[0]
+    bad = _huge_beta0_qcqp(tmp_path / "bad", 1e305, 0.6)  # exits 2 on its own
+    assert main(["run", "--config", str(ok), str(bad), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == f"error: config {bad} exited with code 2\n"
 
 
 @pytest.mark.parametrize(
@@ -530,19 +552,11 @@ def test_sweep_pool_has_no_more_workers_than_configs(tmp_path, monkeypatch, flag
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     paths = []
     for k in range(2):
-        cfg = {
-            "schema_version": 1,
-            "seed": k,
-            "problem": {"family": "qcqp", "n": 8, "m": 2},
-            "solver": {"max_successful_iters": 5},
-            "schedule": {"beta0": 1.0, "delta": 0.3},
-            "output": {"trace": str(tmp_path / f"trace_{k}.csv")},
-        }
-        paths.append(tmp_path / f"cfg_{k}.json")
-        paths[-1].write_text(json.dumps(cfg))
-    assert main(["run", "--config", *map(str, paths), "--sweep", *flags]) == 0
+        (tmp_path / str(k)).mkdir()
+        paths.append(str(_cfg(tmp_path / str(k), seed=k, solver={"max_successful_iters": 5})[0]))
+    assert main(["run", "--config", *paths, *flags]) == 0
     assert sizes == [expected]
-    assert (tmp_path / "trace_0.csv").exists() and (tmp_path / "trace_1.csv").exists()
+    assert (tmp_path / "0" / "trace.csv").exists() and (tmp_path / "1" / "trace.csv").exists()
 
 
 def _openblas_threads():
@@ -570,7 +584,7 @@ def test_sweep_workers_share_the_cpus_as_openblas_threads(tmp_path, monkeypatch)
     saved = get()
     set_(3)
     try:
-        assert main(["run", "--config", *paths, "--sweep", "--workers", "2"]) == 0
+        assert main(["run", "--config", *paths, "--workers", "2"]) == 0
         assert get() == 3
     finally:
         set_(saved)
@@ -579,18 +593,7 @@ def test_sweep_workers_share_the_cpus_as_openblas_threads(tmp_path, monkeypatch)
 
 def test_sweep_with_no_workers_is_usage_error(tmp_path):
     path, _ = _cfg(tmp_path)
-    assert main(["run", "--config", str(path), str(path), "--sweep", "--workers", "0"]) == 1
-
-
-def test_multiple_configs_without_sweep_is_usage_error(tmp_path):
-    p1, _ = _cfg(tmp_path)
-    assert main(["run", "--config", str(p1), str(p1)]) == 1
-
-
-def test_env_log_level_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("SDCAM_LOG_LEVEL", "verbose")
-    p1, _ = _cfg(tmp_path)
-    assert main(["run", "--config", str(p1)]) == 1
+    assert main(["run", "--config", str(path), str(path), "--workers", "0"]) == 1
 
 
 def test_csv_floats_have_17_significant_digits(tmp_path):
@@ -700,7 +703,6 @@ def _set_ri(value):
         ("run", _skew_q),
         ("run", _set_param("alpha", -1.0)),
         ("run", _set_param("r", 0.0)),
-        ("argv", ["check", "--family", "qcqp", "--seed", "0", "--prox-instances", "0"]),
         ("check", lambda doc: {**doc, "extra": 1}),
         ("run", lambda doc: {**doc, "extra": 1}),
         ("run", _set_param("surprise", 1)),
@@ -755,7 +757,6 @@ def _set_ri(value):
         "run-q-asymmetric",
         "run-alpha-negative",
         "run-r-zero",
-        "check-prox-instances-zero",
         "check-top-names-extra",
         "run-top-names-extra",
         "run-params-names-surprise",
@@ -792,7 +793,7 @@ def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, comma
                      "--out", str(inst)]) == 0
         inst.write_text(json.dumps(malform(json.loads(inst.read_text()))))
         if command == "check":
-            argv = ["check", "--instance", str(inst), "--prox-instances", "5"]
+            argv = ["check", "--instance", str(inst)]
         else:
             argv = ["run", "--config", str(_cfg(tmp_path, problem={"instance": str(inst)})[0])]
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from sdcam.oracles import (
     SmoothOracle,
     check_gradient,
     check_vjp,
-    default_fd_step,
     objective,
 )
 
@@ -44,6 +44,7 @@ def test_check_gradient_fails_on_corrupted_gradient():
     rep = check_gradient(broken, np.ones(3))
     assert not rep.passed
     assert rep.worst_index == 1
+    assert rep.message == "grad along direction 1 disagrees with central differences by 0.5 relative"
 
 
 def test_check_gradient_nonfinite_value_reports_message():
@@ -61,14 +62,18 @@ def test_check_gradient_uses_random_directions_in_high_dimension():
 
 
 def test_check_gradient_rejects_bad_step():
-    # check_vjp takes its step through the same check as check_gradient
+    # The step 1e-6*(1 + max|x|) exceeds 1e-2 beyond max|x| = 9999, and is NaN
+    # at a NaN point; check_vjp takes its step through the same check.
     f = SmoothOracle(value=lambda x: 0.0, grad=lambda x: np.zeros_like(x))
     c = MapOracle(value=lambda x: x.copy(), vjp=lambda x, w: np.asarray(w, dtype=float))
-    for h_step in (1.0, 0.0, -1e-4, math.nan):
-        with pytest.raises(ValueError, match=r"outside \[1e-8, 1e-2\]"):
-            check_gradient(f, np.zeros(2), h_step=h_step)
-        with pytest.raises(ValueError, match=r"outside \[1e-8, 1e-2\]"):
-            check_vjp(c, np.zeros(2), h_step=h_step)
+    assert check_gradient(f, np.array([0.0, -9999.0])).passed
+    assert check_vjp(c, np.array([0.0, -9999.0])).passed
+    for x, shown in (([0.0, -1e4], "10000"), ([1e5, 0.0], "100000"), ([math.nan, 0.0], "nan")):
+        message = f"finite-difference checks need max|x| <= 9999, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_gradient(f, np.array(x))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_vjp(c, np.array(x))
 
 
 def test_check_vjp_passes_on_linear_map():
@@ -124,9 +129,13 @@ def test_map_given_by_a_linearizer_derives_value_and_vjp():
             MapOracle(**kwargs)
 
 
-def test_default_fd_step_scales_with_point():
-    assert default_fd_step(np.zeros(3)) == pytest.approx(1e-6)
-    assert default_fd_step(np.array([9.0])) == pytest.approx(1e-5)
+def test_fd_step_scales_with_point():
+    # the checkers evaluate f at x +- h*e_i with h = 1e-6*(1 + max|x|)
+    for x, h in ((np.zeros(3), 1e-6), (np.array([9.0]), 1e-5), (np.array([-3.0, 1.0]), 4e-6)):
+        seen = []
+        f = SmoothOracle(value=lambda y: seen.append(y - x) or 0.0, grad=np.zeros_like)
+        check_gradient(f, x)
+        assert np.max(np.abs(seen)) == pytest.approx(h)
 
 
 def _tiny_problem():

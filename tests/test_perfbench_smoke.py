@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+import sdcam.cli
 import sdcam.diagnostics
 import sdcam.problems
 import sdcam.solver
@@ -26,7 +27,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
     WORKLOADS = [w["name"] for w in json.load(_fh)["workloads"]]
 
 
-def test_what_the_benchmark_reads_from_src():
+def test_what_the_benchmark_reads_from_src(tmp_path, monkeypatch):
     # perfbench/tracing.py replaces these module attributes while a traced
     # run executes, and solve must look them up at call time
     for module, name in ((sdcam.solver, "step"), (sdcam.solver, "beta_at"),
@@ -46,6 +47,29 @@ def test_what_the_benchmark_reads_from_src():
     # perfbench/workloads.py calls it as relative_feasibility(inst, x)
     assert list(inspect.signature(sdcam.problems.relative_feasibility).parameters) == ["inst", "x"]
     assert sdcam.problems.relative_feasibility(inst, x0) >= 0.0
+    # perfbench/run.py's cli_pass replaces the two writers at these module
+    # attributes, runs one config through cli.main in this process, and reads
+    # these summary fields
+    calls = []
+    for name in ("_write_trace_csv", "_write_summary"):
+        writer = getattr(sdcam.cli, name)
+        monkeypatch.setattr(sdcam.cli, name,
+                            lambda *args, _n=name, _w=writer: calls.append(_n) or _w(*args))
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for wl in workloads.WORKLOADS.values():
+        calls.clear()
+        wl = dataclasses.replace(wl, budget=5)
+        summary_path = tmp_path / f"{wl.name}.json"
+        config_path = tmp_path / f"{wl.name}-run.json"
+        config = wl.run_config(wl.default_seed, str(tmp_path / f"{wl.name}.csv"), str(summary_path))
+        config_path.write_text(json.dumps(config))
+        assert sdcam.cli.main(["run", "--config", str(config_path)]) == 0, wl.name
+        assert calls == ["_write_trace_csv", "_write_summary"], wl.name
+        summary = json.loads(summary_path.read_text())
+        assert (summary["status"], summary["successful_iters"]) == ("iteration budget", 5)
+        assert summary["rate_bound_check"]["passed"] is True, wl.name
+        assert all(isinstance(summary["final"][key], float) for key in ("fg_value", "residual"))
 
 
 @pytest.mark.slow

@@ -610,13 +610,6 @@ def test_step_matches_the_literal_reference_trial_by_trial(family, seed):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_step_residual_matches_from_scratch_reference(family):
-    # The residual identity agrees with diagnostics.stationarity_residual at the
-    # witnesses (x^{t+1}, y^t, z = x^t); the distances it reuses are bit for bit.
-    _assert_matches_reference(family, 0)
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_step_margins_match_from_scratch_bit_for_bit(family):
     # Some trial is a swept rejection.  Only on qcqp is some trial certified, and
     # some certified trial follows a swept rejection at the same iterate, so that
