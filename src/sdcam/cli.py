@@ -316,20 +316,20 @@ def _set_blas_threads(threads: int) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     paths: List[str] = args.config
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     if len(paths) == 1:
-        return run_config_file(paths[0])
+        return _exit_code(run_config_file, paths[0])
     # A fork-started pool forks all of its workers at once, so it gets no
     # more workers than there are configs.  Each worker gets its share of the
     # CPUs as OpenBLAS threads, so that the workers' BLAS threads do not
     # outnumber the CPUs.
     cpus = os.cpu_count() or 1
-    workers = min(cpus if args.workers is None else args.workers, len(paths))
-    if workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    workers = min(args.workers or cpus, len(paths))
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(max(1, cpus // workers),)
     ) as pool:
-        codes = list(pool.map(run_config_file, paths))
+        codes = list(pool.map(functools.partial(_exit_code, run_config_file), paths))
     for path, code in zip(paths, codes):
         if code != EXIT_OK:
             print(f"error: config {path} exited with code {code}", file=sys.stderr)
@@ -495,17 +495,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _exit_code(fn: Callable[..., int], *args: Any) -> int:
+    """``fn(*args)``, with a numerical failure or a usage error that it
+    raises printed and mapped to its exit code."""
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        return int(args.func(args))
+        return int(fn(*args))
     except SolverError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (UsageError, FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _dispatch(argv: Optional[List[str]]) -> int:
+    args = _build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    return _exit_code(_dispatch, argv)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,8 @@ A problem is a bundle of four oracles:
 - ``SmoothOracle`` for the smooth term f (value + gradient),
 - ``ProxOracle`` for the prox-friendly terms g and h (extended-real value +
   proximal mapping),
-- ``MapOracle`` for the inner map c (value + vector-Jacobian products, and
-  ``linearize``, which gives both from one pass; a map given as a one-pass
-  linearizer gets its value and vjp from it).
+- ``MapOracle`` for the inner map c, given by ``linearize(x) -> (c(x),
+  pullback)``, which gives the value and the adjoint from one pass.
 
 Dense Jacobians are never formed: the solver needs J_c(x)^T w, and J_c(a) e
 where a pullback offers it.  A ``Pullback`` is a callable w -> J_c(a)^T w; it
@@ -28,7 +27,7 @@ Extended-real values use IEEE ``inf`` (``g.value(x) == inf`` iff x is outside
 dom g), so +inf comparisons are exact.
 
 ``check_gradient`` / ``check_vjp`` verify user oracles against central finite
-differences; ``check_vjp`` also checks the ``linearize`` pullback.
+differences; ``check_vjp`` checks the ``linearize`` pullback.
 """
 
 from __future__ import annotations
@@ -83,45 +82,29 @@ class ProxOracle:
 
 @dataclasses.dataclass(frozen=True)
 class MapOracle:
-    """Nonlinear map c: R^n -> R^m with adjoint products.
-
-    ``linearizer(x) -> (c(x), pullback)`` gives the value and the adjoint in
-    one pass; a map given by it alone gets ``value(x) = linearizer(x)[0]`` and
-    ``vjp(x, w) = linearizer(x)[1](w)``.  Without a linearizer, ``value`` and
-    ``vjp(x, w) = J_c(x)^T w`` are both required.  ``jac_lipschitz_bound`` and
-    ``jac_norm_bound`` are optional user-supplied constants L_c and M_c, and
-    ``jvp_slack`` the rounding slack of a jvp's Taylor bound (module docstring).
+    """Nonlinear map c: R^n -> R^m, given by ``linearize(x) -> (c(x), pullback)``
+    with ``pullback(w) = J_c(x)^T w``, in the style of ``jax.vjp``.  The
+    pullback does not change when the caller later mutates x, and may offer
+    ``pullback.jvp(d) = J_c(x) d`` (module docstring).  ``jac_lipschitz_bound``
+    and ``jac_norm_bound`` are optional constants L_c and M_c, and ``jvp_slack``
+    the rounding slack of a jvp's Taylor bound.  ``value(x) = linearize(x)[0]``
+    and ``vjp(x, w) = linearize(x)[1](w)`` are views, fields only so that
+    ``dataclasses.replace`` can wrap them; the solver never calls them.
     """
 
-    value: Optional[Callable[[Vector], Vector]] = None
-    vjp: Optional[Callable[[Vector, Vector], Vector]] = None
+    linearize: Callable[[Vector], Tuple[Vector, Pullback]]
     jac_lipschitz_bound: Optional[float] = None
     jac_norm_bound: Optional[float] = None
-    linearizer: Optional[Callable[[Vector], Tuple[Vector, Pullback]]] = None
     jvp_slack: Optional[float] = None
+    value: Optional[Callable[[Vector], Vector]] = None
+    vjp: Optional[Callable[[Vector, Vector], Vector]] = None
 
     def __post_init__(self) -> None:
-        lin = self.linearizer
-        if lin is None:
-            if self.value is None or self.vjp is None:
-                raise ValueError("a MapOracle without a linearizer needs both value and vjp")
-            return
+        lin = self.linearize
         if self.value is None:
             object.__setattr__(self, "value", lambda x: lin(x)[0])
         if self.vjp is None:
             object.__setattr__(self, "vjp", lambda x, w: lin(x)[1](w))
-
-    def linearize(self, x: Vector) -> Tuple[Vector, Pullback]:
-        """``(c(x), pullback)`` with ``pullback(w) = J_c(x)^T w``, in the style
-        of ``jax.vjp``.  The pullback does not change when the caller later
-        mutates x, and may offer ``pullback.jvp(d) = J_c(x) d`` (see the
-        module docstring).  Without a ``linearizer`` it is built from
-        ``value`` and ``vjp`` at a copy of x, and offers no jvp.
-        """
-        if self.linearizer is not None:
-            return self.linearizer(x)
-        x = np.array(x, dtype=float)
-        return self.value(x), lambda w: self.vjp(x, w)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,9 +221,9 @@ def check_vjp(
     x: Vector,
     rng: Optional[np.random.Generator] = None,
 ) -> CheckReport:
-    """Compare ``<vjp(x, w), d>`` and ``<pullback(w), d>`` (from
-    ``c.linearize(x)``) against a central difference of ``<w, c(.)>`` along d,
-    for 10 random pairs (w, d).  Passes iff every pair agrees to 1e-5 and
+    """Compare ``<pullback(w), d>``, with the pullback from ``c.linearize(x)``,
+    against a central difference of ``<w, c(.)>`` along d, for 10 random
+    pairs (w, d).  Passes iff every pair agrees to 1e-5 and
     ``linearize(x)[0]`` equals ``value(x)`` to 1e-13 relative.
     """
     x = np.asarray(x, dtype=float)
@@ -261,20 +244,18 @@ def check_vjp(
     m = cx.size
     worst = 0.0
     worst_i: Optional[int] = None
-    worst_name = ""
     for i in range(_VJP_TRIALS):
         w = rng.standard_normal(m)
         d = rng.standard_normal(x.size)
         d /= np.linalg.norm(d)
         fd = float(w @ (np.asarray(c.value(x + h * d)) - np.asarray(c.value(x - h * d)))) / (2.0 * h)
-        for name, v in (("vjp", c.vjp(x, w)), ("pullback", pullback(w))):
-            v = np.asarray(v, dtype=float)
-            if v.shape != x.shape:
-                raise ValueError(f"{name} shape {v.shape} != x shape {x.shape}")
-            err = _rel_err(fd, float(v @ d))
-            if err > worst:
-                worst, worst_i, worst_name = err, i, name
-    return _fd_report(worst, worst_i, f"{worst_name} at pair {worst_i}")
+        v = np.asarray(pullback(w), dtype=float)
+        if v.shape != x.shape:
+            raise ValueError(f"pullback shape {v.shape} != x shape {x.shape}")
+        err = _rel_err(fd, float(v @ d))
+        if err > worst:
+            worst, worst_i = err, i
+    return _fd_report(worst, worst_i, f"pullback at pair {worst_i}")
 
 
 def objective(p: Problem, x: Vector) -> float:

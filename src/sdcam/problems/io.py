@@ -55,7 +55,8 @@ def load_instance(path: str) -> Any:
     Raises ValueError on a key that save_instance would not write: a
     top-level key beyond the five, a ``params`` or ``data`` key that is not
     a field of the family's instance class (``seed`` included), or a field
-    given in both sections."""
+    given in both sections; and on a data entry whose ``shape`` is not a list
+    of non-negative integers or whose ``values`` are not numbers of it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -93,12 +94,16 @@ def load_instance(path: str) -> Any:
             continue
         if field.name in data:
             entry = data[field.name]
+            where = f"data entry {field.name!r} in instance file {path}"
             if not (isinstance(entry, dict) and "shape" in entry and "values" in entry):
-                raise ValueError(
-                    f"data entry {field.name!r} in instance file {path} must be an "
-                    "object with 'shape' and 'values'"
-                )
-            kwargs[field.name] = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
+                raise ValueError(f"{where} must be an object with 'shape' and 'values'")
+            shape = entry["shape"]
+            if not (isinstance(shape, list) and all(type(k) is int and k >= 0 for k in shape)):
+                raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
+            try:
+                kwargs[field.name] = np.asarray(entry["values"], dtype=float).reshape(shape)
+            except (TypeError, ValueError) as exc:  # values that are not numbers of that shape
+                raise ValueError(f"{where}: {exc}") from exc
         elif field.name in params:
             value = params[field.name]
             kwargs[field.name] = tuple(value) if isinstance(value, list) else value

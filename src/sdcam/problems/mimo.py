@@ -15,7 +15,7 @@ extension is evaluated only off the box, where check_gradient's central
 differences may land.  The problem holds no mutable state, so several threads
 may evaluate one problem at once.
 
-The map is given as a one-pass linearizer: it forms p_psk*theta/2 once per
+The map's ``linearize`` makes one pass: it forms p_psk*theta/2 once per
 point and returns sin of it with a pullback that closes over it, so a trial
 makes one map pass and the accepted step's pullback adds one cos.
 
@@ -67,6 +67,9 @@ class MimoInstance:
 
     def __post_init__(self) -> None:
         _check_params(self.n, self.m, self.p_psk, self.r_lo)
+        for name in ("A", "yhat"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -183,9 +186,7 @@ def mimo_problem(inst: MimoInstance) -> Problem:
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
         c=MapOracle(
-            jac_lipschitz_bound=ppsk**2 / 4.0,
-            jac_norm_bound=ppsk / 2.0,
-            linearizer=c_linearize,
+            linearize=c_linearize, jac_lipschitz_bound=ppsk**2 / 4.0, jac_norm_bound=ppsk / 2.0
         ),
         n=2 * n,
         m=n,

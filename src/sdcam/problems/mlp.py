@@ -66,6 +66,9 @@ class MlpInstance:
 
     def __post_init__(self) -> None:
         _check_params(self.layer_dims, self.activation, self.p, self.lam)
+        for name in ("features", "targets"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         # the radius of g's box, checked once here rather than mid-run by g.prox
         if not 0.0 < self.C_radius < math.inf:
             raise ValueError(f"C_radius must be positive and finite, got {self.C_radius}")
@@ -231,7 +234,7 @@ def mlp_problem(inst: MlpInstance) -> Problem:
         f=SmoothOracle(f_value, f_grad, lipschitz_bound=0.0),
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
-        c=MapOracle(linearizer=c_linearize),
+        c=MapOracle(linearize=c_linearize),
         n=nv,
         m=m,
         inf_fg_lower_bound=0.0,

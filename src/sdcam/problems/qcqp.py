@@ -253,9 +253,9 @@ def qcqp_problem(inst: QcqpInstance) -> Problem:
         g=ProxOracle(g_value, g_prox),
         h=ProxOracle(h_value, h_prox),
         c=MapOracle(
+            linearize=functools.partial(_linearize, inst),
             jac_lipschitz_bound=L_c,
             jac_norm_bound=M_c,
-            linearizer=functools.partial(_linearize, inst),
             jvp_slack=_jvp_slack(inst),
         ),
         n=inst.n,

@@ -527,6 +527,16 @@ def test_sweep_exits_with_the_largest_code_and_names_the_failing_config(tmp_path
     assert capsys.readouterr().err == f"error: config {bad} exited with code 2\n"
 
 
+def test_sweep_names_a_config_with_a_usage_error_and_runs_the_others(tmp_path, capsys):
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "bad").mkdir()
+    ok = _cfg(tmp_path / "ok")[0]
+    bad = _cfg(tmp_path / "bad", extra=1)[0]  # exits 1 on its own
+    assert main(["run", "--config", str(bad), str(ok), "--workers", "2"]) == 1
+    assert capsys.readouterr().err == f"error: config {bad} exited with code 1\n"
+    assert (tmp_path / "ok" / "summary.json").exists()
+
+
 @pytest.mark.parametrize(
     "flags, expected",
     [(["--workers", "64"], 2), (["--workers", "1"], 1), ([], min(os.cpu_count() or 1, 2))],
@@ -596,6 +606,13 @@ def test_sweep_with_no_workers_is_usage_error(tmp_path):
     assert main(["run", "--config", str(path), str(path), "--workers", "0"]) == 1
 
 
+def test_run_with_no_workers_is_usage_error_for_one_config_too(tmp_path, capsys):
+    path, _ = _cfg(tmp_path)
+    assert main(["run", "--config", str(path), "--workers", "0"]) == 1
+    assert capsys.readouterr().err == "usage error: --workers must be at least 1, got 0\n"
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_csv_floats_have_17_significant_digits(tmp_path):
     path, _ = _cfg(tmp_path)
     assert main(["run", "--config", str(path)]) == 0
@@ -650,6 +667,14 @@ def _set_entry(key, value):
     return malform
 
 
+def _set_data(key, part, value):
+    """Set the ``shape`` or ``values`` of data entry ``key``."""
+    def malform(doc):
+        doc["data"][key][part] = value
+        return doc
+    return malform
+
+
 def _add_entry(section, key, value):
     def malform(doc):
         doc[section][key] = value
@@ -667,114 +692,87 @@ def _set_ri(value):
 @pytest.mark.parametrize(
     "command, malform",
     [
-        ("check", _drop_seed),
-        ("run", _drop_seed),
-        ("check", _drop_params),
-        ("run", lambda doc: [doc]),
-        ("subseq", None),
-        ("config", {"problem": 5}),
-        ("config", {"problem": {"family": "qcqp", "n": "5", "m": 2}}),
-        ("config", {"schedule": 7}),
-        ("config", {"solver": {"max_successful_iters": "5"}}),
-        ("config", {"output": {"trace": 1}}),
-        ("config", {"output": {"trace": ["x"]}}),
-        ("config", {"output": {"trace": "t.csv", "summary": 7}}),
-        ("config", {"problem": {"instance": ["inst.json"]}}),
-        ("config", {"seed": True}),
-        ("config", {"seed": -1}),
-        ("argv", ["check", "--family", "mimo", "--seed", "-1"]),
-        ("check", _drop_data_shape),
-        ("check", lambda doc: {**doc, "params": 5}),
-        ("check", lambda doc: {**doc, "data": 5}),
-        ("check", lambda doc: {**doc, "seed": "x"}),
-        ("run", lambda doc: {**doc, "params": {**doc["params"], "n": "4"}}),
+        pytest.param("check", _drop_seed, id="check-no-seed"),
+        pytest.param("run", _drop_seed, id="run-no-seed"),
+        pytest.param("check", _drop_params, id="check-no-params"),
+        pytest.param("run", lambda doc: [doc], id="run-list"),
+        pytest.param("subseq", None, id="subseq-no-step-norm"),
+        pytest.param("config", {"problem": 5}, id="config-problem-not-object"),
+        pytest.param("config", {"problem": {"family": "qcqp", "n": "5", "m": 2}},
+                     id="config-problem-key-type"),
+        pytest.param("config", {"schedule": 7}, id="config-schedule-not-object"),
+        pytest.param("config", {"solver": {"max_successful_iters": "5"}},
+                     id="config-solver-key-type"),
+        pytest.param("config", {"output": {"trace": 1}}, id="config-trace-int"),
+        pytest.param("config", {"output": {"trace": ["x"]}}, id="config-trace-list"),
+        pytest.param("config", {"output": {"trace": "t.csv", "summary": 7}},
+                     id="config-summary-int"),
+        pytest.param("config", {"problem": {"instance": ["inst.json"]}},
+                     id="config-instance-list"),
+        pytest.param("config", {"seed": True}, id="config-seed-bool"),
+        pytest.param("config", {"seed": -1}, id="config-seed-negative"),
+        pytest.param("argv", ["check", "--family", "mimo", "--seed", "-1"],
+                     id="check-seed-negative"),
+        pytest.param("check", _drop_data_shape, id="check-data-no-shape"),
+        pytest.param("check", lambda doc: {**doc, "params": 5}, id="check-params-not-object"),
+        pytest.param("check", lambda doc: {**doc, "data": 5}, id="check-data-not-object"),
+        pytest.param("check", lambda doc: {**doc, "seed": "x"}, id="check-seed-not-integer"),
+        pytest.param("run", lambda doc: {**doc, "params": {**doc["params"], "n": "4"}},
+                     id="run-param-type"),
         # xbar ~ 1e250 overflows the offsets ri to NaN
-        ("config", {"seed": 3, "problem": {"family": "qcqp", "n": 10, "m": 3, "p": 0.99,
-                                           "scale0": 1e250}}),
-        ("run", _set_ri(float("nan"))),
-        ("run", _set_entry("b0", float("nan"))),
-        ("check", _set_entry("b0", float("nan"))),
-        ("run", _set_entry("Q", float("inf"))),
-        ("run", _set_entry("Q", float("nan"))),
-        ("run", _set_entry("bi", float("inf"))),
-        ("run", _set_entry("xbar", float("nan"))),
-        ("run", _set_ri(0.5)),
-        ("run", _scale_q0),
-        ("run", _skew_q),
-        ("run", _set_param("alpha", -1.0)),
-        ("run", _set_param("r", 0.0)),
-        ("check", lambda doc: {**doc, "extra": 1}),
-        ("run", lambda doc: {**doc, "extra": 1}),
-        ("run", _set_param("surprise", 1)),
-        ("check", _add_entry("data", "Z", {"shape": [1], "values": [0.0]})),
-        ("run", _set_param("seed", 0)),
-        ("check", _add_entry("data", "seed", {"shape": [], "values": 0})),
-        ("run", _set_param("b0", [0.0] * 4)),
-        ("config", {"assert_level": "full"}),
-        ("config", {"solver": {"max_successful_iters": 2.5}}),
-        ("config", {"solver": {"max_successful_iters": True}}),
-        ("config", {"solver": {"max_successful_iters": 5, "max_total_trials": 7.5}}),
-        ("config", {"schedule": {"family": "blocked", "beta0": 1.0, "delta": 0.3, "K": 2.5}}),
-        ("config", {"schedule": {"beta0": True, "delta": 0.3}}),
-        ("config", {"solver": {"max_successful_iters": 5, "eta": True}}),
-        ("config", {"solver": {"max_successful_iters": 5, "eta": math.nan}}),
-        ("config", {"schedule": {"beta0": math.nan, "delta": 0.3}}),
-        ("config", {"problem": {"family": "mlp", "source": "synthetic"}}),
-        ("config", {"problem": {"family": "mlp", "layer_dims": [20, 8.5, 4, 1]}}),
-    ],
-    ids=[
-        "check-no-seed",
-        "run-no-seed",
-        "check-no-params",
-        "run-list",
-        "subseq-no-step-norm",
-        "config-problem-not-object",
-        "config-problem-key-type",
-        "config-schedule-not-object",
-        "config-solver-key-type",
-        "config-trace-int",
-        "config-trace-list",
-        "config-summary-int",
-        "config-instance-list",
-        "config-seed-bool",
-        "config-seed-negative",
-        "check-seed-negative",
-        "check-data-no-shape",
-        "check-params-not-object",
-        "check-data-not-object",
-        "check-seed-not-integer",
-        "run-param-type",
-        "config-qcqp-ri-not-finite",
-        "run-ri-nan",
-        "run-b0-nan",
-        "check-b0-nan",
-        "run-Q-inf",
-        "run-Q-nan",
-        "run-bi-inf",
-        "run-xbar-nan",
-        "run-ri-positive",
-        "run-q0-not-identity",
-        "run-q-asymmetric",
-        "run-alpha-negative",
-        "run-r-zero",
-        "check-top-names-extra",
-        "run-top-names-extra",
-        "run-params-names-surprise",
-        "check-data-names-Z",
-        "run-params-names-seed",
-        "check-data-names-seed",
-        "run-twice-names-b0",
-        "config-names-assert_level",
-        "config-float-names-max_successful_iters",
-        "config-bool-names-max_successful_iters",
-        "config-float-names-max_total_trials",
-        "config-float-names-K",
-        "config-bool-names-beta0",
-        "config-bool-names-eta",
-        "config-nan-names-eta",
-        "config-nan-names-beta0",
-        "config-mlp-names-source",
-        "config-float-names-layer_dims",
+        pytest.param("config", {"seed": 3, "problem": {"family": "qcqp", "n": 10, "m": 3,
+                                                       "p": 0.99, "scale0": 1e250}},
+                     id="config-qcqp-ri-not-finite"),
+        pytest.param("run", _set_ri(float("nan")), id="run-ri-nan"),
+        pytest.param("run", _set_entry("b0", float("nan")), id="run-b0-nan"),
+        pytest.param("check", _set_entry("b0", float("nan")), id="check-b0-nan"),
+        pytest.param("run", _set_entry("Q", float("inf")), id="run-Q-inf"),
+        pytest.param("run", _set_entry("Q", float("nan")), id="run-Q-nan"),
+        pytest.param("run", _set_entry("bi", float("inf")), id="run-bi-inf"),
+        pytest.param("run", _set_entry("xbar", float("nan")), id="run-xbar-nan"),
+        pytest.param("run", _set_ri(0.5), id="run-ri-positive"),
+        pytest.param("run", _scale_q0, id="run-q0-not-identity"),
+        pytest.param("run", _skew_q, id="run-q-asymmetric"),
+        pytest.param("run", _set_param("alpha", -1.0), id="run-alpha-negative"),
+        pytest.param("run", _set_param("r", 0.0), id="run-r-zero"),
+        pytest.param("check", lambda doc: {**doc, "extra": 1}, id="check-top-names-extra"),
+        pytest.param("run", lambda doc: {**doc, "extra": 1}, id="run-top-names-extra"),
+        pytest.param("run", _set_param("surprise", 1), id="run-params-names-surprise"),
+        pytest.param("check", _add_entry("data", "Z", {"shape": [1], "values": [0.0]}),
+                     id="check-data-names-Z"),
+        pytest.param("run", _set_param("seed", 0), id="run-params-names-seed"),
+        pytest.param("check", _add_entry("data", "seed", {"shape": [], "values": 0}),
+                     id="check-data-names-seed"),
+        pytest.param("run", _set_param("b0", [0.0] * 4), id="run-twice-names-b0"),
+        pytest.param("config", {"assert_level": "full"}, id="config-names-assert_level"),
+        pytest.param("config", {"solver": {"max_successful_iters": 2.5}},
+                     id="config-float-names-max_successful_iters"),
+        pytest.param("config", {"solver": {"max_successful_iters": True}},
+                     id="config-bool-names-max_successful_iters"),
+        pytest.param("config", {"solver": {"max_successful_iters": 5, "max_total_trials": 7.5}},
+                     id="config-float-names-max_total_trials"),
+        pytest.param("config", {"schedule": {"family": "blocked", "beta0": 1.0, "delta": 0.3,
+                                             "K": 2.5}}, id="config-float-names-K"),
+        pytest.param("config", {"schedule": {"beta0": True, "delta": 0.3}},
+                     id="config-bool-names-beta0"),
+        pytest.param("config", {"solver": {"max_successful_iters": 5, "eta": True}},
+                     id="config-bool-names-eta"),
+        pytest.param("config", {"solver": {"max_successful_iters": 5, "eta": math.nan}},
+                     id="config-nan-names-eta"),
+        pytest.param("config", {"schedule": {"beta0": math.nan, "delta": 0.3}},
+                     id="config-nan-names-beta0"),
+        pytest.param("config", {"problem": {"family": "mlp", "source": "synthetic"}},
+                     id="config-mlp-names-source"),
+        pytest.param("config", {"problem": {"family": "mlp", "layer_dims": [20, 8.5, 4, 1]}},
+                     id="config-float-names-layer_dims"),
+        pytest.param("run:mimo", _set_data("A", "shape", "x"), id="run-shape-str-names-A"),
+        pytest.param("check:mimo", _set_data("A", "shape", [1.5]), id="check-shape-float-names-A"),
+        pytest.param("run:mimo", _set_data("A", "shape", None), id="run-shape-null-names-A"),
+        pytest.param("run:mimo", _set_data("A", "values", {"a": 1}), id="run-values-dict-names-A"),
+        pytest.param("run:mimo", _set_entry("A", float("nan")), id="run-A-nan"),
+        pytest.param("check:mimo", _set_entry("yhat", float("inf")), id="check-yhat-inf"),
+        pytest.param("run:mlp", _set_entry("features", float("nan")), id="run-features-nan"),
+        pytest.param("check:mlp", _set_entry("targets", float("nan")), id="check-targets-nan"),
     ],
 )
 def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, command, malform):
@@ -788,9 +786,11 @@ def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, comma
         argv = ["subseq", "--trace", str(trace), "--column", "step_norm_sq",
                 "--out", str(tmp_path / "o.csv")]
     else:
+        # "run" edits a QCQP 4x2 instance, "run:mimo" the `sdcam check` MIMO one
+        command, _, family = command.partition(":")
+        fam = FAMILIES[family or "qcqp"]
         inst = tmp_path / "inst.json"
-        assert main(["gen", "--family", "qcqp", "--n", "4", "--m", "2", "--seed", "0",
-                     "--out", str(inst)]) == 0
+        save_instance(fam.generate(0, **(fam.check_kwargs if family else {"n": 4, "m": 2})), inst)
         inst.write_text(json.dumps(malform(json.loads(inst.read_text()))))
         if command == "check":
             argv = ["check", "--instance", str(inst)]
@@ -805,6 +805,6 @@ def test_malformed_inputs_exit_with_usage_error(tmp_path, capsys, request, comma
         assert "seed" in err
     if "-names-" in case:  # the message names the key that ends the case id
         assert case.rsplit("-names-", 1)[1] in err
-    for field in ("b0", "Q", "bi", "xbar"):
+    for field in ("b0", "Q", "bi", "xbar", "A", "yhat", "features", "targets"):
         if f"-{field}-" in case:
             assert f"usage error: {field} must be finite" in err

@@ -95,7 +95,7 @@ def test_suggest_delta_in_open_interval():
 def _linear_problem():
     f = SmoothOracle(value=lambda x: float(0.5 * x @ x), grad=lambda x: x)
     free = ProxOracle(value=lambda x: 0.0, prox=lambda z, g: np.asarray(z, dtype=float))
-    c = MapOracle(value=lambda x: x.copy(), vjp=lambda x, w: np.asarray(w, dtype=float))
+    c = MapOracle(lambda x: (np.array(x, dtype=float), lambda w: np.asarray(w, dtype=float)))
     return Problem(f=f, g=free, h=free, c=c, n=2, m=2, inf_fg_lower_bound=0.0)
 
 

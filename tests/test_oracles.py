@@ -24,6 +24,11 @@ def quadratic_oracle(A, b):
     )
 
 
+def linear_map(J):
+    """The map x -> J x, with pullback w -> J^T w."""
+    return MapOracle(lambda x: (J @ x, lambda w: J.T @ w))
+
+
 def test_check_gradient_passes_on_exact_quadratic():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((5, 5))
@@ -65,7 +70,7 @@ def test_check_gradient_rejects_bad_step():
     # The step 1e-6*(1 + max|x|) exceeds 1e-2 beyond max|x| = 9999, and is NaN
     # at a NaN point; check_vjp takes its step through the same check.
     f = SmoothOracle(value=lambda x: 0.0, grad=lambda x: np.zeros_like(x))
-    c = MapOracle(value=lambda x: x.copy(), vjp=lambda x, w: np.asarray(w, dtype=float))
+    c = linear_map(np.eye(2))
     assert check_gradient(f, np.array([0.0, -9999.0])).passed
     assert check_vjp(c, np.array([0.0, -9999.0])).passed
     for x, shown in (([0.0, -1e4], "10000"), ([1e5, 0.0], "100000"), ([math.nan, 0.0], "nan")):
@@ -79,14 +84,13 @@ def test_check_gradient_rejects_bad_step():
 def test_check_vjp_passes_on_linear_map():
     rng = np.random.default_rng(2)
     J = rng.standard_normal((4, 6))
-    c = MapOracle(value=lambda x: J @ x, vjp=lambda x, w: J.T @ w)
-    rep = check_vjp(c, rng.standard_normal(6), rng=rng)
+    rep = check_vjp(linear_map(J), rng.standard_normal(6), rng=rng)
     assert rep.passed
 
 
 def test_check_vjp_fails_on_wrong_adjoint():
     J = np.array([[1.0, 2.0], [3.0, 4.0]])
-    c = MapOracle(value=lambda x: J @ x, vjp=lambda x, w: J @ w)  # J, not J.T
+    c = MapOracle(lambda x: (J @ x, lambda w: J @ w))  # J, not J.T
     rep = check_vjp(c, np.ones(2), rng=np.random.default_rng(0))
     assert not rep.passed
 
@@ -95,37 +99,26 @@ def test_check_vjp_checks_the_linearize_pullback():
     rng = np.random.default_rng(3)
     J = rng.standard_normal((4, 6))
     x = rng.standard_normal(6)
-    good = MapOracle(
-        value=lambda x: J @ x,
-        vjp=lambda x, w: J.T @ w,
-        linearizer=lambda x: (J @ x, lambda w: J.T @ w),
-    )
+    good = linear_map(J)
     assert check_vjp(good, x).passed
-    wrong_pullback = dataclasses.replace(good, linearizer=lambda x: (J @ x, lambda w: 2.0 * (J.T @ w)))
+    wrong_pullback = MapOracle(lambda x: (J @ x, lambda w: 2.0 * (J.T @ w)))
     rep = check_vjp(wrong_pullback, x)
-    assert not rep.passed and rep.message.startswith("pullback")
-    wrong_value = dataclasses.replace(good, linearizer=lambda x: (J @ x + 1e-9, lambda w: J.T @ w))
+    assert not rep.passed and rep.message.startswith("pullback at pair")
+    # a replaced value, such as a benchmark's call recorder, must stay linearize(x)[0]
+    wrong_value = dataclasses.replace(good, value=lambda x: J @ x + 1e-9)
     rep = check_vjp(wrong_value, x)
     assert not rep.passed and "linearize(x)[0] differs from value(x)" in rep.message
 
 
-def test_default_linearize_is_value_and_vjp():
-    J = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    c = MapOracle(value=lambda x: J @ x, vjp=lambda x, w: J.T @ w)
-    x, w = np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0])
-    c_x, pullback = c.linearize(x)
-    np.testing.assert_array_equal(c_x, J @ x)
-    np.testing.assert_array_equal(pullback(w), J.T @ w)
-
-
 def test_map_given_by_a_linearizer_derives_value_and_vjp():
     J = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    c = MapOracle(linearizer=lambda x: (J @ x, lambda w: J.T @ w))
+    c = linear_map(J)
     x, w = np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0])
     np.testing.assert_array_equal(c.value(x), J @ x)
     np.testing.assert_array_equal(c.vjp(x, w), J.T @ w)
-    for kwargs in ({}, {"value": lambda x: J @ x}, {"vjp": lambda x, w: J.T @ w}):
-        with pytest.raises(ValueError, match="needs both value and vjp"):
+    # linearize is the map: value and vjp do not make one
+    for kwargs in ({}, {"value": lambda x: J @ x, "vjp": lambda x, w: J.T @ w}):
+        with pytest.raises(TypeError, match="linearize"):
             MapOracle(**kwargs)
 
 
@@ -148,8 +141,7 @@ def _tiny_problem():
         value=lambda y: 0.0 if np.all(y <= 0.0) else math.inf,
         prox=lambda z, gamma: np.minimum(z, 0.0),
     )
-    c = MapOracle(value=lambda x: x.copy(), vjp=lambda x, w: w.copy())
-    return Problem(f=f, g=g, h=h, c=c, n=2, m=2)
+    return Problem(f=f, g=g, h=h, c=linear_map(np.eye(2)), n=2, m=2)
 
 
 def test_objective_propagates_infinities():

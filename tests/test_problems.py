@@ -330,10 +330,10 @@ def test_verify_problem_oracles_catches_a_jvp_scaled_by_two():
     rng = np.random.default_rng(3)
     points = [x0] + [x0 + 0.1 * rng.standard_normal(x0.size) for _ in range(4)]
     assert verify_problem_oracles(problem, points) == []
-    linearizer = problem.c.linearizer
+    lin = problem.c.linearize
 
     def linearize(x):
-        c_x, pullback = linearizer(x)
+        c_x, pullback = lin(x)
 
         def doubled(w):
             return pullback(w)
@@ -341,7 +341,7 @@ def test_verify_problem_oracles_catches_a_jvp_scaled_by_two():
         doubled.jvp = lambda d: 2.0 * pullback.jvp(d)
         return c_x, doubled
 
-    c = dataclasses.replace(problem.c, linearizer=linearize)
+    c = dataclasses.replace(problem.c, linearize=linearize)
     failures = verify_problem_oracles(dataclasses.replace(problem, c=c), points)
     assert len(failures) == len(points)
     assert all(msg.startswith("jvp is not the adjoint") for msg in failures)
@@ -380,7 +380,7 @@ def test_verify_problem_oracles_catches_a_taylor_bound_that_c_breaks():
         return np.zeros(3), pullback
 
     free = ProxOracle(value=lambda x: 0.0, prox=lambda z, gamma: np.asarray(z, dtype=float))
-    c = MapOracle(linearizer=linearize, jac_lipschitz_bound=1.0, jvp_slack=0.0)
+    c = MapOracle(linearize, jac_lipschitz_bound=1.0, jvp_slack=0.0)
     problem = Problem(
         f=SmoothOracle(value=lambda x: float(0.5 * x @ x), grad=lambda x: x),
         g=free, h=free, c=c, n=3, m=3,
@@ -410,8 +410,6 @@ def test_qcqp_linearize_matches_einsum_reference():
         c_x, pullback = prob.c.linearize(x)
         np.testing.assert_allclose(c_x, c_ref, rtol=0.0, atol=1e-14 * scale)
         np.testing.assert_allclose(pullback(w), jtw_ref, rtol=0.0, atol=1e-14 * scale)
-        np.testing.assert_array_equal(prob.c.value(x), c_x)
-        np.testing.assert_array_equal(prob.c.vjp(x, w), pullback(w))
         rel_ref = np.linalg.norm(np.maximum(c_ref, 0.0) / np.maximum(np.abs(inst.ri), 1.0))
         assert relative_feasibility(inst, x) == pytest.approx(rel_ref, rel=1e-12, abs=1e-14 * scale)
 
@@ -572,34 +570,17 @@ def test_map_value_and_vjp_are_the_linearizer_outputs_bit_for_bit(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_map_keeps_its_linearizer_under_replace_and_needs_one_or_both(family):
     fam = FAMILIES[family]
-    prob, x0, *_ = fam.setup(fam.generate(5, **fam.check_kwargs))
-    c = prob.c
-    # a map without a linearizer must give both value and vjp
-    for missing in ("value", "vjp"):
-        with pytest.raises(ValueError, match="needs both value and vjp"):
-            dataclasses.replace(c, linearizer=None, **{missing: None})
-    # wrapping value and vjp, as the benchmark's call recorder does, keeps the
-    # linearizer and the constants, and the wrappers see every call
-    calls = []
-
-    def value(x):
-        calls.append("value")
-        return c.value(x)
-
-    def vjp(x, w):
-        calls.append("vjp")
-        return c.vjp(x, w)
-
+    c = fam.setup(fam.generate(5, **fam.check_kwargs))[0].c
+    # a map needs its linearize: value and vjp do not make one
+    with pytest.raises(TypeError, match="linearize"):
+        MapOracle(value=c.value, vjp=c.vjp, jac_lipschitz_bound=c.jac_lipschitz_bound)
+    # wrapping value and vjp, as the benchmark's call recorder does, keeps
+    # linearize and the constants
+    value, vjp = (lambda x: c.value(x)), (lambda x, w: c.vjp(x, w))
     wrapped = dataclasses.replace(c, value=value, vjp=vjp)
-    assert wrapped.linearizer is c.linearizer
-    assert wrapped.jac_lipschitz_bound == c.jac_lipschitz_bound
-    assert wrapped.jac_norm_bound == c.jac_norm_bound
-    w = np.random.default_rng(5).standard_normal(prob.m)
-    c_x, pullback = c.linearize(x0)
-    assert wrapped.value(x0).tobytes() == c_x.tobytes()
-    assert wrapped.vjp(x0, w).tobytes() == pullback(w).tobytes()
-    assert wrapped.linearize(x0)[0].tobytes() == c_x.tobytes()
-    assert calls == ["value", "vjp"]
+    assert (wrapped.value, wrapped.vjp, wrapped.linearize) == (value, vjp, c.linearize)
+    for name in ("jac_lipschitz_bound", "jac_norm_bound", "jvp_slack"):
+        assert getattr(wrapped, name) == getattr(c, name), name
 
 
 def test_relative_feasibility_examples():
@@ -770,7 +751,7 @@ def test_mimo_f_and_g_values_equal_the_plain_expressions_bit_for_bit(r_lo):
 
 
 def test_mimo_grad_map_and_h_equal_the_plain_expressions_bit_for_bit():
-    # grad f builds phi from the cos and sin it holds, the linearizer forms
+    # grad f builds phi from the cos and sin it holds, c.linearize forms
     # p_psk*theta/2 once for c and its pullback, and h sums with add.reduce;
     # each must give the bits of the plain expressions, on the box and off it
     from sdcam.problems.mimo import _gamma_prime
@@ -794,8 +775,7 @@ def test_mimo_grad_map_and_h_equal_the_plain_expressions_bit_for_bit():
         vjp_ref = np.zeros(2 * n)
         vjp_ref[n:] = 0.5 * ppsk * np.cos(0.5 * ppsk * x[n:]) * w
         c_x, pullback = prob.c.linearize(x)
-        for got, ref in ((c_x, c_ref), (prob.c.value(x), c_ref),
-                         (pullback(w), vjp_ref), (prob.c.vjp(x, w), vjp_ref)):
+        for got, ref in ((c_x, c_ref), (pullback(w), vjp_ref)):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
         y = np.concatenate([c_ref, [-0.0, 0.0]])
@@ -921,15 +901,13 @@ def test_mlp_pullback_equals_vjp_from_scratch(activation):
     prob = mlp_problem(inst)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(inst.param_count) * 0.3
-    c_x, pullback = prob.c.linearize(v)
-    np.testing.assert_array_equal(c_x, prob.c.value(v))
+    pullback = prob.c.linearize(v)[1]
     for _ in range(3):
         w = rng.standard_normal(12)
         # reverse accumulation after a forward pass of its own
         _, acts, layers = _forward(v, inst.layer_dims, activation, inst.features)
         ref = _backward(layers, acts, activation, w)
         np.testing.assert_array_equal(pullback(w), ref)
-        np.testing.assert_array_equal(prob.c.vjp(v, w), ref)
 
 
 def test_mlp_initial_point_inside_box():

@@ -31,7 +31,7 @@ def _identity_problem(curvature=1.0):
         lipschitz_bound=curvature,
     )
     free = ProxOracle(value=lambda x: 0.0, prox=lambda z, gamma: np.asarray(z, dtype=float))
-    c = MapOracle(value=lambda x: x.copy(), vjp=lambda x, w: np.asarray(w, dtype=float))
+    c = MapOracle(lambda x: (np.array(x, dtype=float), lambda w: np.asarray(w, dtype=float)))
     return Problem(f=f, g=free, h=free, c=c, n=2, m=2, inf_fg_lower_bound=0.0)
 
 
@@ -73,11 +73,16 @@ def _replace_oracle(p, name, fn):
     return dataclasses.replace(p, **{term: dataclasses.replace(getattr(p, term), **{method: fn})})
 
 
-def _constant_oracle(name, value):
-    """An oracle method for the 2-d identity problem that always returns value."""
-    if name == "f.value":
-        return lambda *args: value
-    return lambda *args: np.full(2, value)
+def _constant_oracle(p, name, value):
+    """The 2-d identity problem p with the oracle method ``name`` always
+    returning value; "c.value" and "c.vjp" are the two outputs of
+    ``c.linearize``."""
+    const = np.full(2, value)
+    if name == "c.value":
+        return _replace_oracle(p, "c.linearize", lambda x: (const, p.c.linearize(x)[1]))
+    if name == "c.vjp":
+        return _replace_oracle(p, "c.linearize", lambda x: (p.c.value(x), lambda w: const))
+    return _replace_oracle(p, name, lambda *args: value if name == "f.value" else const)
 
 
 def _beta0_config(beta0):
@@ -345,9 +350,9 @@ def test_oracle_calls_per_run(family, monkeypatch):
     # Each oracle value at an iterate is computed once: T trials, A accepted steps,
     # P trials that pass condition (i), the only ones that evaluate f, and K trials
     # that the jvp certificate rejects, the only ones that do not sweep the map.
-    # Every family has a one-pass linearizer: it sweeps its map once per other
-    # trial, applies the pullback once per accepted step, and never calls c.value
-    # or c.vjp.  QCQP's pullback also offers a jvp, applied once per trial.
+    # The solver calls only c.linearize: it sweeps each family's map once per
+    # other trial, applies the pullback once per accepted step, and never calls
+    # c.value or c.vjp.  QCQP's pullback also offers a jvp, applied once per trial.
     prob, x0, y0, rel_feas, cfg = _family_run(family, 0, max_successful_iters=30)
     passed_i = collections.Counter()
     counts = collections.Counter()
@@ -361,7 +366,6 @@ def test_oracle_calls_per_run(family, monkeypatch):
         return row, (margin_i, margin_ii)
 
     monkeypatch.setattr(sdcam.solver, "step", counted_step)
-    assert prob.c.linearizer is not None
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -373,16 +377,16 @@ def test_oracle_calls_per_run(family, monkeypatch):
     for name in ORACLES:
         term, method = name.split(".")
         prob = _replace_oracle(prob, name, counted(name, getattr(getattr(prob, term), method)))
-    linearizer = prob.c.linearizer
+    lin = prob.c.linearize
 
     def linearize(x):
-        c_x, pullback = linearizer(x)
+        c_x, pullback = lin(x)
         counted_pullback = counted("c.pullback", pullback)
         if hasattr(pullback, "jvp"):
             counted_pullback.jvp = counted("c.jvp", pullback.jvp)
         return c_x, counted_pullback
 
-    prob = _replace_oracle(prob, "c.linearizer", counted("c.linearize", linearize))
+    prob = _replace_oracle(prob, "c.linearize", counted("c.linearize", linearize))
     res = solve(prob, cfg, x0, y0, rel_feas=rel_feas)
     T, A, P, K = res.total_trials, len(res.trace), passed_i[True], passed_i["certified"]
     assert A == 30 and T > A
@@ -408,7 +412,7 @@ def test_oracle_calls_per_run(family, monkeypatch):
 def test_non_finite_oracle_at_start_raises(oracle, rho):
     # A NaN at the start must raise, not run to the trial budget as a string of
     # rejections (rho = 0.8) or until mu underflows to 0 (rho = 0.5).
-    p = _replace_oracle(_identity_problem(), oracle, _constant_oracle(oracle, math.nan))
+    p = _constant_oracle(_identity_problem(), oracle, math.nan)
     with pytest.raises(SolverError, match="not finite"):
         solve(p, _config(rho=rho), np.ones(2), np.zeros(2))
 
@@ -418,7 +422,7 @@ def test_non_finite_oracle_at_start_raises(oracle, rho):
 def test_non_finite_trial_values_raise(oracle, value):
     p = _identity_problem()
     st = _state(p, np.ones(2), np.zeros(2), mu=1.0)
-    p_bad = _replace_oracle(p, oracle, _constant_oracle(oracle, value))
+    p_bad = _constant_oracle(p, oracle, value)
     with pytest.raises(SolverError, match="not finite"):
         step(p_bad, st, _config())
 
@@ -492,16 +496,16 @@ def test_trial_that_passes_i_and_fails_ii_returns_its_margin_ii():
     assert (margin_i, margin_ii) == reference_trial(p, ReferenceState(x0, y0, 1.0), _config())[1]
 
 
-def _counting_linearizer(p, counts):
+def _counting_linearize(p, counts):
     """p with each ``c.linearize`` call counted in counts["c.linearize"]; the
     pullbacks pass through unchanged, jvp included."""
-    linearizer = p.c.linearizer
+    lin = p.c.linearize
 
     def linearize(x):
         counts["c.linearize"] += 1
-        return linearizer(x)
+        return lin(x)
 
-    return _replace_oracle(p, "c.linearizer", linearize)
+    return _replace_oracle(p, "c.linearize", linearize)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -513,7 +517,7 @@ def test_taylor_anchor_resets_on_acceptance_and_moves_to_swept_trials(family):
     prob, x0, y0, _, cfg = _family_run(family, 0)
     trial_points = []
     calls = collections.Counter()
-    prob = _counting_linearizer(_recording_prox(prob, trial_points), calls)
+    prob = _counting_linearize(_recording_prox(prob, trial_points), calls)
     st = initial_state(prob, x0, y0, cfg.mu_init)
     if family != "qcqp":
         while st.t < 30:
@@ -561,7 +565,7 @@ def _beside_reference(family, seed, size, steps, bi_scale):
     certified where step rejected it without evaluating c there."""
     prob, x0, y0, rel_feas, cfg = _family_run(family, seed, dict(size), bi_scale)
     calls = collections.Counter()
-    counted = _counting_linearizer(prob, calls)
+    counted = _counting_linearize(prob, calls)
     st, ref = initial_state(counted, x0, y0, cfg.mu_init), ReferenceState(x0, y0, cfg.mu_init)
     trials, swept_rejection = [], False  # at the current iterate
     while st.t < steps:
@@ -699,15 +703,19 @@ def _random_problem(rng, n, m, h_kind, c_kind):
     )
     B, d = rng.standard_normal((m, n)), rng.standard_normal(m)
     if c_kind == "linear":
-        c = MapOracle(lambda x: B @ x + d, lambda x, w: w @ B,
+        c = MapOracle(lambda x: (B @ x + d, lambda w: w @ B),
                       jac_lipschitz_bound=0.0, jac_norm_bound=float(np.linalg.norm(B, 2)))
     else:
         G = rng.standard_normal((m, n, n))
         Q = 0.5 * (G + G.transpose(0, 2, 1))
         q_norms = np.linalg.norm(Q, 2, axis=(1, 2))
+
+        def linearize(x):
+            Qx = Q @ x
+            return 0.5 * Qx @ x + B @ x + d, lambda w: w @ Qx + w @ B
+
         c = MapOracle(
-            lambda x: 0.5 * (Q @ x) @ x + B @ x + d,
-            lambda x, w: w @ (Q @ x) + w @ B,
+            linearize,
             jac_lipschitz_bound=float(np.sqrt(np.sum(q_norms**2))),
             jac_norm_bound=float(np.sqrt(np.sum(
                 (q_norms * R * math.sqrt(n) + np.linalg.norm(B, axis=1)) ** 2))),
